@@ -54,7 +54,7 @@ pub const DEDUP_CAP: usize = 4096;
 /// [u64 req_seq][u32 count][count × u64 items]` — not the snapshot
 /// codec: the WAL record layer already owns framing and checksumming,
 /// so the payload only needs to be unambiguous and bounded.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestFrame {
     /// Target shard in the tenant's bank.
     pub shard: u32,
@@ -86,18 +86,17 @@ impl IngestFrame {
         encode_frame(self.shard, self.client, self.req_seq, &self.items, out);
     }
 
-    /// Decodes a WAL record payload. Fail-closed: the item count is
-    /// bounded by [`MAX_BATCH`] and checked against the remaining bytes
-    /// before any allocation; trailing garbage is an error. A payload
-    /// that fails here inside a checksum-valid record is structural
-    /// damage, not a torn tail.
-    pub fn decode(buf: &[u8]) -> Result<Self, String> {
+    /// Decodes a WAL record payload into `self`, reusing its item
+    /// buffer (replay decodes every record of a log through one frame).
+    /// Fail-closed: the item count is bounded by [`MAX_BATCH`] and
+    /// checked against the remaining bytes before any allocation;
+    /// trailing garbage is an error. A payload that fails here inside a
+    /// checksum-valid record is structural damage, not a torn tail, and
+    /// leaves `self` unspecified.
+    pub fn decode_from(&mut self, buf: &[u8]) -> Result<(), String> {
         if buf.len() < 24 {
             return Err(format!("ingest frame of {} bytes is too short", buf.len()));
         }
-        let shard = u32::from_le_bytes(buf[0..4].try_into().expect("sized"));
-        let client = u64::from_le_bytes(buf[4..12].try_into().expect("sized"));
-        let req_seq = u64::from_le_bytes(buf[12..20].try_into().expect("sized"));
         let count = u32::from_le_bytes(buf[20..24].try_into().expect("sized")) as usize;
         if count > MAX_BATCH {
             return Err(format!(
@@ -110,16 +109,16 @@ impl IngestFrame {
                 buf.len()
             ));
         }
-        let items = buf[24..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect();
-        Ok(Self {
-            shard,
-            client,
-            req_seq,
-            items,
-        })
+        self.shard = u32::from_le_bytes(buf[0..4].try_into().expect("sized"));
+        self.client = u64::from_le_bytes(buf[4..12].try_into().expect("sized"));
+        self.req_seq = u64::from_le_bytes(buf[12..20].try_into().expect("sized"));
+        self.items.clear();
+        self.items.extend(
+            buf[24..]
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)"))),
+        );
+        Ok(())
     }
 }
 
@@ -321,16 +320,29 @@ mod tests {
         };
         let mut buf = Vec::new();
         frame.encode_into(&mut buf);
-        assert_eq!(IngestFrame::decode(&buf).unwrap(), frame);
+        let mut back = IngestFrame::default();
+        back.decode_from(&buf).unwrap();
+        assert_eq!(back, frame);
         // Truncations and extensions both fail (exact length required).
-        assert!(IngestFrame::decode(&buf[..buf.len() - 1]).is_err());
+        assert!(back.decode_from(&buf[..buf.len() - 1]).is_err());
         let mut long = buf.clone();
         long.push(0);
-        assert!(IngestFrame::decode(&long).is_err());
+        assert!(back.decode_from(&long).is_err());
         // A hostile count is rejected before sizing anything from it.
         let mut evil = buf.clone();
         evil[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(IngestFrame::decode(&evil).is_err());
+        assert!(back.decode_from(&evil).is_err());
+        // The same frame, reused after those failures, decodes a shorter
+        // payload without leaking items from the longer one.
+        let short = IngestFrame {
+            shard: 1,
+            client: 0,
+            req_seq: 0,
+            items: vec![5],
+        };
+        short.encode_into(&mut buf);
+        back.decode_from(&buf).unwrap();
+        assert_eq!(back, short);
     }
 
     #[test]

@@ -428,6 +428,12 @@ pub struct ServerHealth {
     pub dedup_hits: u64,
     /// Live WAL segment files across resident tenants.
     pub wal_segments: u64,
+    /// Wall time, in microseconds, of the last boot's hydrate phase:
+    /// restoring every recovered tenant's bundle and replaying its WAL.
+    pub boot_recovery_us: u64,
+    /// Torn-tail bytes cut from WAL segments at boot and at eviction
+    /// rehydration since the server started.
+    pub wal_truncated_bytes: u64,
 }
 
 // --- manual serde impls (the vendored derive is a compile-time stub) ---
@@ -647,6 +653,8 @@ impl Serialize for ServerHealth {
         s.write_u64(self.wal_replayed)?;
         s.write_u64(self.dedup_hits)?;
         s.write_u64(self.wal_segments)?;
+        s.write_u64(self.boot_recovery_us)?;
+        s.write_u64(self.wal_truncated_bytes)?;
         s.done()
     }
 }
@@ -670,6 +678,8 @@ impl<'de> Deserialize<'de> for ServerHealth {
             wal_replayed: d.read_u64()?,
             dedup_hits: d.read_u64()?,
             wal_segments: d.read_u64()?,
+            boot_recovery_us: d.read_u64()?,
+            wal_truncated_bytes: d.read_u64()?,
         })
     }
 }
@@ -950,6 +960,8 @@ mod tests {
                 wal_replayed: 7,
                 dedup_hits: 2,
                 wal_segments: 2,
+                boot_recovery_us: 640_123,
+                wal_truncated_bytes: 4_097,
                 ..ServerHealth::default()
             }),
             Response::Checkpointed { tenants: 2 },
@@ -1039,6 +1051,50 @@ mod tests {
                 Request::decode(&bent).is_err(),
                 "bit flip at byte {i} slipped through the checksum"
             );
+        }
+    }
+
+    #[test]
+    fn health_responses_fail_closed_under_truncation_and_bit_flips() {
+        // Every field set, so a flip in any of them (the recovery
+        // fields last on the wire included) would show if it decoded.
+        let health = Response::Health(ServerHealth {
+            tenants: 3,
+            active_connections: 4,
+            accept_rejections: 5,
+            shed_batches: 6,
+            evictions: 7,
+            checkpoints: 8,
+            recovered_tenants: 9,
+            quarantined: vec!["q".into()],
+            resident_bytes: 10,
+            wal_appended: 11,
+            wal_depth: 12,
+            wal_fsyncs: 13,
+            wal_max_commit_wait_us: 14,
+            wal_replayed: 15,
+            dedup_hits: 16,
+            wal_segments: 17,
+            boot_recovery_us: 18,
+            wal_truncated_bytes: 19,
+        });
+        let body = health.encode();
+        assert_eq!(Response::decode(&body).unwrap(), health);
+        for cut in 0..body.len() {
+            assert!(
+                Response::decode(&body[..cut]).is_err(),
+                "health truncated at {cut} decoded"
+            );
+        }
+        for i in 0..body.len() {
+            for bit in [0x01u8, 0x80] {
+                let mut bent = body.to_vec();
+                bent[i] ^= bit;
+                assert!(
+                    Response::decode(&bent).is_err(),
+                    "flip {bit:#x} at byte {i} of a health body decoded"
+                );
+            }
         }
     }
 

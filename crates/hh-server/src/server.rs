@@ -25,8 +25,11 @@
 //! # Lifecycle
 //!
 //! [`Server::start`] binds, recovers from the store, and returns once
-//! serving. [`Server::shutdown`] drains: the acceptor and checkpointer
-//! exit, handler threads wind down (they poll the stop flag between
+//! serving. Recovery hydrates the store's tenants on
+//! `std::thread::available_parallelism()` scoped workers, each
+//! streaming its tenant's WAL through [`hh_wal::Wal::open_with`].
+//! [`Server::shutdown`] drains: the acceptor and checkpointer exit,
+//! handler threads wind down (they poll the stop flag between
 //! frames), and only then the final checkpoint runs — checkpoint
 //! rounds are single-flight, so it can never interleave with a round a
 //! handler started. [`Server::kill`] is the crash simulation:
@@ -46,10 +49,11 @@ use crate::tenant::{Tenant, RETRY_AFTER_MS};
 use hh_wal::{Wal, WalConfig};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::num::NonZeroUsize;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -162,6 +166,8 @@ struct Stats {
     evictions: AtomicU64,
     checkpoints: AtomicU64,
     admission_shed: AtomicU64,
+    /// Torn-tail bytes cut from WAL segments at boot and rehydration.
+    wal_truncated_bytes: AtomicU64,
 }
 
 struct Shared {
@@ -173,13 +179,19 @@ struct Shared {
     /// Tenants lost at boot (quarantined on disk), surfaced in health.
     boot_lost: Vec<String>,
     recovered_tenants: u64,
+    /// Wall time of the boot hydrate phase, in microseconds.
+    boot_recovery_us: u64,
     /// Set by shutdown/kill; the acceptor, handlers, and checkpointer
     /// all watch it. `Arc`'d so each connection's deadline machinery
     /// can poll it between frames ([`DeadlineConn::with_stop`]).
     stopping: Arc<AtomicBool>,
     /// True on graceful shutdown only: the final checkpoint runs.
     graceful: AtomicBool,
-    /// Wakes the checkpointer early on shutdown.
+    /// Wakes the checkpointer early on shutdown. `stopping` is raised
+    /// and `tick` notified only while holding `tick_lock`
+    /// ([`signal_stop`]), and the checkpointer checks `stopping` under
+    /// the same lock before it parks, so a stop cannot slip into the
+    /// gap between its check and its wait.
     tick: Condvar,
     tick_lock: Mutex<()>,
     /// Serializes checkpoint rounds. Rounds from different threads
@@ -234,19 +246,10 @@ impl Server {
     pub fn start(config: ServerConfig, endpoint: Endpoint) -> std::io::Result<Self> {
         let store = Store::open(&config.store_root)?;
         let boot = store.load_all()?;
-        let mut slots = HashMap::new();
         let recovered_tenants = boot.recovered.len() as u64;
-        for t in boot.recovered {
-            let name = t.name.clone();
-            match hydrate(&config, &store, t) {
-                Ok(tenant) => {
-                    slots.insert(name, Slot::Live(Box::new(tenant)));
-                }
-                Err(e) => {
-                    slots.insert(name, Slot::Broken(e));
-                }
-            }
-        }
+        let t0 = Instant::now();
+        let (slots, truncated) = hydrate_all(&config, &store, boot.recovered);
+        let boot_recovery_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         let boot_lost = boot.lost.into_iter().map(|(name, _)| name).collect();
 
         let listener = match &endpoint {
@@ -267,10 +270,14 @@ impl Server {
             config,
             store,
             registry: Mutex::new(Registry { slots, clock: 0 }),
-            stats: Stats::default(),
+            stats: Stats {
+                wal_truncated_bytes: AtomicU64::new(truncated),
+                ..Stats::default()
+            },
             active: AtomicU64::new(0),
             boot_lost,
             recovered_tenants,
+            boot_recovery_us,
             stopping: Arc::new(AtomicBool::new(false)),
             graceful: AtomicBool::new(false),
             tick: Condvar::new(),
@@ -311,9 +318,11 @@ impl Server {
         }
     }
 
-    /// Wakes the acceptor out of its blocking `accept` by connecting
-    /// once, and the checkpointer out of its wait.
+    /// Raises the stop flag, wakes the checkpointer out of its wait, and
+    /// wakes the acceptor out of its blocking `accept` by connecting
+    /// once.
     fn wake(&self) {
+        signal_stop(&self.shared);
         match &self.endpoint {
             Endpoint::Tcp(_) => {
                 if let Some(addr) = self.local_addr {
@@ -324,12 +333,10 @@ impl Server {
                 let _ = UnixStream::connect(path);
             }
         }
-        self.shared.tick.notify_all();
     }
 
     fn stop(mut self, graceful: bool) {
         self.shared.graceful.store(graceful, Ordering::SeqCst);
-        self.shared.stopping.store(true, Ordering::SeqCst);
         self.wake();
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
@@ -377,19 +384,8 @@ impl Drop for Server {
         if self.acceptor.is_none() {
             return; // already stopped
         }
-        self.shared.stopping.store(true, Ordering::SeqCst);
         // Best-effort wake so the joins below terminate.
-        match &self.endpoint {
-            Endpoint::Tcp(_) => {
-                if let Some(addr) = self.local_addr {
-                    let _ = TcpStream::connect(addr);
-                }
-            }
-            Endpoint::Unix(path) => {
-                let _ = UnixStream::connect(path);
-            }
-        }
-        self.shared.tick.notify_all();
+        self.wake();
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -434,6 +430,17 @@ impl ServerHandle {
     }
 }
 
+/// Raises `stopping` and wakes the checkpointer, both under `tick_lock`
+/// (see [`Shared::tick`]).
+fn signal_stop(shared: &Shared) {
+    let _tick = shared
+        .tick_lock
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    shared.stopping.store(true, Ordering::SeqCst);
+    shared.tick.notify_all();
+}
+
 fn lock_registry(shared: &Shared) -> std::sync::MutexGuard<'_, Registry> {
     shared
         .registry
@@ -444,14 +451,24 @@ fn lock_registry(shared: &Shared) -> std::sync::MutexGuard<'_, Registry> {
 /// Rebuilds a tenant from its recovered checkpoint bundle and — when
 /// the server runs with a WAL — replays the log tail over it. Shared
 /// by the boot scan and eviction rehydration, so a kill at *any* point
-/// recovers through exactly one code path.
+/// recovers through exactly one code path. Returns the tenant and the
+/// torn-tail bytes its log open cut.
+///
+/// Replay streams: each record's payload is decoded straight out of the
+/// scan buffer into one reused frame and applied before the next record
+/// is read, so no copy of the log is ever held.
 ///
 /// Fail-closed: a WAL that fails structural validation, or a
 /// crc-valid record whose frame does not decode or contradicts the
 /// spec, turns the whole tenant into an error — the caller marks the
 /// slot `Broken` (write-and-read quarantine) and every other tenant
-/// keeps serving.
-fn hydrate(config: &ServerConfig, store: &Store, rec: RecoveredTenant) -> Result<Tenant, String> {
+/// keeps serving. Records before the damage may already have been
+/// applied; the half-replayed tenant is dropped with the error.
+fn hydrate(
+    config: &ServerConfig,
+    store: &Store,
+    rec: RecoveredTenant,
+) -> Result<(Tenant, u64), String> {
     let RecoveredTenant {
         name,
         spec,
@@ -461,6 +478,7 @@ fn hydrate(config: &ServerConfig, store: &Store, rec: RecoveredTenant) -> Result
     } = rec;
     let mut tenant = Tenant::from_bank(spec, shards).map_err(|e| e.to_string())?;
     tenant.restore_durability(&hwms, &dedup);
+    let mut truncated = 0;
     if let Some(wal_cfg) = config.wal_config(store.wal_dir(&name)) {
         // A log reopened after a crash must never re-issue a sequence
         // number the bundle's marks already cover — the hint floors
@@ -469,18 +487,70 @@ fn hydrate(config: &ServerConfig, store: &Store, rec: RecoveredTenant) -> Result
         // tails always reach at least the marks; the hint guards the
         // fresh-log edge).
         let hint = hwms.iter().copied().max().unwrap_or(0) + 1;
-        let (wal, replay) =
-            Wal::open(wal_cfg, hint).map_err(|e| format!("wal recovery failed: {e}"))?;
-        for record in &replay.records {
-            let frame = IngestFrame::decode(&record.payload)
-                .map_err(|e| format!("wal record {} carries a malformed frame: {e}", record.seq))?;
+        let mut frame = IngestFrame::default();
+        let (wal, replay) = Wal::open_with(wal_cfg, hint, |seq, payload| {
+            frame
+                .decode_from(payload)
+                .map_err(|e| format!("malformed frame: {e}"))?;
             tenant
-                .replay_frame(record.seq, &frame)
-                .map_err(|e| format!("wal replay failed: {e}"))?;
-        }
+                .replay_frame(seq, &frame)
+                .map(drop)
+                .map_err(|e| e.to_string())
+        })
+        .map_err(|e| format!("wal recovery failed: {e}"))?;
+        truncated = replay.truncated_bytes;
         tenant.attach_wal(Arc::new(wal));
     }
-    Ok(tenant)
+    Ok((tenant, truncated))
+}
+
+/// Hydrates the boot scan's tenants on `available_parallelism()` scoped
+/// workers that pull from one shared queue (logs differ widely in
+/// length, so a fixed split could idle a worker behind the longest).
+/// Each worker holds at most one segment buffer at a time. Returns the
+/// registry slots and the torn-tail bytes cut.
+fn hydrate_all(
+    config: &ServerConfig,
+    store: &Store,
+    recovered: Vec<RecoveredTenant>,
+) -> (HashMap<String, Slot>, u64) {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(recovered.len());
+    let queue = Mutex::new(recovered.into_iter());
+    let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+    let mut slots = HashMap::new();
+    let mut truncated = 0;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some(t) = next() {
+                        let name = t.name.clone();
+                        done.push((name, hydrate(config, store, t)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (name, result) in done {
+                let slot = match result {
+                    Ok((tenant, cut)) => {
+                        truncated += cut;
+                        Slot::Live(Box::new(tenant))
+                    }
+                    Err(e) => Slot::Broken(e),
+                };
+                slots.insert(name, slot);
+            }
+        }
+    });
+    (slots, truncated)
 }
 
 /// Releases one admission slot on drop, so a handler that unwinds
@@ -583,8 +653,7 @@ fn serve_conn(shared: &Arc<Shared>, transport: Box<dyn Transport>) {
         }
         if stop_after {
             shared.graceful.store(true, Ordering::SeqCst);
-            shared.stopping.store(true, Ordering::SeqCst);
-            shared.tick.notify_all();
+            signal_stop(shared);
             // Checkpoint here, on this handler thread, so a client
             // whose `Shutdown` was acked gets durability even if the
             // operator never calls `Server::shutdown`. The round is
@@ -730,7 +799,13 @@ fn resident_tenant<'a>(
         Some(Slot::Evicted) => {
             let slot = match shared.store.load_tenant(name) {
                 Ok(rec) => match hydrate(&shared.config, &shared.store, rec) {
-                    Ok(t) => Slot::Live(Box::new(t)),
+                    Ok((t, truncated)) => {
+                        shared
+                            .stats
+                            .wal_truncated_bytes
+                            .fetch_add(truncated, Ordering::Relaxed);
+                        Slot::Live(Box::new(t))
+                    }
                     Err(e) => Slot::Broken(e),
                 },
                 Err(reason) => Slot::Broken(reason),
@@ -881,7 +956,13 @@ fn checkpoint_loop(shared: &Arc<Shared>) {
             let guard = shared
                 .tick_lock
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
+            // Checked under the lock `signal_stop` raises it under: a
+            // stop that lands before this line is seen here, and one
+            // that lands after it finds us parked and wakes us.
+            if shared.stopping.load(Ordering::SeqCst) {
+                return;
+            }
             let _unused = shared
                 .tick
                 .wait_timeout(guard, shared.config.checkpoint_every);
@@ -939,6 +1020,7 @@ fn build_health(shared: &Shared) -> ServerHealth {
         evictions: shared.stats.evictions.load(Ordering::Relaxed),
         checkpoints: shared.stats.checkpoints.load(Ordering::Relaxed),
         recovered_tenants: shared.recovered_tenants,
+        boot_recovery_us: shared.boot_recovery_us,
         quarantined,
         resident_bytes: resident,
         wal_appended,
@@ -948,6 +1030,7 @@ fn build_health(shared: &Shared) -> ServerHealth {
         wal_replayed,
         dedup_hits,
         wal_segments,
+        wal_truncated_bytes: shared.stats.wal_truncated_bytes.load(Ordering::Relaxed),
     }
 }
 
@@ -1186,6 +1269,75 @@ mod tests {
         // And the replayed state keeps accepting + checkpointing.
         client.ingest("t", 0, &[7; 100]).unwrap();
         client.checkpoint().unwrap();
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn stop_right_after_start_never_waits_out_the_checkpoint_interval() {
+        // Regression: a stop raised before the checkpointer first parked
+        // was a lost wakeup, and the join waited the whole interval.
+        let root = tmp_root("stop-race");
+        let cfg = ServerConfig {
+            checkpoint_every: Duration::from_secs(3600),
+            ..ServerConfig::fast(&root)
+        };
+        for i in 0..50 {
+            let server =
+                Server::start(cfg.clone(), Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+            let (done, stopped) = std::sync::mpsc::channel();
+            let stopper = std::thread::spawn(move || {
+                if i % 2 == 0 {
+                    server.kill();
+                } else {
+                    server.shutdown();
+                }
+                let _ = done.send(());
+            });
+            stopped
+                .recv_timeout(Duration::from_secs(2))
+                .unwrap_or_else(|_| panic!("stop {i} did not return within 2 s"));
+            stopper.join().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn health_reports_boot_recovery_time_and_torn_tail_bytes() {
+        let root = tmp_root("recovery-health");
+        let cfg = ServerConfig {
+            checkpoint_every: Duration::from_secs(3600),
+            ..ServerConfig::fast(&root)
+        };
+        let server =
+            Server::start(cfg.clone(), Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+        let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+        let fresh = client.health().unwrap();
+        assert_eq!(fresh.wal_truncated_bytes, 0);
+        client.create("t", spec()).unwrap();
+        client.ingest("t", 0, &[3; 500]).unwrap();
+        server.kill();
+
+        // Half a record's worth of garbage after the last whole record:
+        // the torn tail a crash mid-append leaves.
+        let wal_dir = root.join("t").join("wal");
+        let mut segs: Vec<PathBuf> = std::fs::read_dir(&wal_dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        segs.sort();
+        let active = segs.last().unwrap();
+        let mut bytes = std::fs::read(active).unwrap();
+        bytes.extend_from_slice(&[0xEE; 37]);
+        std::fs::write(active, &bytes).unwrap();
+
+        let server = Server::start(cfg, Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+        let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+        let health = client.health().unwrap();
+        assert_eq!(health.wal_truncated_bytes, 37, "{health:?}");
+        assert!(health.boot_recovery_us > 0, "{health:?}");
+        assert!(health.wal_replayed >= 1, "{health:?}");
+        assert!(health.quarantined.is_empty());
         server.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }

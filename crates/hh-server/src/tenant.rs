@@ -633,8 +633,9 @@ mod tests {
         let (_, replay) = hh_wal::Wal::open(hh_wal::WalConfig::new(&dir), 1).unwrap();
         assert_eq!(replay.records.len(), 1);
         let mut fresh = Tenant::create(spec()).unwrap();
+        let mut frame = IngestFrame::default();
         for rec in &replay.records {
-            let frame = IngestFrame::decode(&rec.payload).unwrap();
+            frame.decode_from(&rec.payload).unwrap();
             assert!(fresh.replay_frame(rec.seq, &frame).unwrap());
         }
         assert_eq!(fresh.total_items, 3);

@@ -19,8 +19,8 @@
 //!   legal torn tails (active segment, truncate) from structural
 //!   damage (sealed segment, quarantine).
 //! * [`wal`] — the log: append / commit under an [`FsyncPolicy`],
-//!   group-commit thread, rotation, replay, and checkpoint-gated
-//!   [`Wal::compact`].
+//!   group-commit thread, rotation, streaming replay
+//!   ([`Wal::open_with`]), and checkpoint-gated [`Wal::compact`].
 
 pub mod record;
 pub mod segment;
@@ -28,5 +28,6 @@ pub mod wal;
 
 pub use record::{Record, RecordFault, MAX_RECORD_LEN};
 pub use wal::{
-    record_disk_len, replay_dir, FsyncPolicy, Wal, WalConfig, WalError, WalReplay, WalStats,
+    record_disk_len, replay_dir, FsyncPolicy, ReplayStats, Wal, WalConfig, WalError, WalReplay,
+    WalStats,
 };

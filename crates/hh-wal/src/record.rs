@@ -41,7 +41,8 @@ pub const RECORD_OVERHEAD: usize = 8;
 /// The body's fixed prefix: the u64 sequence number.
 const SEQ_LEN: usize = 8;
 
-/// One decoded record.
+/// One decoded record, owning a copy of its payload (what the
+/// collecting replay adapters return; the scan itself lends payloads).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Monotone sequence number (assigned by the log at append).
@@ -100,9 +101,10 @@ pub fn encode_record(seq: u64, payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Parses one record at the start of `buf`. Returns the record and the
-/// bytes it consumed, or the structured fault that stopped it.
-pub fn parse_record(buf: &[u8]) -> Result<(Record, usize), RecordFault> {
+/// Parses one record at the start of `buf`. Returns its sequence
+/// number, its payload (borrowed from `buf`, never copied) and the bytes
+/// it consumed, or the structured fault that stopped it.
+pub fn parse_record(buf: &[u8]) -> Result<(u64, &[u8], usize), RecordFault> {
     if buf.len() < 4 {
         return Err(RecordFault::Incomplete);
     }
@@ -127,13 +129,7 @@ pub fn parse_record(buf: &[u8]) -> Result<(Record, usize), RecordFault> {
         return Err(RecordFault::Checksum);
     }
     let seq = u64::from_le_bytes(body[..SEQ_LEN].try_into().expect("bounded above"));
-    Ok((
-        Record {
-            seq,
-            payload: body[SEQ_LEN..].to_vec(),
-        },
-        total,
-    ))
+    Ok((seq, &body[SEQ_LEN..], total))
 }
 
 #[cfg(test)]
@@ -145,13 +141,13 @@ mod tests {
         let mut buf = Vec::new();
         encode_record(7, b"hello", &mut buf);
         encode_record(8, &[], &mut buf);
-        let (first, used) = parse_record(&buf).unwrap();
-        assert_eq!(first.seq, 7);
-        assert_eq!(first.payload, b"hello");
+        let (seq, payload, used) = parse_record(&buf).unwrap();
+        assert_eq!(seq, 7);
+        assert_eq!(payload, b"hello");
         assert_eq!(used, encoded_len(5));
-        let (second, used2) = parse_record(&buf[used..]).unwrap();
-        assert_eq!(second.seq, 8);
-        assert!(second.payload.is_empty());
+        let (seq2, payload2, used2) = parse_record(&buf[used..]).unwrap();
+        assert_eq!(seq2, 8);
+        assert!(payload2.is_empty());
         assert_eq!(used + used2, buf.len());
     }
 

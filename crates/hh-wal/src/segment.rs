@@ -33,8 +33,15 @@
 //! carry the header's `first_seq`, and every record increments by one.
 //! A gap or regression is structural (records are appended under one
 //! lock; nothing can legally skip).
+//!
+//! # Streaming
+//!
+//! The scan copies nothing: each record's payload is lent to a visitor
+//! straight out of the segment buffer, after its checksum and
+//! continuity checks pass. A visitor that rejects a payload stops the
+//! scan with an error, exactly like damage would.
 
-use crate::record::{parse_record, Record};
+use crate::record::parse_record;
 use hh_space::checksum::crc32;
 
 /// Magic prefix of every segment file.
@@ -91,8 +98,9 @@ pub fn decode_header(bytes: &[u8]) -> Result<u64, String> {
 /// What a segment scan found.
 #[derive(Debug)]
 pub struct SegmentScan {
-    /// Records in order, sequence numbers consecutive from the header.
-    pub records: Vec<Record>,
+    /// Records handed to the visitor, sequence numbers consecutive from
+    /// the header.
+    pub records: u64,
     /// Bytes of the file that parsed cleanly (header plus whole
     /// records). For an active segment with a torn tail this is where
     /// the file should be truncated before appending resumes.
@@ -102,34 +110,41 @@ pub struct SegmentScan {
     pub discarded_bytes: u64,
 }
 
-/// Scans one segment's bytes. `sealed` selects the damage policy (see
-/// the module docs); `expect_first` is the sequence number continuity
-/// requires of the header.
-pub fn scan_segment(bytes: &[u8], sealed: bool, expect_first: u64) -> Result<SegmentScan, String> {
+/// Scans one segment's bytes, calling `visit(seq, payload)` for every
+/// record in order once its checksum and sequence continuity check out.
+/// `sealed` selects the damage policy (see the module docs);
+/// `expect_first` is the sequence number continuity requires of the
+/// header.
+///
+/// # Errors
+/// A description of the damage, or the visitor's own error (prefixed
+/// with the record's sequence number). Records before the failure point
+/// have already been visited.
+pub fn scan_segment(
+    bytes: &[u8],
+    sealed: bool,
+    expect_first: u64,
+    mut visit: impl FnMut(u64, &[u8]) -> Result<(), String>,
+) -> Result<SegmentScan, String> {
     let first_seq = decode_header(bytes)?;
     if first_seq != expect_first {
         return Err(format!(
             "segment claims first seq {first_seq} but continuity requires {expect_first}"
         ));
     }
-    let mut records = Vec::new();
     let mut off = SEGMENT_HEADER_LEN;
     let mut next_seq = first_seq;
-    loop {
-        if off == bytes.len() {
-            break;
-        }
+    while off < bytes.len() {
         match parse_record(&bytes[off..]) {
-            Ok((rec, used)) => {
-                if rec.seq != next_seq {
+            Ok((seq, payload, used)) => {
+                if seq != next_seq {
                     return Err(format!(
-                        "record seq {} where continuity requires {next_seq}",
-                        rec.seq
+                        "record seq {seq} where continuity requires {next_seq}"
                     ));
                 }
+                visit(seq, payload).map_err(|e| format!("record {seq} rejected: {e}"))?;
                 next_seq += 1;
                 off += used;
-                records.push(rec);
             }
             Err(fault) => {
                 if sealed {
@@ -140,7 +155,7 @@ pub fn scan_segment(bytes: &[u8], sealed: bool, expect_first: u64) -> Result<Seg
         }
     }
     Ok(SegmentScan {
-        records,
+        records: next_seq - first_seq,
         valid_len: off as u64,
         discarded_bytes: (bytes.len() - off) as u64,
     })
@@ -149,7 +164,24 @@ pub fn scan_segment(bytes: &[u8], sealed: bool, expect_first: u64) -> Result<Seg
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::encode_record;
+    use crate::record::{encode_record, Record};
+
+    /// Scans and collects the visited records.
+    fn collect(
+        bytes: &[u8],
+        sealed: bool,
+        expect_first: u64,
+    ) -> Result<(SegmentScan, Vec<Record>), String> {
+        let mut seen = Vec::new();
+        let scan = scan_segment(bytes, sealed, expect_first, |seq, p| {
+            seen.push(Record {
+                seq,
+                payload: p.to_vec(),
+            });
+            Ok(())
+        })?;
+        Ok((scan, seen))
+    }
 
     fn segment_bytes(first_seq: u64, payloads: &[&[u8]]) -> Vec<u8> {
         let mut buf = encode_header(first_seq).to_vec();
@@ -178,9 +210,9 @@ mod tests {
     #[test]
     fn clean_scan_returns_consecutive_records() {
         let buf = segment_bytes(5, &[b"a", b"bb", b"ccc"]);
-        let scan = scan_segment(&buf, true, 5).unwrap();
-        assert_eq!(scan.records.len(), 3);
-        assert_eq!(scan.records[2].seq, 7);
+        let (scan, seen) = collect(&buf, true, 5).unwrap();
+        assert_eq!(scan.records, 3);
+        assert_eq!((seen[2].seq, seen[2].payload.as_slice()), (7, &b"ccc"[..]));
         assert_eq!(scan.valid_len, buf.len() as u64);
         assert_eq!(scan.discarded_bytes, 0);
     }
@@ -194,11 +226,11 @@ mod tests {
         };
         for cut in first_end + 1..whole.len() {
             let torn = &whole[..cut];
-            let scan = scan_segment(torn, false, 1).unwrap();
-            assert_eq!(scan.records.len(), 1, "cut at {cut}");
+            let (scan, _) = collect(torn, false, 1).unwrap();
+            assert_eq!(scan.records, 1, "cut at {cut}");
             assert_eq!(scan.valid_len as usize, first_end);
             assert_eq!(scan.discarded_bytes as usize, cut - first_end);
-            assert!(scan_segment(torn, true, 1).is_err(), "sealed cut at {cut}");
+            assert!(collect(torn, true, 1).is_err(), "sealed cut at {cut}");
         }
     }
 
@@ -206,16 +238,57 @@ mod tests {
     fn header_damage_and_seq_gaps_are_structural_everywhere() {
         let mut buf = segment_bytes(3, &[b"x"]);
         buf[2] ^= 0x01;
-        assert!(scan_segment(&buf, false, 3).is_err());
+        assert!(collect(&buf, false, 3).is_err());
 
         // A record claiming the wrong seq is a gap, not a torn tail.
         let mut gap = encode_header(1).to_vec();
         encode_record(2, b"skipped one", &mut gap);
-        assert!(scan_segment(&gap, false, 1).is_err());
+        assert!(collect(&gap, false, 1).is_err());
 
         // Continuity with the previous segment is enforced.
         let fine = segment_bytes(9, &[b"y"]);
-        assert!(scan_segment(&fine, true, 8).is_err());
-        assert!(scan_segment(&fine, true, 9).is_ok());
+        assert!(collect(&fine, true, 8).is_err());
+        assert!(collect(&fine, true, 9).is_ok());
+    }
+
+    #[test]
+    fn a_rejecting_visitor_stops_the_scan_after_the_records_before_it() {
+        let buf = segment_bytes(1, &[b"ok", b"bad", b"never"]);
+        let mut seen = Vec::new();
+        let err = scan_segment(&buf, false, 1, |seq, p| {
+            if p == b"bad" {
+                return Err("payload refused".to_string());
+            }
+            seen.push(seq);
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(
+            err.contains("record 2") && err.contains("payload refused"),
+            "{err}"
+        );
+        assert_eq!(
+            seen,
+            vec![1],
+            "the record after the rejection is never visited"
+        );
+    }
+
+    #[test]
+    fn a_segment_encoded_by_the_v1_writer_scans_identically() {
+        // Committed bytes of a 3-record segment (first seq 7) written by
+        // an earlier build's encoder: the on-disk format must not drift.
+        let fixture: &[u8] = include_bytes!("../fixtures/seg-00000000000000000007.wal");
+        let payloads: [&[u8]; 3] = [b"", b"heavy hitters", &[0xA5; 300]];
+        assert_eq!(segment_bytes(7, &payloads), fixture, "encoder drifted");
+        let (scan, seen) = collect(fixture, true, 7).unwrap();
+        assert_eq!(scan.records, 3);
+        assert_eq!(scan.valid_len, fixture.len() as u64);
+        for (i, rec) in seen.iter().enumerate() {
+            assert_eq!(
+                (rec.seq, rec.payload.as_slice()),
+                (7 + i as u64, payloads[i])
+            );
+        }
     }
 }

@@ -33,6 +33,18 @@
 //! structural and surfaces as [`WalError::Structural`] for the caller
 //! to quarantine.
 //!
+//! # Replay
+//!
+//! There is one scan of the log directory. It reads each segment into
+//! one reused buffer and lends every record's payload to a visitor as
+//! soon as the record's checksum and continuity checks pass
+//! ([`Wal::open_with`]), so recovery applies the log while it reads it
+//! and never holds more than one segment in memory. Streaming means the
+//! visitor can see a valid prefix of a log that later turns out to be
+//! damaged: on `Err` the caller must discard whatever it built from the
+//! visited records. [`Wal::open`] and [`replay_dir`] are collecting
+//! adapters over the same scan.
+//!
 //! # Compaction invariant
 //!
 //! [`Wal::compact`]`(covered)` deletes a sealed segment only when
@@ -46,7 +58,7 @@ use crate::segment::{
     encode_header, parse_segment_file_name, scan_segment, segment_file_name, SEGMENT_HEADER_LEN,
 };
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -119,13 +131,24 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// What [`Wal::open`] salvaged from disk.
+/// What [`Wal::open`] salvaged from disk: every record, copied out.
 #[derive(Debug, Default)]
 pub struct WalReplay {
     /// Every surviving record, in sequence order. The caller filters
     /// against its checkpoint high-water marks for idempotent replay.
     pub records: Vec<Record>,
     /// Torn-tail bytes truncated from the active segment.
+    pub truncated_bytes: u64,
+    /// Segment files scanned.
+    pub segments: u64,
+}
+
+/// What a streaming replay ([`Wal::open_with`]) visited.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplayStats {
+    /// Records handed to the visitor.
+    pub records: u64,
+    /// Torn-tail bytes cut from the active segment.
     pub truncated_bytes: u64,
     /// Segment files scanned.
     pub segments: u64,
@@ -238,83 +261,78 @@ fn create_segment(dir: &Path, first_seq: u64) -> std::io::Result<(File, PathBuf)
 
 impl Wal {
     /// Opens (creating if needed) the log in `config.dir` and replays
-    /// every surviving record. `next_seq_hint` seeds the numbering of
-    /// an *empty* directory (a fresh tenant passes 1; a caller
+    /// every surviving record into a [`WalReplay`], copying each
+    /// payload. A thin collecting adapter over [`Wal::open_with`]; see
+    /// it for `next_seq_hint` and the error contract.
+    ///
+    /// # Errors
+    /// As [`Wal::open_with`]. On `Err` nothing is returned, so nothing
+    /// needs discarding.
+    pub fn open(config: WalConfig, next_seq_hint: u64) -> Result<(Self, WalReplay), WalError> {
+        let mut records = Vec::new();
+        let (wal, stats) = Self::open_with(config, next_seq_hint, |seq, payload| {
+            records.push(Record {
+                seq,
+                payload: payload.to_vec(),
+            });
+            Ok(())
+        })?;
+        let replay = WalReplay {
+            records,
+            truncated_bytes: stats.truncated_bytes,
+            segments: stats.segments,
+        };
+        Ok((wal, replay))
+    }
+
+    /// Opens (creating if needed) the log in `config.dir`, streaming
+    /// every surviving record through `visit(seq, payload)` in sequence
+    /// order as the scan reads it. `next_seq_hint` seeds the numbering
+    /// of an *empty* directory (a fresh tenant passes 1; a caller
     /// re-creating a wiped log passes its checkpoint high-water mark
     /// plus one); a non-empty log derives its numbering from disk.
     ///
+    /// A torn tail on the active segment is cut off only after every
+    /// segment has scanned cleanly.
+    ///
     /// # Errors
-    /// [`WalError::Structural`] on damage outside a legal torn tail —
-    /// the caller should quarantine, not retry. [`WalError::Io`] on
-    /// filesystem failure.
-    pub fn open(config: WalConfig, next_seq_hint: u64) -> Result<(Self, WalReplay), WalError> {
+    /// [`WalError::Structural`] on damage outside a legal torn tail, or
+    /// when `visit` rejects a record — the caller should quarantine,
+    /// not retry. [`WalError::Io`] on filesystem failure.
+    ///
+    /// **Fail-closed contract:** records are visited before the whole
+    /// log is validated, so on `Err` the visitor may already have seen
+    /// a prefix of the log. The caller must discard everything it built
+    /// from those records; only an `Ok` means the visited sequence is
+    /// the whole surviving log.
+    pub fn open_with(
+        config: WalConfig,
+        next_seq_hint: u64,
+        visit: impl FnMut(u64, &[u8]) -> Result<(), String>,
+    ) -> Result<(Self, ReplayStats), WalError> {
         std::fs::create_dir_all(&config.dir)?;
-        let mut firsts: Vec<u64> = Vec::new();
-        for entry in std::fs::read_dir(&config.dir)? {
-            let entry = entry?;
-            let Ok(name) = entry.file_name().into_string() else {
-                continue;
-            };
-            if let Some(first) = parse_segment_file_name(&name) {
-                firsts.push(first);
+        let scan = scan_dir(&config.dir, visit)?;
+        let stats = scan.stats;
+        let (file, active_path, active_first_seq, active_len, next_seq) = match scan.active {
+            None => {
+                let first = next_seq_hint.max(1);
+                let (f, path) = create_segment(&config.dir, first)?;
+                (f, path, first, SEGMENT_HEADER_LEN as u64, first)
             }
-        }
-        firsts.sort_unstable();
-        firsts.dedup();
-
-        let mut replay = WalReplay::default();
-        let mut sealed = Vec::new();
-        let (file, active_path, active_first_seq, active_len, next_seq) = if firsts.is_empty() {
-            let first = next_seq_hint.max(1);
-            let (f, path) = create_segment(&config.dir, first)?;
-            (f, path, first, SEGMENT_HEADER_LEN as u64, first)
-        } else {
-            let mut expect = firsts[0];
-            let mut active = None;
-            for (i, &first) in firsts.iter().enumerate() {
-                let is_last = i + 1 == firsts.len();
-                let path = config.dir.join(segment_file_name(first));
-                if first != expect {
-                    return Err(WalError::Structural(format!(
-                        "segment {} breaks continuity (expected first seq {expect})",
-                        path.display()
-                    )));
+            Some(active) => {
+                if stats.truncated_bytes > 0 {
+                    // Torn tail: cut the file back to the last whole
+                    // record so appends resume on a clean boundary.
+                    let f = OpenOptions::new().write(true).open(&active.path)?;
+                    f.set_len(active.valid_len)?;
+                    f.sync_all()?;
                 }
-                let bytes = std::fs::read(&path)?;
-                let scan = scan_segment(&bytes, !is_last, expect)
-                    .map_err(|e| WalError::Structural(format!("{}: {e}", path.display())))?;
-                if !is_last && scan.records.is_empty() {
-                    return Err(WalError::Structural(format!(
-                        "sealed segment {} holds no records",
-                        path.display()
-                    )));
-                }
-                expect += scan.records.len() as u64;
-                replay.segments += 1;
-                replay.records.extend(scan.records);
-                if is_last {
-                    if scan.discarded_bytes > 0 {
-                        // Torn tail: cut the file back to the last whole
-                        // record so appends resume on a clean boundary.
-                        let f = OpenOptions::new().write(true).open(&path)?;
-                        f.set_len(scan.valid_len)?;
-                        f.sync_all()?;
-                        replay.truncated_bytes = scan.discarded_bytes;
-                    }
-                    active = Some((path, first, scan.valid_len));
-                } else {
-                    sealed.push(SealedSeg {
-                        first_seq: first,
-                        path,
-                        bytes: bytes.len() as u64,
-                    });
-                }
+                let f = OpenOptions::new().append(true).open(&active.path)?;
+                let first = active.first_seq;
+                (f, active.path, first, active.valid_len, scan.next_seq)
             }
-            let (path, first, len) = active.expect("non-empty segment list");
-            let f = OpenOptions::new().append(true).open(&path)?;
-            (f, path, first, len, expect)
         };
-
+        let sealed = scan.sealed;
         let appended_seq = next_seq.saturating_sub(1);
         let covered_seq = sealed
             .first()
@@ -357,7 +375,7 @@ impl Wal {
             }
             _ => None,
         };
-        Ok((Self { shared, committer }, replay))
+        Ok((Self { shared, committer }, stats))
     }
 
     fn lock(&self) -> MutexGuard<'_, WalState> {
@@ -613,10 +631,32 @@ fn group_commit_loop(shared: &WalShared, interval: Duration) {
     }
 }
 
-/// A convenience for tests and tooling: replays a directory without
-/// constructing a live log (no truncation side effects, no committer
-/// thread).
-pub fn replay_dir(dir: &Path) -> Result<WalReplay, WalError> {
+/// The last segment of a scanned log: where appends resume.
+struct ActiveSeg {
+    path: PathBuf,
+    first_seq: u64,
+    /// Bytes that parsed whole; a torn tail past them is cut at open.
+    valid_len: u64,
+}
+
+/// What one scan of a log directory found.
+struct DirScan {
+    sealed: Vec<SealedSeg>,
+    /// `None` for a directory holding no segment files.
+    active: Option<ActiveSeg>,
+    /// The sequence number after the last whole record.
+    next_seq: u64,
+    stats: ReplayStats,
+}
+
+/// The one segment scan: reads every segment of `dir` in sequence
+/// order into a single reused buffer, checks header continuity, and
+/// streams each record to `visit` (see [`scan_segment`]). Every segment
+/// but the last is sealed and must scan whole and non-empty.
+fn scan_dir(
+    dir: &Path,
+    mut visit: impl FnMut(u64, &[u8]) -> Result<(), String>,
+) -> Result<DirScan, WalError> {
     let mut firsts: Vec<u64> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -628,8 +668,12 @@ pub fn replay_dir(dir: &Path) -> Result<WalReplay, WalError> {
         }
     }
     firsts.sort_unstable();
-    let mut replay = WalReplay::default();
+
+    let mut stats = ReplayStats::default();
+    let mut sealed = Vec::new();
+    let mut active = None;
     let mut expect = firsts.first().copied().unwrap_or(1);
+    let mut buf = Vec::new();
     for (i, &first) in firsts.iter().enumerate() {
         let is_last = i + 1 == firsts.len();
         let path = dir.join(segment_file_name(first));
@@ -639,15 +683,60 @@ pub fn replay_dir(dir: &Path) -> Result<WalReplay, WalError> {
                 path.display()
             )));
         }
-        let bytes = std::fs::read(&path)?;
-        let scan = scan_segment(&bytes, !is_last, expect)
+        buf.clear();
+        File::open(&path)?.read_to_end(&mut buf)?;
+        let scan = scan_segment(&buf, !is_last, expect, &mut visit)
             .map_err(|e| WalError::Structural(format!("{}: {e}", path.display())))?;
-        expect += scan.records.len() as u64;
-        replay.segments += 1;
-        replay.truncated_bytes += scan.discarded_bytes;
-        replay.records.extend(scan.records);
+        if !is_last && scan.records == 0 {
+            return Err(WalError::Structural(format!(
+                "sealed segment {} holds no records",
+                path.display()
+            )));
+        }
+        expect += scan.records;
+        stats.records += scan.records;
+        stats.segments += 1;
+        if is_last {
+            stats.truncated_bytes = scan.discarded_bytes;
+            active = Some(ActiveSeg {
+                path,
+                first_seq: first,
+                valid_len: scan.valid_len,
+            });
+        } else {
+            sealed.push(SealedSeg {
+                first_seq: first,
+                path,
+                bytes: buf.len() as u64,
+            });
+        }
     }
-    Ok(replay)
+    Ok(DirScan {
+        sealed,
+        active,
+        next_seq: expect,
+        stats,
+    })
+}
+
+/// A convenience for tests and tooling: replays a directory without
+/// constructing a live log (no truncation side effects, no committer
+/// thread), copying every record out. A collecting adapter over the
+/// same scan [`Wal::open_with`] streams.
+pub fn replay_dir(dir: &Path) -> Result<WalReplay, WalError> {
+    let mut records = Vec::new();
+    let scan = scan_dir(dir, |seq, payload| {
+        records.push(Record {
+            seq,
+            payload: payload.to_vec(),
+        });
+        Ok(())
+    })?;
+    Ok(WalReplay {
+        records,
+        truncated_bytes: scan.stats.truncated_bytes,
+        segments: scan.stats.segments,
+    })
 }
 
 /// The on-disk size of a record with this payload length (exposed so
@@ -850,6 +939,70 @@ mod tests {
             Err(WalError::Structural(_)) => {}
             other => panic!("expected structural damage, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_committed_v1_segment_replays_from_its_directory() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+        let replay = replay_dir(&dir).unwrap();
+        let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [7, 8, 9]);
+        assert_eq!(replay.records[1].payload, b"heavy hitters");
+        assert_eq!(replay.records[2].payload, [0xA5; 300]);
+        assert_eq!((replay.segments, replay.truncated_bytes), (1, 0));
+    }
+
+    #[test]
+    fn streaming_open_fails_closed_after_visiting_a_valid_prefix() {
+        let dir = tmpdir("stream-prefix");
+        {
+            let (wal, _) = Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1).unwrap();
+            for i in 0..40u8 {
+                let seq = wal.append(&[i; 16]).unwrap();
+                wal.commit(seq).unwrap();
+            }
+            assert!(wal.stats().segments >= 4);
+        }
+        let (wal, stats) =
+            Wal::open_with(cfg(&dir, FsyncPolicy::PerBatch), 1, |_, _| Ok(())).unwrap();
+        assert_eq!((stats.records, stats.truncated_bytes), (40, 0));
+        assert_eq!(stats.segments, wal.stats().segments);
+        drop(wal);
+
+        // Rot a record in the third (sealed) segment: the first two
+        // segments' records are visited in order, then the open fails.
+        let mut firsts: Vec<u64> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| parse_segment_file_name(e.unwrap().file_name().to_str()?))
+            .collect();
+        firsts.sort_unstable();
+        let third = dir.join(segment_file_name(firsts[2]));
+        let mut bytes = std::fs::read(&third).unwrap();
+        bytes[SEGMENT_HEADER_LEN + 12] ^= 0x01;
+        std::fs::write(&third, &bytes).unwrap();
+        let mut seen = Vec::new();
+        let err = Wal::open_with(cfg(&dir, FsyncPolicy::PerBatch), 1, |seq, _| {
+            seen.push(seq);
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(matches!(err, WalError::Structural(_)), "{err}");
+        let prefix: Vec<u64> = (1..firsts[2]).collect();
+        assert_eq!(seen, prefix, "exactly the records before the damage");
+
+        // A visitor that refuses a record is structural damage too.
+        let err = Wal::open_with(cfg(&dir, FsyncPolicy::PerBatch), 1, |seq, _| {
+            if seq == 2 {
+                return Err("frame refused".into());
+            }
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, WalError::Structural(why) if why.contains("frame refused")),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

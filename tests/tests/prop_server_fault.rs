@@ -24,7 +24,14 @@
 //!    write-ahead log (PR 10) it loses **nothing acked**: the restart
 //!    serves the bundle plus the replayed log tail, byte-identical to
 //!    an oracle fed every acked batch;
-//! 6. the same protocol works over a **Unix domain socket**.
+//! 6. the same protocol works over a **Unix domain socket**;
+//! 7. **streaming replay fails closed**: recovery applies WAL records
+//!    as it reads them, so damage found partway through a log (a
+//!    rotten sealed segment, a checksum-valid record carrying a
+//!    malformed frame) must still leave the tenant quarantined — never
+//!    live on the prefix replayed before the damage — and a parallel
+//!    boot quarantines exactly the damaged tenants while the rest serve
+//!    byte-identically to an oracle.
 
 use hh_faults::corrupt;
 use hh_faults::net::FaultyConn;
@@ -34,9 +41,12 @@ use hh_server::facade::{DynSummary, SummaryKind, TenantSpec};
 use hh_server::proto::{read_frame, write_frame, ProtocolError, Request, Response, MAX_FRAME_LEN};
 use hh_server::server::{Endpoint, Server, ServerConfig};
 use hh_server::RetryPolicy;
+use hh_wal::record::{encode_record, parse_record};
+use hh_wal::segment::{encode_header, SEGMENT_HEADER_LEN};
+use hh_wal::FsyncPolicy;
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn tmp_root(tag: &str) -> PathBuf {
@@ -552,6 +562,198 @@ fn unix_domain_socket_smoke() {
     client.ingest("udst", 0, &[5; 2_000]).unwrap();
     let (entries, _) = client.query("udst").unwrap();
     assert!(entries.iter().any(|&(item, _)| item == 5));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A WAL-durable config with 4 KiB segments (two 500-item batches
+/// each), so a handful of ingests seals several segments, and no
+/// periodic checkpoint to compact them away.
+fn small_segment_config(root: &Path) -> ServerConfig {
+    let mut config = ServerConfig::fast(root);
+    config.checkpoint_every = Duration::from_secs(3_600);
+    config.durability = Durability::Wal {
+        fsync: FsyncPolicy::PerBatch,
+        segment_bytes: 4 << 10,
+    };
+    config
+}
+
+/// Deterministic batch `i` of tenant `t`.
+fn batch(t: u64, i: u64) -> Vec<u64> {
+    (0..500).map(|k| t * 10_007 + i * 131 + k % 17).collect()
+}
+
+/// A tenant's WAL segment files in sequence order.
+fn wal_segments(root: &Path, tenant: &str) -> Vec<PathBuf> {
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(root.join(tenant).join("wal"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    segs.sort();
+    segs
+}
+
+/// Rewrites `seg` so its first record carries an ingest frame whose
+/// item count disagrees with its length, re-encoded with a valid
+/// checksum: only the frame decoder can catch it.
+fn plant_malformed_frame(seg: &Path) {
+    let bytes = std::fs::read(seg).unwrap();
+    let first_seq = u64::from_le_bytes(bytes[14..22].try_into().unwrap());
+    let mut out = encode_header(first_seq).to_vec();
+    let mut off = SEGMENT_HEADER_LEN;
+    let mut first = true;
+    while off < bytes.len() {
+        let (seq, payload, used) = parse_record(&bytes[off..]).unwrap();
+        let mut payload = payload.to_vec();
+        if first {
+            payload.truncate(payload.len() - 8);
+            first = false;
+        }
+        encode_record(seq, &payload, &mut out);
+        off += used;
+    }
+    std::fs::write(seg, &out).unwrap();
+}
+
+/// Asserts `tenant` is quarantined and refuses both reads and writes.
+fn assert_quarantined(client: &mut Client, tenant: &str) {
+    let health = client.health().unwrap();
+    assert!(
+        health.quarantined.contains(&tenant.to_string()),
+        "{tenant} not quarantined: {:?}",
+        health.quarantined
+    );
+    assert!(
+        matches!(client.query(tenant), Err(ProtocolError::Quarantined(_))),
+        "{tenant} serves reads from a half-replayed log"
+    );
+    assert!(matches!(
+        client.ingest(tenant, 0, &[1, 2, 3]),
+        Err(ProtocolError::Quarantined(_))
+    ));
+}
+
+/// Creates `tenant` and ingests `batches` batches into it.
+fn load(client: &mut Client, t: u64, tenant: &str, batches: u64) {
+    client.create(tenant, spec()).unwrap();
+    for i in 0..batches {
+        assert_eq!(client.ingest(tenant, 0, &batch(t, i)).unwrap(), 500);
+    }
+}
+
+#[test]
+fn rot_in_the_third_of_five_sealed_segments_quarantines_the_tenant() {
+    let root = tmp_root("stream-rot");
+    let config = small_segment_config(&root);
+    let server = Server::start(
+        config.clone(),
+        Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
+    )
+    .unwrap();
+    let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+    load(&mut client, 1, "rot", 12);
+    server.kill();
+
+    let segs = wal_segments(&root, "rot");
+    assert!(
+        segs.len() >= 6,
+        "need 5 sealed segments, got {}",
+        segs.len()
+    );
+    let mut bytes = std::fs::read(&segs[2]).unwrap();
+    bytes[SEGMENT_HEADER_LEN + 40] ^= 0x04;
+    std::fs::write(&segs[2], &bytes).unwrap();
+
+    let server = Server::start(config, Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+    let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+    assert_quarantined(&mut client, "rot");
+    assert_eq!(
+        client.health().unwrap().wal_replayed,
+        0,
+        "no live replay survives"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_checksum_valid_malformed_frame_mid_log_quarantines_the_tenant() {
+    let root = tmp_root("stream-frame");
+    let config = small_segment_config(&root);
+    let server = Server::start(
+        config.clone(),
+        Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
+    )
+    .unwrap();
+    let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+    load(&mut client, 2, "frame", 12);
+    server.kill();
+
+    let segs = wal_segments(&root, "frame");
+    assert!(
+        segs.len() >= 4,
+        "need a mid-log segment, got {}",
+        segs.len()
+    );
+    plant_malformed_frame(&segs[segs.len() / 2]);
+    // The damage is invisible to the log layer: every checksum holds.
+    assert!(hh_wal::replay_dir(&root.join("frame").join("wal")).is_ok());
+
+    let server = Server::start(config, Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+    let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+    assert_quarantined(&mut client, "frame");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn parallel_boot_quarantines_exactly_the_damaged_tenants() {
+    let root = tmp_root("stream-parallel");
+    let config = small_segment_config(&root);
+    let server = Server::start(
+        config.clone(),
+        Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
+    )
+    .unwrap();
+    let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+    let names: Vec<String> = (0..8).map(|t| format!("p{t}")).collect();
+    for (t, name) in names.iter().enumerate() {
+        load(&mut client, t as u64, name, 6 + t as u64);
+    }
+    server.kill();
+
+    // p2 rots inside a sealed segment; p5 carries a malformed frame.
+    let segs = wal_segments(&root, "p2");
+    let mut bytes = std::fs::read(&segs[1]).unwrap();
+    bytes[SEGMENT_HEADER_LEN + 100] ^= 0x20;
+    std::fs::write(&segs[1], &bytes).unwrap();
+    plant_malformed_frame(&wal_segments(&root, "p5")[1]);
+
+    let server = Server::start(config, Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+    let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+    let health = client.health().unwrap();
+    assert_eq!(health.recovered_tenants, 8);
+    assert_eq!(health.quarantined, vec!["p2".to_string(), "p5".to_string()]);
+    for name in ["p2", "p5"] {
+        assert_quarantined(&mut client, name);
+    }
+    use hh_core::MergeableSummary as _;
+    use hh_core::StreamSummary as _;
+    for (t, name) in names.iter().enumerate() {
+        if name == "p2" || name == "p5" {
+            continue;
+        }
+        let mut oracle = spec().build_bank().unwrap().remove(0);
+        for i in 0..6 + t as u64 {
+            oracle.insert_batch(&batch(t as u64, i));
+        }
+        assert_eq!(
+            client.snapshot(name).unwrap(),
+            oracle.to_bytes().as_ref(),
+            "{name}: parallel boot diverged from the oracle"
+        );
+    }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
