@@ -4,24 +4,23 @@
 //! durability tax deserves its own trajectory group: the gate watches
 //! the log itself (not just the serving path it hides inside):
 //!
-//! * **append_commit_os_buffered / _group_commit / _per_batch** — one
-//!   4 KiB record appended and committed under each [`FsyncPolicy`]:
-//!   the no-promise floor, the amortized production policy, and the
-//!   fsync-per-ack ceiling. The spread between them is the price of
-//!   each durability level on this host's disk.
+//! * **append_commit_per_batch** — one 4 KiB record appended and
+//!   committed (one inline fsync per ack): the price of power-loss
+//!   durability on this host's disk.
 //! * **replay_10k** — cold-start replay throughput over a 10 000-record
 //!   multi-segment log: the recovery-time budget a crash incurs.
 //! * **serve_ingest_checkpoint_only / serve_ingest_wal** — the serving
 //!   daemon's acked-ingest RTT over loopback TCP without and with the
-//!   log, same batch shape as `serve_throughput/ingest_wire`: what a
-//!   client actually pays for zero acked loss.
+//!   log (the default durability), same batch shape as
+//!   `serve_throughput/ingest_wire`: what a client actually pays for
+//!   zero acked loss.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hh_server::client::Client;
 use hh_server::durability::Durability;
 use hh_server::facade::{SummaryKind, TenantSpec};
 use hh_server::server::{Endpoint, Server, ServerConfig};
-use hh_wal::{replay_dir, FsyncPolicy, Wal, WalConfig};
+use hh_wal::{replay_dir, Wal, WalConfig};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -38,12 +37,15 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// A loopback daemon with one SpaceSaving tenant under the given
-/// durability, checkpointing pushed out of the measurement window.
-fn serving_pair(tag: &str, durability: Durability) -> (Server, Client, PathBuf) {
+/// durability (`None`: the default), checkpointing pushed out of the
+/// measurement window.
+fn serving_pair(tag: &str, durability: Option<Durability>) -> (Server, Client, PathBuf) {
     let root = scratch(tag);
     let mut config = ServerConfig::new(&root);
     config.checkpoint_every = Duration::from_secs(3_600);
-    config.durability = durability;
+    if let Some(durability) = durability {
+        config.durability = durability;
+    }
     let server = Server::start(config, Endpoint::Tcp("127.0.0.1:0".parse().unwrap()))
         .expect("bind loopback");
     let mut client = Client::connect_tcp(server.local_addr().unwrap()).expect("connect");
@@ -61,37 +63,27 @@ fn serving_pair(tag: &str, durability: Durability) -> (Server, Client, PathBuf) 
 fn bench_wal(c: &mut Criterion) {
     let mut g = c.benchmark_group("wal");
 
-    // --- The log itself: append + commit under each policy. ---
+    // --- The log itself: append + commit (one inline fsync). ---
     let payload = vec![0xA5u8; PAYLOAD];
-    for (id, fsync) in [
-        ("append_commit_os_buffered", FsyncPolicy::OsBuffered),
-        (
-            "append_commit_group_commit",
-            FsyncPolicy::GroupCommit(Duration::from_millis(1)),
-        ),
-        ("append_commit_per_batch", FsyncPolicy::PerBatch),
-    ] {
-        let dir = scratch(id);
-        let (wal, _) = Wal::open(
-            WalConfig {
-                dir: dir.clone(),
-                segment_bytes: 64 << 20,
-                fsync,
-            },
-            1,
-        )
-        .expect("open wal");
-        g.throughput(Throughput::Bytes(PAYLOAD as u64));
-        g.bench_function(id, |b| {
-            b.iter(|| {
-                let seq = wal.append(black_box(&payload)).expect("append");
-                wal.commit(seq).expect("commit");
-                black_box(seq)
-            })
-        });
-        drop(wal);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let dir = scratch("append_commit");
+    let (wal, _) = Wal::open(
+        WalConfig {
+            dir: dir.clone(),
+            segment_bytes: 64 << 20,
+        },
+        1,
+    )
+    .expect("open wal");
+    g.throughput(Throughput::Bytes(PAYLOAD as u64));
+    g.bench_function("append_commit_per_batch", |b| {
+        b.iter(|| {
+            let seq = wal.append(black_box(&payload)).expect("append");
+            wal.commit(seq).expect("commit");
+            black_box(seq)
+        })
+    });
+    drop(wal);
+    let _ = std::fs::remove_dir_all(&dir);
 
     // --- Cold-start replay over a multi-segment log. ---
     const RECORDS: u64 = 10_000;
@@ -101,7 +93,6 @@ fn bench_wal(c: &mut Criterion) {
             WalConfig {
                 dir: dir.clone(),
                 segment_bytes: 1 << 20,
-                fsync: FsyncPolicy::OsBuffered,
             },
             1,
         )
@@ -125,14 +116,11 @@ fn bench_wal(c: &mut Criterion) {
     // --- The serving tax: acked-ingest RTT without and with the log. ---
     let data = hh_bench::zipf_stream(1 << 18, UNIVERSE, 1.2, 11);
     for (id, durability) in [
-        ("serve_ingest_checkpoint_only", Durability::CheckpointOnly),
         (
-            "serve_ingest_wal",
-            Durability::Wal {
-                fsync: FsyncPolicy::GroupCommit(Duration::from_millis(1)),
-                segment_bytes: 64 << 20,
-            },
+            "serve_ingest_checkpoint_only",
+            Some(Durability::CheckpointOnly),
         ),
+        ("serve_ingest_wal", None),
     ] {
         let (server, mut client, root) = serving_pair(id, durability);
         g.throughput(Throughput::Elements(BATCH as u64));

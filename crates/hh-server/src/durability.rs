@@ -24,7 +24,6 @@
 //!   either double-apply or drop the replay tail.
 
 use crate::proto::MAX_BATCH;
-use hh_wal::FsyncPolicy;
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -35,10 +34,9 @@ pub enum Durability {
     /// Periodic checkpoints only (PR 8's contract): a kill loses at
     /// most the un-checkpointed window.
     CheckpointOnly,
-    /// Write-ahead log every acked ingest: a kill loses nothing acked.
+    /// Write-ahead log every acked ingest, fsynced before the ack: a
+    /// kill or power cut loses nothing acked.
     Wal {
-        /// When acks become power-loss durable (see [`FsyncPolicy`]).
-        fsync: FsyncPolicy,
         /// WAL segment rotation threshold in bytes.
         segment_bytes: u64,
     },

@@ -56,9 +56,8 @@ pub use client::{Client, RetryPolicy};
 pub use conn::{ConnLimits, DeadlineConn, Transport};
 pub use durability::{BankSnapshot, DedupEntry, Durability, IngestFrame, DEDUP_CAP};
 pub use facade::{DynSummary, SummaryKind, TenantSpec, MAX_SHARDS};
-// Re-exported so embedders can configure `Durability::Wal` without
-// depending on hh-wal directly.
-pub use hh_wal::{FsyncPolicy, WalStats};
+// Re-exported because `Tenant::wal_stats` returns it.
+pub use hh_wal::WalStats;
 pub use proto::{
     read_frame, write_frame, ProtocolError, RangeEntry, Request, Response, ServerHealth, MAX_BATCH,
     MAX_FRAME_LEN, MAX_TENANT_NAME, REQUEST_TAG, RESPONSE_TAG,

@@ -272,6 +272,12 @@ pub enum Request {
     },
     /// Reads the tenant's merged heavy-hitter report from its frozen
     /// serving view.
+    ///
+    /// Reads are **read-uncommitted**: an ingest is applied to the
+    /// shards before its WAL commit, so a concurrent query can count
+    /// items whose ack never leaves the server (the commit's fsync
+    /// fails and latches fail-stop, or the process dies first). Only
+    /// acked items are promised to survive recovery.
     Query {
         /// Target tenant.
         tenant: String,
@@ -416,7 +422,8 @@ pub struct ServerHealth {
     /// WAL records not yet covered by a checkpoint — the replay debt a
     /// crash right now would incur.
     pub wal_depth: u64,
-    /// WAL fsyncs issued (group commit amortizes these across acks).
+    /// WAL fsyncs issued (a commit already covered by an earlier fsync
+    /// issues none, so this can trail the ack count).
     pub wal_fsyncs: u64,
     /// Worst single commit wait observed, in microseconds — the fsync
     /// lag an acked ingest paid.

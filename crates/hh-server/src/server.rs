@@ -105,21 +105,19 @@ impl ServerConfig {
             checkpoint_every: Duration::from_secs(30),
             checkpoint_timeout: Duration::from_secs(2),
             durability: Durability::Wal {
-                fsync: hh_wal::FsyncPolicy::GroupCommit(Duration::from_millis(1)),
                 segment_bytes: 4 << 20,
             },
         }
     }
 
-    /// Test-shaped config: tight deadlines, fast checkpoints, per-batch
-    /// fsync over small segments so kill tests cross rotations.
+    /// Test-shaped config: tight deadlines, fast checkpoints, and small
+    /// WAL segments so kill tests cross rotations.
     pub fn fast(store_root: impl Into<PathBuf>) -> Self {
         Self {
             limits: ConnLimits::fast(),
             max_connections: 8,
             checkpoint_every: Duration::from_millis(200),
             durability: Durability::Wal {
-                fsync: hh_wal::FsyncPolicy::PerBatch,
                 segment_bytes: 64 << 10,
             },
             ..Self::new(store_root)
@@ -129,15 +127,7 @@ impl ServerConfig {
     fn wal_config(&self, dir: PathBuf) -> Option<WalConfig> {
         match self.durability {
             Durability::CheckpointOnly => None,
-            Durability::Wal {
-                fsync,
-                segment_bytes,
-            } => {
-                let mut cfg = WalConfig::new(dir);
-                cfg.fsync = fsync;
-                cfg.segment_bytes = segment_bytes;
-                Some(cfg)
-            }
+            Durability::Wal { segment_bytes } => Some(WalConfig { dir, segment_bytes }),
         }
     }
 }
@@ -727,9 +717,9 @@ fn dispatch(shared: &Arc<Shared>, req: &Request) -> Result<Response, ProtocolErr
                 })?;
             drop(reg);
             // The durability point: the ack below must not leave until
-            // the logged record is fsynced under the policy. Committed
-            // *after* the registry lock drops so a group-commit wait
-            // stalls only this request, not the whole server.
+            // the logged record is fsynced. Committed *after* the
+            // registry lock drops so the fsync stalls only this
+            // tenant's log, not the whole server.
             if let Some((wal, seq)) = &outcome.commit {
                 wal.commit(*seq).map_err(|e| {
                     ProtocolError::Io(

@@ -58,7 +58,7 @@ pub struct IngestOutcome {
     pub accepted: u64,
     /// When set, `wal.commit(seq)` must succeed before the ack leaves
     /// the server. Returned instead of committed inline so the server
-    /// can drop the registry lock first — group-commit waits must not
+    /// can drop the registry lock first — the commit's fsync must not
     /// serialize every other tenant.
     pub commit: Option<(Arc<Wal>, u64)>,
     /// Whether this ack was replayed from the dedup table rather than
@@ -643,6 +643,32 @@ mod tests {
         // And the replayed dedup entry still answers the retry.
         let retry = fresh.ingest_logged("t", 0, 42, 1, &[7, 7, 9]).unwrap();
         assert!(retry.deduplicated);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn query_reads_logged_items_before_their_commit() {
+        let dir =
+            std::env::temp_dir().join(format!("hh-tenant-uncommitted-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (wal, _) = hh_wal::Wal::open(hh_wal::WalConfig::new(&dir), 1).unwrap();
+        let wal = Arc::new(wal);
+        let mut t = Tenant::create(spec()).unwrap();
+        t.attach_wal(Arc::clone(&wal));
+
+        // Read-uncommitted: the items are applied and visible while the
+        // commit that would make their ack durable is still owed.
+        let out = t.ingest_logged("t", 0, 0, 0, &[11; 64]).unwrap();
+        let (_, seq) = out.commit.expect("logged ingest owes a commit");
+        assert!(wal.stats().durable_seq < seq, "not yet committed");
+        let (entries, _) = t.query().unwrap();
+        assert!(
+            entries
+                .iter()
+                .any(|&(item, count)| item == 11 && count >= 64.0),
+            "uncommitted items not visible: {entries:?}"
+        );
+        wal.commit(seq).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,8 +8,9 @@
 //!
 //! The BDW16 setting makes this unusually cheap: the entire recovery
 //! state is an O(ε⁻¹ log n)-word snapshot plus a log whose depth is
-//! bounded by the checkpoint cadence — so real group-commit durability
-//! costs one amortized fsync per interval, not per ack.
+//! bounded by the checkpoint cadence — so durability needs no more than
+//! one inline fsync per commit, shared by every record appended before
+//! it: no background thread, no timer.
 //!
 //! The layers, bottom up:
 //!
@@ -18,8 +19,8 @@
 //! * [`segment`] — header format, naming, and the scan that separates
 //!   legal torn tails (active segment, truncate) from structural
 //!   damage (sealed segment, quarantine).
-//! * [`wal`] — the log: append / commit under an [`FsyncPolicy`],
-//!   group-commit thread, rotation, streaming replay
+//! * [`wal`] — the log: append / commit (an inline fsync that covers
+//!   every earlier append), rotation, streaming replay
 //!   ([`Wal::open_with`]), and checkpoint-gated [`Wal::compact`].
 
 pub mod record;
@@ -28,6 +29,5 @@ pub mod wal;
 
 pub use record::{Record, RecordFault, MAX_RECORD_LEN};
 pub use wal::{
-    record_disk_len, replay_dir, FsyncPolicy, ReplayStats, Wal, WalConfig, WalError, WalReplay,
-    WalStats,
+    record_disk_len, replay_dir, ReplayStats, Wal, WalConfig, WalError, WalReplay, WalStats,
 };

@@ -5,22 +5,12 @@
 //!
 //! [`Wal::append`] assigns the next sequence number and buffers the
 //! record into the active segment (one `write` syscall, no fsync).
-//! [`Wal::commit`] then makes a sequence number *durable* according to
-//! the configured [`FsyncPolicy`]:
-//!
-//! * [`FsyncPolicy::PerBatch`] — `commit` fsyncs the active segment
-//!   inline. Every acked batch survives power loss; every ack pays a
-//!   full fsync (cheap on the battery-backed or tmpfs stores the tests
-//!   use, expensive on spinning metal).
-//! * [`FsyncPolicy::GroupCommit`] — a dedicated committer thread
-//!   fsyncs at most once per interval; `commit` blocks until the
-//!   group fsync covering its sequence number lands. Concurrent acks
-//!   share one fsync, so the per-ack cost amortizes to near zero while
-//!   the power-loss guarantee is unchanged — acked means fsynced.
-//! * [`FsyncPolicy::OsBuffered`] — `commit` returns immediately.
-//!   Acked data survives a *process* crash (the page cache outlives
-//!   the process) but not power loss. The fastest policy, and the
-//!   honest name for what many systems silently do.
+//! [`Wal::commit`] then makes a sequence number *durable*: it fsyncs
+//! the active segment inline, and that fsync covers every record
+//! appended before it. A committer whose record an earlier fsync
+//! already covered returns without issuing its own, so concurrent acks
+//! share fsyncs whenever their appends land before one of them syncs.
+//! Acked means fsynced: every committed record survives power loss.
 //!
 //! # Failure handling
 //!
@@ -60,22 +50,8 @@ use crate::segment::{
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// When acked appends reach the platter; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// Fsync inline in every [`Wal::commit`].
-    PerBatch,
-    /// A committer thread fsyncs at most once per this interval;
-    /// commits block until their group fsync lands.
-    GroupCommit(Duration),
-    /// Never fsync on the append path (process-crash durability only).
-    OsBuffered,
-}
+use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Log tunables.
 #[derive(Debug, Clone)]
@@ -84,18 +60,14 @@ pub struct WalConfig {
     pub dir: PathBuf,
     /// Rotate the active segment once it reaches this many bytes.
     pub segment_bytes: u64,
-    /// Durability policy for [`Wal::commit`].
-    pub fsync: FsyncPolicy,
 }
 
 impl WalConfig {
-    /// A config rooted at `dir` with production-shaped defaults
-    /// (4 MiB segments, 1 ms group commit).
+    /// A config rooted at `dir` with 4 MiB segments.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             segment_bytes: 4 << 20,
-            fsync: FsyncPolicy::GroupCommit(Duration::from_millis(1)),
         }
     }
 }
@@ -163,7 +135,7 @@ pub struct WalStats {
     pub appended_bytes: u64,
     /// Highest sequence number appended (0 if none ever).
     pub appended_seq: u64,
-    /// Highest sequence number known durable under the policy.
+    /// Highest sequence number known durable (fsynced).
     pub durable_seq: u64,
     /// Fsync calls issued.
     pub fsyncs: u64,
@@ -213,28 +185,18 @@ struct WalState {
     scratch: Vec<u8>,
 }
 
-struct WalShared {
-    config: WalConfig,
-    state: Mutex<WalState>,
-    /// Signaled when `durable_seq` advances or the log fail-stops
-    /// (commit waiters), and to nudge the committer thread.
-    cond: Condvar,
-    stop: AtomicBool,
-}
-
 /// One tenant's write-ahead log. Internally synchronized: share it as
 /// `Arc<Wal>` and call [`Wal::append`] / [`Wal::commit`] from any
 /// thread.
 pub struct Wal {
-    shared: Arc<WalShared>,
-    committer: Option<JoinHandle<()>>,
+    config: WalConfig,
+    state: Mutex<WalState>,
 }
 
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
-            .field("dir", &self.shared.config.dir)
-            .field("fsync", &self.shared.config.fsync)
+            .field("dir", &self.config.dir)
             .finish_non_exhaustive()
     }
 }
@@ -338,7 +300,7 @@ impl Wal {
             .first()
             .map_or(active_first_seq, |s| s.first_seq)
             .saturating_sub(1);
-        let shared = Arc::new(WalShared {
+        let wal = Self {
             state: Mutex::new(WalState {
                 file,
                 active_path,
@@ -359,28 +321,13 @@ impl Wal {
                 compacted_segments: 0,
                 scratch: Vec::new(),
             }),
-            cond: Condvar::new(),
-            stop: AtomicBool::new(false),
             config,
-        });
-        let committer = match shared.config.fsync {
-            FsyncPolicy::GroupCommit(interval) => {
-                let shared = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name("hh-wal-commit".into())
-                        .spawn(move || group_commit_loop(&shared, interval))
-                        .map_err(WalError::from)?,
-                )
-            }
-            _ => None,
         };
-        Ok((Self { shared, committer }, stats))
+        Ok((wal, stats))
     }
 
     fn lock(&self) -> MutexGuard<'_, WalState> {
-        self.shared
-            .state
+        self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -398,11 +345,10 @@ impl Wal {
         }
         // Rotate first so a record never straddles the size threshold
         // by more than one record.
-        if st.active_len >= self.shared.config.segment_bytes {
-            if let Err(e) = rotate(&mut st, &self.shared.config) {
+        if st.active_len >= self.config.segment_bytes {
+            if let Err(e) = rotate(&mut st, &self.config) {
                 let why = format!("rotation failed: {e}");
                 st.failed = Some(why.clone());
-                self.shared.cond.notify_all();
                 return Err(WalError::Failed(why));
             }
         }
@@ -420,7 +366,6 @@ impl Wal {
             let _ = st.file.set_len(st.active_len);
             let why = format!("append of seq {seq} failed: {e}");
             st.failed = Some(why.clone());
-            self.shared.cond.notify_all();
             return Err(WalError::Failed(why));
         }
         st.active_len += rec_len;
@@ -428,16 +373,12 @@ impl Wal {
         st.appended_seq = seq;
         st.appended_records += 1;
         st.appended_bytes += rec_len;
-        if matches!(self.shared.config.fsync, FsyncPolicy::GroupCommit(_)) {
-            // Nudge the committer so an idle-interval wait does not add
-            // a full interval of latency to a lone append.
-            self.shared.cond.notify_all();
-        }
         Ok(seq)
     }
 
-    /// Blocks until `seq` is durable under the configured policy (see
-    /// the module docs). Acking a client before `commit` returns
+    /// Returns once `seq` is durable: fsyncs the active segment inline
+    /// unless an earlier fsync already covered `seq`, in which case it
+    /// returns without one. Acking a client before `commit` returns
     /// forfeits the zero-acked-loss guarantee.
     ///
     /// # Errors
@@ -446,37 +387,13 @@ impl Wal {
     pub fn commit(&self, seq: u64) -> Result<(), WalError> {
         let t0 = Instant::now();
         let mut st = self.lock();
-        let result = match self.shared.config.fsync {
-            FsyncPolicy::OsBuffered => Ok(()),
-            FsyncPolicy::PerBatch => sync_active(&mut st, seq),
-            FsyncPolicy::GroupCommit(_) => loop {
-                if st.durable_seq >= seq.min(st.appended_seq) {
-                    break Ok(());
-                }
-                if let Some(why) = &st.failed {
-                    break Err(WalError::Failed(why.clone()));
-                }
-                // Bounded wait: if the committer thread died (or was
-                // never there), fall back to syncing inline rather
-                // than hanging an ack forever.
-                let (guard, timeout) = self
-                    .shared
-                    .cond
-                    .wait_timeout(st, Duration::from_millis(50))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                st = guard;
-                if timeout.timed_out() && st.durable_seq < seq.min(st.appended_seq) {
-                    break sync_active(&mut st, seq);
-                }
-            },
-        };
+        let result = sync_active(&mut st, seq);
         let waited = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         st.max_commit_wait_us = st.max_commit_wait_us.max(waited);
         result
     }
 
-    /// Forces everything appended so far to disk, regardless of
-    /// policy.
+    /// Forces everything appended so far to disk.
     pub fn sync(&self) -> Result<(), WalError> {
         let mut st = self.lock();
         let up_to = st.appended_seq;
@@ -507,7 +424,7 @@ impl Wal {
             removed += 1;
         }
         if removed > 0 {
-            sync_dir(&self.shared.config.dir)?;
+            sync_dir(&self.config.dir)?;
         }
         Ok(removed)
     }
@@ -539,27 +456,13 @@ impl Wal {
     /// past it may tear). Test oracles cut files here.
     pub fn durable_active_bytes(&self) -> u64 {
         let st = self.lock();
-        match self.shared.config.fsync {
-            // Never fsynced: only what the OS happened to flush — the
-            // conservative answer is the header alone.
-            FsyncPolicy::OsBuffered if st.fsyncs == 0 => SEGMENT_HEADER_LEN as u64,
-            _ if st.durable_seq >= st.appended_seq => st.active_len,
-            _ => {
-                // Durability lags: conservatively, nothing past the
-                // last explicit fsync point is promised. Policies that
-                // ack only after commit never expose this window.
-                SEGMENT_HEADER_LEN as u64
-            }
-        }
-    }
-}
-
-impl Drop for Wal {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.cond.notify_all();
-        if let Some(h) = self.committer.take() {
-            let _ = h.join();
+        if st.durable_seq >= st.appended_seq {
+            st.active_len
+        } else {
+            // Durability lags: conservatively, nothing past the last
+            // explicit fsync point is promised. Acks wait for commit,
+            // so they never expose this window.
+            SEGMENT_HEADER_LEN as u64
         }
     }
 }
@@ -605,30 +508,6 @@ fn rotate(st: &mut WalState, config: &WalConfig) -> std::io::Result<()> {
     st.active_first_seq = st.next_seq;
     st.active_len = SEGMENT_HEADER_LEN as u64;
     Ok(())
-}
-
-fn group_commit_loop(shared: &WalShared, interval: Duration) {
-    loop {
-        let mut st = shared
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Tick: wake early if nudged by an append or a drop.
-        let (guard, _) = shared
-            .cond
-            .wait_timeout(st, interval)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        st = guard;
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        if st.failed.is_none() && st.appended_seq > st.durable_seq {
-            let up_to = st.appended_seq;
-            let _ = sync_active(&mut st, up_to);
-            drop(st);
-            shared.cond.notify_all();
-        }
-    }
 }
 
 /// The last segment of a scanned log: where appends resume.
@@ -720,8 +599,8 @@ fn scan_dir(
 }
 
 /// A convenience for tests and tooling: replays a directory without
-/// constructing a live log (no truncation side effects, no committer
-/// thread), copying every record out. A collecting adapter over the
+/// constructing a live log (no truncation side effects), copying every
+/// record out. A collecting adapter over the
 /// same scan [`Wal::open_with`] streams.
 pub fn replay_dir(dir: &Path) -> Result<WalReplay, WalError> {
     let mut records = Vec::new();
@@ -748,6 +627,7 @@ pub fn record_disk_len(payload_len: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hh-wal-{tag}-{}", std::process::id()));
@@ -755,11 +635,10 @@ mod tests {
         dir
     }
 
-    fn cfg(dir: &Path, fsync: FsyncPolicy) -> WalConfig {
+    fn cfg(dir: &Path) -> WalConfig {
         WalConfig {
             dir: dir.to_path_buf(),
             segment_bytes: 256, // tiny: rotation every few records
-            fsync,
         }
     }
 
@@ -768,7 +647,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let payloads: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 1 + i as usize]).collect();
         {
-            let (wal, replay) = Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1).unwrap();
+            let (wal, replay) = Wal::open(cfg(&dir), 1).unwrap();
             assert!(replay.records.is_empty());
             for p in &payloads {
                 let seq = wal.append(p).unwrap();
@@ -779,7 +658,7 @@ mod tests {
             assert_eq!(stats.durable_seq, 20);
             assert!(stats.segments > 1, "tiny segments must rotate");
         }
-        let (wal, replay) = Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1).unwrap();
+        let (wal, replay) = Wal::open(cfg(&dir), 1).unwrap();
         assert_eq!(replay.records.len(), 20);
         for (i, rec) in replay.records.iter().enumerate() {
             assert_eq!(rec.seq, i as u64 + 1);
@@ -791,13 +670,33 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_blocks_until_durable_and_shares_fsyncs() {
-        let dir = tmpdir("group");
+    fn commit_blocks_until_durable_and_shares_covering_fsyncs() {
+        let dir = tmpdir("commit");
         let (wal, _) = Wal::open(
-            cfg(&dir, FsyncPolicy::GroupCommit(Duration::from_millis(2))),
+            WalConfig {
+                segment_bytes: 1 << 20, // no rotation fsyncs in this test
+                ..cfg(&dir)
+            },
             1,
         )
         .unwrap();
+        // One fsync covers every record appended before it: committing
+        // seq 2 makes 1..=4 durable, and committing any of them again
+        // issues no further fsync.
+        for i in 1..=4u8 {
+            assert_eq!(wal.append(&[i]).unwrap(), u64::from(i));
+        }
+        let before = wal.stats().fsyncs;
+        wal.commit(2).unwrap();
+        let after = wal.stats();
+        assert_eq!(after.fsyncs, before + 1);
+        assert_eq!(after.durable_seq, 4);
+        for seq in [1, 3, 4] {
+            wal.commit(seq).unwrap();
+        }
+        assert_eq!(wal.stats().fsyncs, before + 1, "covered commits fsynced");
+
+        // Concurrent committers: every commit returns durable.
         let wal = Arc::new(wal);
         let workers: Vec<_> = (0..4)
             .map(|w| {
@@ -814,24 +713,7 @@ mod tests {
         for w in workers {
             w.join().unwrap();
         }
-        let stats = wal.stats();
-        assert_eq!(stats.appended_records, 100);
-        assert!(
-            stats.fsyncs < 100,
-            "group commit must batch fsyncs, saw {}",
-            stats.fsyncs
-        );
-        drop(wal);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn os_buffered_acks_without_fsync() {
-        let dir = tmpdir("buffered");
-        let (wal, _) = Wal::open(cfg(&dir, FsyncPolicy::OsBuffered), 1).unwrap();
-        let seq = wal.append(b"fast").unwrap();
-        wal.commit(seq).unwrap();
-        assert_eq!(wal.stats().fsyncs, 0);
+        assert_eq!(wal.stats().appended_records, 104);
         drop(wal);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -839,7 +721,7 @@ mod tests {
     #[test]
     fn compaction_retires_only_fully_covered_sealed_segments() {
         let dir = tmpdir("compact");
-        let (wal, _) = Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1).unwrap();
+        let (wal, _) = Wal::open(cfg(&dir), 1).unwrap();
         for i in 0..30u8 {
             let seq = wal.append(&[i; 16]).unwrap();
             wal.commit(seq).unwrap();
@@ -858,7 +740,7 @@ mod tests {
         assert_eq!(seq, 31);
         wal.commit(seq).unwrap();
         drop(wal);
-        let (_, replay) = Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1).unwrap();
+        let (_, replay) = Wal::open(cfg(&dir), 1).unwrap();
         let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
         assert!(seqs.contains(&31));
         assert!(seqs.iter().all(|&s| s > 0), "seq anchor survived");
@@ -868,7 +750,7 @@ mod tests {
     #[test]
     fn partial_compaction_never_drops_uncovered_records() {
         let dir = tmpdir("partial-compact");
-        let (wal, _) = Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1).unwrap();
+        let (wal, _) = Wal::open(cfg(&dir), 1).unwrap();
         for i in 0..30u8 {
             let seq = wal.append(&[i; 16]).unwrap();
             wal.commit(seq).unwrap();
@@ -893,7 +775,7 @@ mod tests {
         let dir = tmpdir("torn");
         let disk_len = record_disk_len(16);
         {
-            let (wal, _) = Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1).unwrap();
+            let (wal, _) = Wal::open(cfg(&dir), 1).unwrap();
             for i in 0..3u8 {
                 let seq = wal.append(&[i; 16]).unwrap();
                 wal.commit(seq).unwrap();
@@ -906,14 +788,14 @@ mod tests {
         f.set_len(len - disk_len as u64 / 2).unwrap();
         drop(f);
 
-        let (wal, replay) = Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1).unwrap();
+        let (wal, replay) = Wal::open(cfg(&dir), 1).unwrap();
         assert_eq!(replay.records.len(), 2, "torn record dropped");
         assert!(replay.truncated_bytes > 0);
         // The next append takes over the torn record's seq.
         assert_eq!(wal.append(b"recovered").unwrap(), 3);
         wal.commit(3).unwrap();
         drop(wal);
-        let (_, replay) = Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1).unwrap();
+        let (_, replay) = Wal::open(cfg(&dir), 1).unwrap();
         assert_eq!(replay.records.len(), 3);
         assert_eq!(replay.records[2].payload, b"recovered");
         let _ = std::fs::remove_dir_all(&dir);
@@ -923,7 +805,7 @@ mod tests {
     fn damage_in_a_sealed_segment_is_structural() {
         let dir = tmpdir("sealed-damage");
         {
-            let (wal, _) = Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1).unwrap();
+            let (wal, _) = Wal::open(cfg(&dir), 1).unwrap();
             for i in 0..30u8 {
                 let seq = wal.append(&[i; 16]).unwrap();
                 wal.commit(seq).unwrap();
@@ -935,7 +817,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;
         std::fs::write(&first, &bytes).unwrap();
-        match Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1) {
+        match Wal::open(cfg(&dir), 1) {
             Err(WalError::Structural(_)) => {}
             other => panic!("expected structural damage, got {other:?}"),
         }
@@ -957,15 +839,14 @@ mod tests {
     fn streaming_open_fails_closed_after_visiting_a_valid_prefix() {
         let dir = tmpdir("stream-prefix");
         {
-            let (wal, _) = Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1).unwrap();
+            let (wal, _) = Wal::open(cfg(&dir), 1).unwrap();
             for i in 0..40u8 {
                 let seq = wal.append(&[i; 16]).unwrap();
                 wal.commit(seq).unwrap();
             }
             assert!(wal.stats().segments >= 4);
         }
-        let (wal, stats) =
-            Wal::open_with(cfg(&dir, FsyncPolicy::PerBatch), 1, |_, _| Ok(())).unwrap();
+        let (wal, stats) = Wal::open_with(cfg(&dir), 1, |_, _| Ok(())).unwrap();
         assert_eq!((stats.records, stats.truncated_bytes), (40, 0));
         assert_eq!(stats.segments, wal.stats().segments);
         drop(wal);
@@ -982,7 +863,7 @@ mod tests {
         bytes[SEGMENT_HEADER_LEN + 12] ^= 0x01;
         std::fs::write(&third, &bytes).unwrap();
         let mut seen = Vec::new();
-        let err = Wal::open_with(cfg(&dir, FsyncPolicy::PerBatch), 1, |seq, _| {
+        let err = Wal::open_with(cfg(&dir), 1, |seq, _| {
             seen.push(seq);
             Ok(())
         })
@@ -992,7 +873,7 @@ mod tests {
         assert_eq!(seen, prefix, "exactly the records before the damage");
 
         // A visitor that refuses a record is structural damage too.
-        let err = Wal::open_with(cfg(&dir, FsyncPolicy::PerBatch), 1, |seq, _| {
+        let err = Wal::open_with(cfg(&dir), 1, |seq, _| {
             if seq == 2 {
                 return Err("frame refused".into());
             }
@@ -1009,7 +890,7 @@ mod tests {
     #[test]
     fn empty_dir_honors_the_seq_hint() {
         let dir = tmpdir("hint");
-        let (wal, replay) = Wal::open(cfg(&dir, FsyncPolicy::PerBatch), 1000).unwrap();
+        let (wal, replay) = Wal::open(cfg(&dir), 1000).unwrap();
         assert!(replay.records.is_empty());
         assert_eq!(wal.append(b"x").unwrap(), 1000);
         drop(wal);

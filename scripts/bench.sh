@@ -18,7 +18,7 @@
 #   dyadic              hierarchical range-query bank: L-fold ingest,
 #                       warm/cold heavy-prefix descent, canonical range
 #                       decomposition, bank merge + snapshot
-#   wal                 write-ahead log: append+commit per fsync policy,
+#   wal                 write-ahead log: append+commit (inline fsync),
 #                       cold replay, acked-ingest RTT with/without WAL
 #
 # Usage: scripts/bench.sh [output.json]   (default: BENCH_1.json)

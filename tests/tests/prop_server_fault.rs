@@ -43,7 +43,6 @@ use hh_server::server::{Endpoint, Server, ServerConfig};
 use hh_server::RetryPolicy;
 use hh_wal::record::{encode_record, parse_record};
 use hh_wal::segment::{encode_header, SEGMENT_HEADER_LEN};
-use hh_wal::FsyncPolicy;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -573,7 +572,6 @@ fn small_segment_config(root: &Path) -> ServerConfig {
     let mut config = ServerConfig::fast(root);
     config.checkpoint_every = Duration::from_secs(3_600);
     config.durability = Durability::Wal {
-        fsync: FsyncPolicy::PerBatch,
         segment_bytes: 4 << 10,
     };
     config

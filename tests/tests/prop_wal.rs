@@ -11,10 +11,9 @@
 //!    leaves nothing (which is exactly why acked durability is defined
 //!    by the honored-fsync boundary), and scheduled **bit rot** is
 //!    caught by the record checksum;
-//! 3. **commit means durable**: under `PerBatch` and `GroupCommit` a
-//!    returned `commit(seq)` implies a power cut at the durable
-//!    watermark still replays every committed record (`OsBuffered`
-//!    promises nothing and says so);
+//! 3. **commit means durable**: a returned `commit(seq)` implies a
+//!    power cut at the durable watermark still replays every committed
+//!    record;
 //! 4. **structural damage is quarantine, not crash**: any corruption
 //!    of a *sealed* segment fails replay with `WalError::Structural`;
 //!    at the server level that quarantines the one tenant whose log is
@@ -35,7 +34,7 @@ use hh_server::proto::{read_frame, write_frame, Request, Response};
 use hh_server::server::{Endpoint, Server, ServerConfig};
 use hh_wal::record::encode_record;
 use hh_wal::segment::{encode_header, segment_file_name, SEGMENT_HEADER_LEN};
-use hh_wal::{record_disk_len, replay_dir, FsyncPolicy, Wal, WalConfig, WalError};
+use hh_wal::{record_disk_len, replay_dir, Wal, WalConfig, WalError};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -47,11 +46,10 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-fn wal_cfg(dir: &Path, fsync: FsyncPolicy) -> WalConfig {
+fn wal_cfg(dir: &Path) -> WalConfig {
     WalConfig {
         dir: dir.to_path_buf(),
         segment_bytes: 1 << 20,
-        fsync,
     }
 }
 
@@ -86,7 +84,7 @@ fn power_cut_at_every_byte_offset_recovers_the_exact_durable_prefix() {
     let base = tmp("sweep-base");
     let sizes = [1usize, 7, 64, 300, 1000, 13, 128, 2];
     {
-        let (wal, replay) = Wal::open(wal_cfg(&base, FsyncPolicy::PerBatch), 1).unwrap();
+        let (wal, replay) = Wal::open(wal_cfg(&base), 1).unwrap();
         assert!(replay.records.is_empty());
         for (i, &len) in sizes.iter().enumerate() {
             let seq = wal.append(&pat(i as u64 + 1, len)).unwrap();
@@ -128,14 +126,14 @@ fn power_cut_at_every_byte_offset_recovers_the_exact_durable_prefix() {
         }
 
         // A live open salvages the same prefix (truncating the tail)...
-        let (wal, opened) = Wal::open(wal_cfg(&scratch, FsyncPolicy::PerBatch), 1).unwrap();
+        let (wal, opened) = Wal::open(wal_cfg(&scratch), 1).unwrap();
         assert_eq!(opened.records.len(), expect, "open at cut {cut}");
         assert_eq!(opened.truncated_bytes as usize, cut - offs[expect]);
         drop(wal);
 
         // ...and at record boundaries, appending resumes seamlessly.
         if cut == offs[expect] {
-            let (wal, _) = Wal::open(wal_cfg(&scratch, FsyncPolicy::PerBatch), 1).unwrap();
+            let (wal, _) = Wal::open(wal_cfg(&scratch), 1).unwrap();
             let next = wal.append(&pat(99, 40)).unwrap();
             assert_eq!(next, expect as u64 + 1);
             wal.commit(next).unwrap();
@@ -245,54 +243,35 @@ fn torn_appends_and_lying_fsyncs_match_the_faultyfile_watermark_oracle() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn commit_means_durable_under_both_acking_fsync_policies() {
-    for (tag, fsync) in [
-        ("perbatch", FsyncPolicy::PerBatch),
-        ("group", FsyncPolicy::GroupCommit(Duration::from_millis(1))),
-    ] {
-        let dir = tmp(&format!("ack-{tag}"));
-        let (wal, _) = Wal::open(wal_cfg(&dir, fsync), 1).unwrap();
-        for seq in 1..=6u64 {
-            assert_eq!(wal.append(&pat(seq, 50)).unwrap(), seq);
-            wal.commit(seq).unwrap();
-            assert!(
-                wal.stats().durable_seq >= seq,
-                "{tag}: commit({seq}) returned before durability"
-            );
-        }
-        // Power loss now: only bytes at or before the durable watermark
-        // survive. The uncommitted tail appended afterwards may tear —
-        // no committed record depends on it.
-        let cut = wal.durable_active_bytes();
-        wal.append(&pat(7, 50)).unwrap();
-        wal.append(&pat(8, 50)).unwrap();
-        drop(wal);
-
-        let scratch = tmp(&format!("ack-{tag}-cut"));
-        copy_dir(&dir, &scratch);
-        truncate_file(&scratch.join(segment_file_name(1)), cut);
-        let replay = replay_dir(&scratch).unwrap();
-        assert_eq!(
-            replay.records.len(),
-            6,
-            "{tag}: committed records lost at the cut"
+fn commit_means_durable_at_the_fsync_watermark() {
+    let dir = tmp("ack");
+    let (wal, _) = Wal::open(wal_cfg(&dir), 1).unwrap();
+    for seq in 1..=6u64 {
+        assert_eq!(wal.append(&pat(seq, 50)).unwrap(), seq);
+        wal.commit(seq).unwrap();
+        assert!(
+            wal.stats().durable_seq >= seq,
+            "commit({seq}) returned before durability"
         );
-        for (i, rec) in replay.records.iter().enumerate() {
-            assert_eq!(rec.payload, pat(i as u64 + 1, 50));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&scratch);
     }
-
-    // OsBuffered promises nothing until an explicit sync — and its
-    // durable watermark says exactly that.
-    let dir = tmp("ack-osbuf");
-    let (wal, _) = Wal::open(wal_cfg(&dir, FsyncPolicy::OsBuffered), 1).unwrap();
-    wal.append(&pat(1, 50)).unwrap();
-    wal.commit(1).unwrap(); // returns, but promises nothing
-    assert_eq!(wal.durable_active_bytes(), SEGMENT_HEADER_LEN as u64);
+    // Power loss now: only bytes at or before the durable watermark
+    // survive. The uncommitted tail appended afterwards may tear —
+    // no committed record depends on it.
+    let cut = wal.durable_active_bytes();
+    wal.append(&pat(7, 50)).unwrap();
+    wal.append(&pat(8, 50)).unwrap();
     drop(wal);
+
+    let scratch = tmp("ack-cut");
+    copy_dir(&dir, &scratch);
+    truncate_file(&scratch.join(segment_file_name(1)), cut);
+    let replay = replay_dir(&scratch).unwrap();
+    assert_eq!(replay.records.len(), 6, "committed records lost at the cut");
+    for (i, rec) in replay.records.iter().enumerate() {
+        assert_eq!(rec.payload, pat(i as u64 + 1, 50));
+    }
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +284,6 @@ fn build_multi_segment(dir: &Path, records: u64) -> Vec<PathBuf> {
     let config = WalConfig {
         dir: dir.to_path_buf(),
         segment_bytes: 256,
-        fsync: FsyncPolicy::PerBatch,
     };
     let (wal, _) = Wal::open(config, 1).unwrap();
     for seq in 1..=records {
@@ -356,7 +334,6 @@ fn corruption_is_structural_in_sealed_segments_and_salvage_in_the_active_tail() 
         WalConfig {
             dir: scratch.clone(),
             segment_bytes: 256,
-            fsync: FsyncPolicy::PerBatch,
         },
         1,
     )
@@ -615,7 +592,6 @@ fn compaction_never_drops_records_past_the_checkpoint_cover() {
     let config = WalConfig {
         dir: dir.clone(),
         segment_bytes: 256,
-        fsync: FsyncPolicy::PerBatch,
     };
     let (wal, _) = Wal::open(config.clone(), 1).unwrap();
     for seq in 1..=RECORDS {
