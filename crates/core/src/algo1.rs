@@ -28,7 +28,7 @@
 use crate::cache::QueryCache;
 use crate::config::{Constants, HhParams};
 use crate::error::{MergeError, ParamError, SnapshotError};
-use crate::mergeable::{check_compatible, snapshot, MergeableSummary, RestoreReport};
+use crate::mergeable::{check_compatible, snapshot, MergeableSummary};
 use crate::mg::MisraGries;
 use crate::report::{ItemEstimate, Report};
 use crate::traits::{HeavyHitters, StreamSummary};
@@ -334,8 +334,6 @@ impl SpaceUsage for SimpleListHh {
 /// Snapshot format version tag (v3: a trailing FNV-1a/64 integrity
 /// checksum guards the whole buffer).
 const A1_TAG: &str = "hh.algo1.v3";
-/// Previous (checksum-less) format, still accepted for restore.
-const A1_TAG_V2: &str = "hh.algo1.v2";
 /// Largest `T2` capacity a snapshot may claim. Real capacities are
 /// `Θ(1/φ)` with `φ > ε > 0`, far below this; the bound exists so a
 /// forged snapshot cannot commit a restored instance to unbounded
@@ -437,8 +435,8 @@ impl MergeableSummary for SimpleListHh {
         snapshot::encode(A1_TAG, self)
     }
 
-    fn from_bytes_report(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError> {
-        snapshot::decode_compat(A1_TAG, &[A1_TAG_V2], bytes)
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        snapshot::decode(A1_TAG, bytes)
     }
 }
 

@@ -61,7 +61,7 @@
 use crate::cache::QueryCache;
 use crate::config::{Constants, HhParams};
 use crate::error::{MergeError, ParamError, SnapshotError};
-use crate::mergeable::{check_compatible, snapshot, MergeableSummary, RestoreReport};
+use crate::mergeable::{check_compatible, snapshot, MergeableSummary};
 use crate::mg::MisraGries;
 use crate::report::{ItemEstimate, Report};
 use crate::traits::{HeavyHitters, StreamSummary};
@@ -965,8 +965,6 @@ impl SpaceUsage for OptimalListHh {
 /// codec's bulk byte channel: T2/T3 as varint blocks, the epoch cache
 /// as raw bytes, the (monotone) threshold table delta-coded.
 const A2_TAG: &str = "hh.algo2.v3";
-/// Previous (checksum-less) format, still accepted for restore.
-const A2_TAG_V2: &str = "hh.algo2.v2";
 
 /// Full-state snapshot: parameters, every hash seed, the T1/T2/T3
 /// tables with their epoch caches, and the three randomness sources
@@ -1240,8 +1238,8 @@ impl MergeableSummary for OptimalListHh {
         snapshot::encode(A2_TAG, self)
     }
 
-    fn from_bytes_report(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError> {
-        snapshot::decode_compat(A2_TAG, &[A2_TAG_V2], bytes)
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        snapshot::decode(A2_TAG, bytes)
     }
 }
 

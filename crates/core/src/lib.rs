@@ -72,7 +72,7 @@ pub use cache::QueryCache;
 pub use config::{Constants, HhParams};
 pub use error::{MergeError, ParamError, SnapshotError};
 pub use maximum::EpsMaximum;
-pub use mergeable::{MergeableSummary, RestoreReport};
+pub use mergeable::MergeableSummary;
 pub use mg::MisraGries;
 pub use minimum::EpsMinimum;
 pub use report::{ItemEstimate, Report};

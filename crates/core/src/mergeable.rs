@@ -108,11 +108,9 @@ pub trait MergeableSummary: StreamSummary + Sized {
     fn to_bytes(&self) -> Bytes;
 
     /// Restores a summary from a buffer produced by
-    /// [`MergeableSummary::to_bytes`], reporting how the buffer was
-    /// verified: current-format buffers have their checksum validated
-    /// before a single payload byte is interpreted; legacy (pre-v3)
-    /// buffers carry no checksum and restore with
-    /// [`RestoreReport::checksum_verified`] `= false`.
+    /// [`MergeableSummary::to_bytes`]. The trailing checksum is
+    /// verified before a single payload byte is interpreted, and the
+    /// payload must consume the body exactly.
     ///
     /// Restore is total over arbitrary input: corrupted, truncated, or
     /// adversarially inflated bytes return a structured
@@ -120,34 +118,10 @@ pub trait MergeableSummary: StreamSummary + Sized {
     /// from an unvalidated length prefix.
     ///
     /// # Errors
-    /// [`SnapshotError`] if the buffer carries another type's tag, a
-    /// bad checksum, or a malformed payload.
-    fn from_bytes_report(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError>;
-
-    /// Restores a summary from a buffer produced by
-    /// [`MergeableSummary::to_bytes`]; the verification report of
-    /// [`MergeableSummary::from_bytes_report`] is dropped.
-    ///
-    /// # Errors
-    /// [`SnapshotError`] if the buffer carries another type's tag or a
-    /// malformed payload.
-    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        Ok(Self::from_bytes_report(bytes)?.0)
-    }
-}
-
-/// How a restored snapshot buffer was verified; returned by
-/// [`MergeableSummary::from_bytes_report`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestoreReport {
-    /// Whether a trailing integrity checksum was present and matched.
-    /// `false` exactly when the buffer used a legacy (pre-checksum)
-    /// format version — such restores are best-effort: the payload
-    /// validations all ran, but bit rot cannot be ruled out.
-    pub checksum_verified: bool,
-    /// Whether the buffer used a legacy format version (an older tag
-    /// that is still accepted for restore).
-    pub legacy_format: bool,
+    /// [`SnapshotError`] if the buffer carries another type's tag
+    /// (including an older format version of this type's), a bad
+    /// checksum, or a malformed payload.
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError>;
 }
 
 /// Shared snapshot plumbing: the tagged-buffer encode/decode helpers
@@ -167,13 +141,12 @@ pub struct RestoreReport {
 /// everything before it (tag included) and is verified **before** any
 /// payload byte is
 /// interpreted, so a corrupt buffer is rejected by one linear scan
-/// rather than by whichever decoder happens to trip over it. Legacy
-/// (pre-checksum) tags are still accepted through
-/// [`decode_compat`](snapshot::decode_compat)'s `legacy_tags` list —
-/// those buffers decode
-/// exactly as before and report `checksum_verified = false`.
+/// rather than by whichever decoder happens to trip over it. Each
+/// summary type accepts exactly one tag: a buffer behind any other
+/// tag, an older format version of the same type included, is refused
+/// with [`SnapshotError::WrongTag`].
 pub mod snapshot {
-    use super::{Bytes, RestoreReport, SnapshotError};
+    use super::{Bytes, SnapshotError};
     use serde::bincode;
     use serde::{Deserialize, Serialize};
 
@@ -203,7 +176,7 @@ pub mod snapshot {
 
     /// Encodes `value` behind `tag` (a `"hh.<type>.v<N>"` string that
     /// names the summary type and snapshot-format version) and appends
-    /// the FNV-1a/64 digest of the whole buffer as an 8-byte
+    /// the striped `fnv1a64x4` digest of the whole buffer as an 8-byte
     /// little-endian trailer.
     pub fn encode<T: Serialize>(tag: &str, value: &T) -> Bytes {
         let mut w = bincode::Writer::default();
@@ -218,87 +191,49 @@ pub mod snapshot {
         Bytes::from(buf)
     }
 
-    /// Decodes a buffer produced by [`encode`] with the same `tag`,
-    /// accepting any of `legacy_tags` (older, checksum-less format
-    /// versions) as a fallback. Returns the value together with a
-    /// [`RestoreReport`] saying which path verified it.
-    pub fn decode_compat<T: for<'de> Deserialize<'de>>(
-        tag: &'static str,
-        legacy_tags: &[&'static str],
-        bytes: &[u8],
-    ) -> Result<(T, RestoreReport), SnapshotError> {
-        use serde::Deserializer as _;
-        if starts_with_tag(bytes, tag) {
-            // Current format: verify the trailer over everything before
-            // it, then decode the payload between tag and trailer.
-            let body_len = bytes
-                .len()
-                .checked_sub(CHECKSUM_LEN)
-                .ok_or(SnapshotError::Truncated)?;
-            let (body, trailer) = bytes.split_at(body_len);
-            if body.len() < 8 + tag.len() {
-                // The trailer split ate into the tag itself: the buffer
-                // lost bytes after encoding.
-                return Err(SnapshotError::Truncated);
-            }
-            let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-            if hh_space::checksum::fnv1a64x4(body) != stored {
-                return Err(SnapshotError::ChecksumMismatch);
-            }
-            let mut r = bincode::Reader::new(body);
-            let matched = r.check_str(tag).map_err(codec_err)?;
-            debug_assert!(matched, "starts_with_tag pre-checked the tag");
-            let value = T::deserialize(&mut r).map_err(codec_err)?;
-            if r.remaining() != 0 {
-                return Err(SnapshotError::InvariantViolated(format!(
-                    "{} trailing bytes after payload",
-                    r.remaining()
-                )));
-            }
-            return Ok((
-                value,
-                RestoreReport {
-                    checksum_verified: true,
-                    legacy_format: false,
-                },
-            ));
-        }
-        for &legacy in legacy_tags {
-            if !starts_with_tag(bytes, legacy) {
-                continue;
-            }
-            // Legacy format: no trailer to verify; the payload
-            // validations are the only line of defense, exactly as they
-            // were when this format was current.
-            let mut r = bincode::Reader::new(bytes);
-            let matched = r.check_str(legacy).map_err(codec_err)?;
-            debug_assert!(matched, "starts_with_tag pre-checked the tag");
-            let value = T::deserialize(&mut r).map_err(codec_err)?;
-            return Ok((
-                value,
-                RestoreReport {
-                    checksum_verified: false,
-                    legacy_format: true,
-                },
-            ));
-        }
-        let mut found = bincode::Reader::new(bytes)
-            .read_string()
-            .map_err(codec_err)?;
-        found.truncate(64);
-        Err(SnapshotError::WrongTag {
-            expected: tag,
-            found,
-        })
-    }
-
-    /// Decodes a buffer produced by [`encode`] with the same `tag` (no
-    /// legacy fallback; the verification report is dropped).
+    /// Decodes a buffer produced by [`encode`] with the same `tag`:
+    /// verifies the trailer over everything before it, then decodes the
+    /// payload between tag and trailer, which must consume it exactly.
     pub fn decode<T: for<'de> Deserialize<'de>>(
         tag: &'static str,
         bytes: &[u8],
     ) -> Result<T, SnapshotError> {
-        Ok(decode_compat(tag, &[], bytes)?.0)
+        use serde::Deserializer as _;
+        if !starts_with_tag(bytes, tag) {
+            let mut found = bincode::Reader::new(bytes)
+                .read_string()
+                .map_err(codec_err)?;
+            found.truncate(64);
+            return Err(SnapshotError::WrongTag {
+                expected: tag,
+                found,
+            });
+        }
+        let body_len = bytes
+            .len()
+            .checked_sub(CHECKSUM_LEN)
+            .ok_or(SnapshotError::Truncated)?;
+        let (body, trailer) = bytes.split_at(body_len);
+        if body.len() < 8 + tag.len() {
+            // The trailer split ate into the tag itself: the buffer
+            // lost bytes after encoding.
+            return Err(SnapshotError::Truncated);
+        }
+        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
+        if hh_space::checksum::fnv1a64x4(body) != stored {
+            return Err(SnapshotError::ChecksumMismatch);
+        }
+        let mut r = bincode::Reader::new(body);
+        let matched = r.check_str(tag).map_err(codec_err)?;
+        debug_assert!(matched, "starts_with_tag pre-checked the tag");
+        let value = T::deserialize(&mut r).map_err(codec_err)?;
+        if r.remaining() != 0 {
+            return Err(SnapshotError::InvariantViolated(format!(
+                "{} trailing bytes after payload",
+                r.remaining()
+            )));
+        }
+        Ok(value)
     }
 
     /// Writes a `u64` counter slice as one varint block through the
@@ -433,31 +368,6 @@ mod tests {
                 "offset {i}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn legacy_checksumless_buffers_restore_with_verified_false() {
-        // Hand-build a legacy buffer: tag + payload, no trailer.
-        let v: Vec<u64> = vec![4, 5];
-        let mut w = serde::bincode::Writer::default();
-        use serde::Serializer as _;
-        w.write_str("hh.test.v1").unwrap();
-        serde::Serialize::serialize(&v, &mut w).unwrap();
-        let legacy = w.done().unwrap();
-
-        let (back, report) =
-            snapshot::decode_compat::<Vec<u64>>("hh.test.v2", &["hh.test.v1"], &legacy).unwrap();
-        assert_eq!(back, v);
-        assert!(!report.checksum_verified);
-        assert!(report.legacy_format);
-
-        // The current format reports full verification.
-        let buf = snapshot::encode("hh.test.v2", &v);
-        let (back, report) =
-            snapshot::decode_compat::<Vec<u64>>("hh.test.v2", &["hh.test.v1"], &buf).unwrap();
-        assert_eq!(back, v);
-        assert!(report.checksum_verified);
-        assert!(!report.legacy_format);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! this table).
 
 use crate::error::{MergeError, SnapshotError};
-use crate::mergeable::{check_compatible, snapshot, MergeableSummary, RestoreReport};
+use crate::mergeable::{check_compatible, snapshot, MergeableSummary};
 use crate::traits::StreamSummary;
 use hh_space::space::{gamma_bits, SpaceUsage};
 use serde::{Deserialize, Serialize};
@@ -272,8 +272,6 @@ impl MisraGries {
 /// the keys and counts as two varint blocks through the codec's bulk
 /// byte channel instead of one codec call per pair.
 const MG_TAG: &str = "hh.misra-gries.v3";
-/// Previous (checksum-less) format, still accepted for restore.
-const MG_TAG_V2: &str = "hh.misra-gries.v2";
 
 /// Content snapshot: parameters, stream position, and the live
 /// `(key, count)` entries as one interleaved varint block (key, count,
@@ -400,8 +398,8 @@ impl MergeableSummary for MisraGries {
         snapshot::encode(MG_TAG, self)
     }
 
-    fn from_bytes_report(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError> {
-        snapshot::decode_compat(MG_TAG, &[MG_TAG_V2], bytes)
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        snapshot::decode(MG_TAG, bytes)
     }
 }
 

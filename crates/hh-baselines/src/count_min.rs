@@ -15,7 +15,7 @@
 use hh_core::mergeable::snapshot;
 use hh_core::{
     FrequencyEstimator, HeavyHitters, ItemEstimate, MergeError, MergeableSummary, QueryCache,
-    Report, RestoreReport, SnapshotError, StreamSummary,
+    Report, SnapshotError, StreamSummary,
 };
 use hh_hash::FastMap;
 use hh_hash::{CarterWegmanFamily, CarterWegmanHash, HashFamily, HashFunction};
@@ -251,8 +251,6 @@ impl FrequencyEstimator for CountMin {
 
 /// Snapshot format version tag.
 const TAG: &str = "hh.baseline.count-min.v2";
-/// Previous (checksum-less) tag, still accepted on restore.
-const TAG_V1: &str = "hh.baseline.count-min.v1";
 /// Decode-time ceiling on the candidate capacity a snapshot may claim.
 const CANDIDATE_CAP_LIMIT: usize = 1 << 24;
 
@@ -397,8 +395,8 @@ impl MergeableSummary for CountMin {
         snapshot::encode(TAG, self)
     }
 
-    fn from_bytes_report(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError> {
-        snapshot::decode_compat(TAG, &[TAG_V1], bytes)
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        snapshot::decode(TAG, bytes)
     }
 }
 

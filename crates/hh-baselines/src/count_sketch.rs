@@ -10,7 +10,7 @@
 use hh_core::mergeable::snapshot;
 use hh_core::{
     FrequencyEstimator, HeavyHitters, ItemEstimate, MergeError, MergeableSummary, QueryCache,
-    Report, RestoreReport, SnapshotError, StreamSummary,
+    Report, SnapshotError, StreamSummary,
 };
 use hh_hash::FastMap;
 use hh_hash::{HashFamily, HashFunction, PolynomialFamily, PolynomialHash};
@@ -271,8 +271,6 @@ impl FrequencyEstimator for CountSketch {
 /// Snapshot format version tag (v2: trailing FNV-1a/64 integrity
 /// checksum).
 const TAG: &str = "hh.baseline.count-sketch.v2";
-/// Previous (checksum-less) format, still accepted for restore.
-const TAG_V1: &str = "hh.baseline.count-sketch.v1";
 /// Largest candidate capacity a snapshot may claim (real capacities
 /// are `Θ(1/φ)`); bounds a restored instance's future growth.
 const CANDIDATE_CAP_LIMIT: usize = 1 << 24;
@@ -427,8 +425,8 @@ impl MergeableSummary for CountSketch {
         snapshot::encode(TAG, self)
     }
 
-    fn from_bytes_report(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError> {
-        snapshot::decode_compat(TAG, &[TAG_V1], bytes)
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        snapshot::decode(TAG, bytes)
     }
 }
 

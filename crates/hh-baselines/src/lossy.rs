@@ -14,7 +14,7 @@
 use hh_core::mergeable::snapshot;
 use hh_core::{
     FrequencyEstimator, HeavyHitters, ItemEstimate, MergeError, MergeableSummary, QueryCache,
-    Report, RestoreReport, SnapshotError, StreamSummary,
+    Report, SnapshotError, StreamSummary,
 };
 use hh_hash::FastMap;
 use hh_space::space::{gamma_bits, SpaceUsage};
@@ -167,8 +167,6 @@ impl FrequencyEstimator for LossyCounting {
 /// Snapshot format version tag (v2: trailing FNV-1a/64 integrity
 /// checksum).
 const TAG: &str = "hh.baseline.lossy-counting.v2";
-/// Previous (checksum-less) format, still accepted for restore.
-const TAG_V1: &str = "hh.baseline.lossy-counting.v1";
 
 impl Serialize for LossyCounting {
     fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
@@ -320,8 +318,8 @@ impl MergeableSummary for LossyCounting {
         snapshot::encode(TAG, self)
     }
 
-    fn from_bytes_report(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError> {
-        snapshot::decode_compat(TAG, &[TAG_V1], bytes)
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        snapshot::decode(TAG, bytes)
     }
 }
 

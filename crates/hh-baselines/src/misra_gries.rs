@@ -4,7 +4,7 @@
 use hh_core::mergeable::snapshot;
 use hh_core::{
     HeavyHitters, ItemEstimate, MergeError, MergeableSummary, MisraGries, QueryCache, Report,
-    RestoreReport, SnapshotError, StreamSummary,
+    SnapshotError, StreamSummary,
 };
 use hh_space::SpaceUsage;
 use serde::{Deserialize, Serialize};
@@ -114,8 +114,6 @@ impl SpaceUsage for MisraGriesBaseline {
 /// Snapshot format version tag (v2: the wrapped table switched to the
 /// varint-slice wire format; v3: trailing integrity checksum).
 const TAG: &str = "hh.baseline.misra-gries.v3";
-/// Previous (checksum-less) tag, still accepted on restore.
-const TAG_V2: &str = "hh.baseline.misra-gries.v2";
 
 impl Serialize for MisraGriesBaseline {
     fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
@@ -161,8 +159,8 @@ impl MergeableSummary for MisraGriesBaseline {
         snapshot::encode(TAG, self)
     }
 
-    fn from_bytes_report(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError> {
-        snapshot::decode_compat(TAG, &[TAG_V2], bytes)
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        snapshot::decode(TAG, bytes)
     }
 }
 

@@ -19,7 +19,7 @@
 use hh_core::mergeable::snapshot;
 use hh_core::{
     FrequencyEstimator, HeavyHitters, ItemEstimate, MergeError, MergeableSummary, QueryCache,
-    Report, RestoreReport, SnapshotError, StreamSummary,
+    Report, SnapshotError, StreamSummary,
 };
 use hh_hash::FastMap;
 use hh_space::space::{gamma_bits, SpaceUsage};
@@ -470,8 +470,6 @@ impl FrequencyEstimator for SpaceSaving {
 /// instead of one codec call per field; v3 appends the trailing
 /// integrity checksum.
 const TAG: &str = "hh.baseline.space-saving.v3";
-/// Previous (checksum-less) tag, still accepted on restore.
-const TAG_V2: &str = "hh.baseline.space-saving.v2";
 
 /// Content snapshot: parameters, stream position, and the monitored
 /// `(item, count, err)` triples as one interleaved varint block in
@@ -632,8 +630,8 @@ impl MergeableSummary for SpaceSaving {
         snapshot::encode(TAG, self)
     }
 
-    fn from_bytes_report(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError> {
-        snapshot::decode_compat(TAG, &[TAG_V2], bytes)
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        snapshot::decode(TAG, bytes)
     }
 }
 

@@ -59,7 +59,7 @@ use hh_baselines::CountMin;
 use hh_core::mergeable::snapshot;
 use hh_core::{
     FrequencyEstimator, HeavyHitters, HhParams, ItemEstimate, MergeError, MergeableSummary,
-    OptimalListHh, ParamError, QueryCache, Report, RestoreReport, SnapshotError, StreamSummary,
+    OptimalListHh, ParamError, QueryCache, Report, SnapshotError, StreamSummary,
 };
 use hh_space::{gamma_bits, SpaceUsage};
 
@@ -513,8 +513,8 @@ impl<S: MergeableSummary + Clone> MergeableSummary for DyadicHh<S> {
         snapshot::encode(TAG, self)
     }
 
-    fn from_bytes_report(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError> {
-        snapshot::decode_compat(TAG, &[], bytes)
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        snapshot::decode(TAG, bytes)
     }
 }
 

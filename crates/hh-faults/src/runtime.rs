@@ -15,8 +15,8 @@
 //! the worker from its last checkpoint" contract under test.
 
 use hh_core::{
-    FrequencyEstimator, HeavyHitters, MergeError, MergeableSummary, Report, RestoreReport,
-    SnapshotError, StreamSummary,
+    FrequencyEstimator, HeavyHitters, MergeError, MergeableSummary, Report, SnapshotError,
+    StreamSummary,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -153,9 +153,8 @@ impl<S: MergeableSummary> MergeableSummary for FaultySummary<S> {
         self.inner.to_bytes()
     }
 
-    fn from_bytes_report(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError> {
-        let (inner, report) = S::from_bytes_report(bytes)?;
-        Ok((Self::new(inner, FaultSwitch::new()), report))
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        Ok(Self::new(S::from_bytes(bytes)?, FaultSwitch::new()))
     }
 }
 
@@ -193,8 +192,7 @@ mod tests {
         let mut s = FaultySummary::new(MisraGries::new(4, 16), switch);
         s.insert_batch(&[1, 1, 2]);
         let bytes = s.to_bytes();
-        let (back, report) = FaultySummary::<MisraGries>::from_bytes_report(&bytes).unwrap();
-        assert!(report.checksum_verified);
+        let back = FaultySummary::<MisraGries>::from_bytes(&bytes).unwrap();
         assert_eq!(back.inner().processed(), 3);
         // And the bytes are interchangeable with the bare summary's.
         let bare = MisraGries::from_bytes(&bytes).unwrap();

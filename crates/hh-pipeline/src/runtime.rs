@@ -66,7 +66,7 @@
 //! through the accounting.
 
 use bytes::Bytes;
-use hh_core::{MergeableSummary, RestoreReport, SnapshotError, StreamSummary};
+use hh_core::{MergeableSummary, SnapshotError, StreamSummary};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -743,14 +743,13 @@ impl<S: MergeableSummary + Send + 'static> ShardRuntime<S> {
     /// Rebuilds quarantined shard `j` from its last checkpoint: the
     /// snapshot bytes restore to a summary, the shard's cell is
     /// replaced wholesale, a fresh worker is spawned (in parallel
-    /// mode), and the shard rejoins dispatch. Returns the snapshot
-    /// verification report.
+    /// mode), and the shard rejoins dispatch.
     ///
     /// Everything ingested on shard `j` after the checkpoint is gone —
     /// by then it was either drained into the poisoned state being
     /// discarded here, or shed and counted. [`RuntimeHealth`] keeps
     /// the score honest.
-    pub fn recover(&mut self, j: usize) -> Result<RestoreReport, RecoverError> {
+    pub fn recover(&mut self, j: usize) -> Result<(), RecoverError> {
         {
             let state = lock(&self.health);
             if state.poisoned[j].is_none() {
@@ -760,7 +759,7 @@ impl<S: MergeableSummary + Send + 'static> ShardRuntime<S> {
         let bytes = self.checkpoints[j]
             .as_ref()
             .ok_or(RecoverError::NoCheckpoint)?;
-        let (restored, report) = S::from_bytes_report(bytes).map_err(RecoverError::Snapshot)?;
+        let restored = S::from_bytes(bytes).map_err(RecoverError::Snapshot)?;
         // The cell's mutex may still carry the poison flag from the
         // worker's panic; every lock in this module recovers through
         // `into_inner`, so the flag is harmless once the value is
@@ -770,7 +769,7 @@ impl<S: MergeableSummary + Send + 'static> ShardRuntime<S> {
             self.workers[j] = spawn_worker(j, Arc::clone(&self.cells[j]), self.free_tx.clone());
         }
         lock(&self.health).poisoned[j] = None;
-        Ok(report)
+        Ok(())
     }
 }
 

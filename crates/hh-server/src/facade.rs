@@ -19,7 +19,7 @@
 //!   [`MergeError::Incompatible`], same-kind merges delegate to the
 //!   concrete summary's own compatibility checks (parameters, seeds).
 //! * **Restore** is tag-dispatched: snapshot buffers already carry
-//!   `"hh.<type>.vN"` tags, so [`DynSummary::from_bytes_report`] probes
+//!   `"hh.<type>.vN"` tags, so [`DynSummary::from_bytes`] probes
 //!   each kind's decoder and lets the one whose tag matches run its
 //!   full fail-closed validation. A buffer matching no kind is a
 //!   [`SnapshotError::WrongTag`]; a buffer matching a kind but failing
@@ -35,7 +35,7 @@ use bytes::Bytes;
 use hh_baselines::{CountMin, CountSketch, LossyCounting, MisraGriesBaseline, SpaceSaving};
 use hh_core::{
     HeavyHitters, HhParams, ItemEstimate, MergeError, MergeableSummary, MisraGries, OptimalListHh,
-    Report, RestoreReport, SimpleListHh, SnapshotError, StreamSummary,
+    Report, SimpleListHh, SnapshotError, StreamSummary,
 };
 use hh_dyadic::{DyadicHh, HeavyRange};
 use hh_space::SpaceUsage;
@@ -458,37 +458,35 @@ impl DynSummary {
         self.0.heavy_ranges_dyn(phi)
     }
 
+    /// Restores `bytes` as a `kind` summary through `S`'s decoder.
+    fn restore_as<S: MergeableSummary>(
+        kind: SummaryKind,
+        bytes: &[u8],
+    ) -> Result<Self, SnapshotError>
+    where
+        Cell<S>: ErasedSummary + 'static,
+    {
+        S::from_bytes(bytes).map(|s| Self::new(kind, s))
+    }
+
     /// Restores whichever kind's snapshot tag `bytes` carries; tried in
     /// [`SummaryKind::ALL`] order.
-    fn restore_any(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError> {
+    fn restore_any(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut wrong_tag = None;
         for kind in SummaryKind::ALL {
-            let outcome =
-                match kind {
-                    SummaryKind::Algo1 => {
-                        SimpleListHh::from_bytes_report(bytes).map(|(s, r)| (Self::new(kind, s), r))
-                    }
-                    SummaryKind::Algo2 => OptimalListHh::from_bytes_report(bytes)
-                        .map(|(s, r)| (Self::new(kind, s), r)),
-                    SummaryKind::MisraGries => {
-                        MisraGries::from_bytes_report(bytes).map(|(s, r)| (Self::new(kind, s), r))
-                    }
-                    SummaryKind::MisraGriesBaseline => MisraGriesBaseline::from_bytes_report(bytes)
-                        .map(|(s, r)| (Self::new(kind, s), r)),
-                    SummaryKind::SpaceSaving => {
-                        SpaceSaving::from_bytes_report(bytes).map(|(s, r)| (Self::new(kind, s), r))
-                    }
-                    SummaryKind::LossyCounting => LossyCounting::from_bytes_report(bytes)
-                        .map(|(s, r)| (Self::new(kind, s), r)),
-                    SummaryKind::CountMin => {
-                        CountMin::from_bytes_report(bytes).map(|(s, r)| (Self::new(kind, s), r))
-                    }
-                    SummaryKind::CountSketch => {
-                        CountSketch::from_bytes_report(bytes).map(|(s, r)| (Self::new(kind, s), r))
-                    }
-                    SummaryKind::Dyadic => DyadicHh::<CountMin>::from_bytes_report(bytes)
-                        .map(|(s, r)| (Self::new(kind, s), r)),
-                };
+            let outcome = match kind {
+                SummaryKind::Algo1 => Self::restore_as::<SimpleListHh>(kind, bytes),
+                SummaryKind::Algo2 => Self::restore_as::<OptimalListHh>(kind, bytes),
+                SummaryKind::MisraGries => Self::restore_as::<MisraGries>(kind, bytes),
+                SummaryKind::MisraGriesBaseline => {
+                    Self::restore_as::<MisraGriesBaseline>(kind, bytes)
+                }
+                SummaryKind::SpaceSaving => Self::restore_as::<SpaceSaving>(kind, bytes),
+                SummaryKind::LossyCounting => Self::restore_as::<LossyCounting>(kind, bytes),
+                SummaryKind::CountMin => Self::restore_as::<CountMin>(kind, bytes),
+                SummaryKind::CountSketch => Self::restore_as::<CountSketch>(kind, bytes),
+                SummaryKind::Dyadic => Self::restore_as::<DyadicHh<CountMin>>(kind, bytes),
+            };
             match outcome {
                 Ok(restored) => return Ok(restored),
                 // Another kind may still claim the tag; remember the
@@ -530,7 +528,7 @@ impl MergeableSummary for DynSummary {
         self.0.to_bytes_dyn()
     }
 
-    fn from_bytes_report(bytes: &[u8]) -> Result<(Self, RestoreReport), SnapshotError> {
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         Self::restore_any(bytes)
     }
 }
@@ -570,8 +568,7 @@ mod tests {
             s.insert_batch(&stream);
             assert!(s.report().contains(7), "{kind:?} lost the 33% item");
             let bytes = s.to_bytes();
-            let (back, report) = DynSummary::from_bytes_report(&bytes).unwrap();
-            assert!(report.checksum_verified, "{kind:?}");
+            let back = DynSummary::from_bytes(&bytes).unwrap();
             assert_eq!(back.kind(), kind, "tag dispatch picked the wrong kind");
             assert_eq!(back.to_bytes(), bytes, "{kind:?} restore not bit-identical");
         }

@@ -167,8 +167,8 @@ impl Store {
         }
         let mut shards = Vec::with_capacity(spec.shards as usize);
         for (j, bytes) in bank.shards.iter().enumerate() {
-            let (summary, _report) = DynSummary::from_bytes_report(bytes)
-                .map_err(|e| format!("shard {j} rejected: {e}"))?;
+            let summary =
+                DynSummary::from_bytes(bytes).map_err(|e| format!("shard {j} rejected: {e}"))?;
             if summary.kind() != spec.kind {
                 return Err(format!(
                     "shard {j} restored as {:?} but the spec says {:?}",

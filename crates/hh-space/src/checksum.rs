@@ -3,15 +3,13 @@
 //!
 //! Snapshot buffers travel between processes (checkpoint files today, a
 //! network daemon next), so restore must be able to tell *corrupt* from
-//! *well-formed* before interpreting a single length prefix. Three
+//! *well-formed* before interpreting a single length prefix. Two
 //! dependency-free checksums are vendored here:
 //!
-//! * [`fnv1a64`] — Fowler–Noll–Vo 1a, 64-bit. One multiply and one
-//!   xor per byte, 8-byte digest; the textbook serial form, kept for
-//!   reference and for tail bytes.
-//! * [`fnv1a64x4`] — four interleaved FNV-1a chains over 8-byte words,
-//!   folded into one 8-byte digest. Same error-detection role at
-//!   multiplier-throughput speed; this is the trailer the snapshot
+//! * [`fnv1a64x4`] — four interleaved Fowler–Noll–Vo 1a (64-bit)
+//!   chains over 8-byte words, folded into one 8-byte digest; the
+//!   private scalar FNV-1a/64 (one multiply and one xor per byte)
+//!   digests the sub-block tail. This is the trailer the snapshot
 //!   codec appends (see `hh-core`'s `snapshot` module).
 //! * [`crc32`] — CRC-32 (IEEE 802.3 polynomial, reflected), computed
 //!   by a slicing-by-16 kernel over sixteen const-built 256-entry
@@ -19,7 +17,7 @@
 //!   segment-header trailers carry, so every ack and every replayed
 //!   byte pays for it.
 //!
-//! None of them is cryptographic: they detect *accidents* (truncation,
+//! Neither is cryptographic: both detect *accidents* (truncation,
 //! bit rot, interleaved writes), not forgery. That is the right
 //! contract for a checkpoint codec — authenticity, when needed, belongs
 //! to the transport.
@@ -29,18 +27,10 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (64-bit).
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// The 64-bit FNV-1a digest of `bytes`.
-///
-/// ```
-/// use hh_space::checksum::fnv1a64;
-/// // Classic published vectors.
-/// assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-/// assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-/// // Any flipped bit moves the digest.
-/// assert_ne!(fnv1a64(b"hh.algo2.v3"), fnv1a64(b"hh.algo2.v2"));
-/// ```
+/// The 64-bit FNV-1a digest of `bytes`: the textbook serial form,
+/// [`fnv1a64x4`]'s tail helper.
 #[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
@@ -54,7 +44,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// scalar digest of the tail and the input length) through one final
 /// FNV chain.
 ///
-/// This is the snapshot codec's trailer digest. Plain [`fnv1a64`] is a
+/// This is the snapshot codec's trailer digest. Plain FNV-1a/64 is a
 /// strictly serial multiply chain — one 64-bit multiply *per byte*,
 /// each depending on the last — which caps it near 0.25 bytes/cycle
 /// and made checksumming dominate snapshot round-trips. The striped
@@ -66,7 +56,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// lane's digest, and the final fold mixes every lane and the length.
 ///
 /// Not FNV-1a of the reference distribution (no published vectors) and
-/// not cryptographic — same accidents-only contract as [`fnv1a64`].
+/// not cryptographic — it detects accidents, not forgery.
 ///
 /// ```
 /// use hh_space::checksum::fnv1a64x4;
@@ -211,6 +201,8 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        // Any flipped bit moves the digest.
+        assert_ne!(fnv1a64(b"hh.algo2.v3"), fnv1a64(b"hh.algo2.v2"));
     }
 
     #[test]

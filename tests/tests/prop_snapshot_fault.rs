@@ -1,23 +1,23 @@
-//! Fault-injection suite for the snapshot codec (PR 7): every
+//! Fault-injection suite for the snapshot codec: every
 //! [`MergeableSummary`] in the workspace is driven through the
 //! `hh-faults` byte-level corruptors, and the contract is the same for
 //! all nine —
 //!
 //! 1. **truncation at every offset** returns a structured `Err`, never
-//!    a panic, for both the current (checksummed) and legacy
-//!    (checksum-less) wire formats;
-//! 2. **single-bit flips** of a current-format buffer are *always*
-//!    rejected (the trailing FNV-1a digest covers every body bit; tag
-//!    bits fail the tag match instead), and flips of a legacy buffer
-//!    never panic the decoder whatever they hit;
+//!    a panic — both as cut (the trailer no longer matches) and with
+//!    the adversary *forging a valid checksum* over the truncated body,
+//!    where the payload decoder's exact-consumption check must catch it;
+//! 2. **single-bit flips** are *always* rejected (the trailing
+//!    `fnv1a64x4` digest covers every body bit; tag bits fail the tag
+//!    match instead), and flips with a forged checksum never panic the
+//!    payload decoder whatever they hit;
 //! 3. **inflated length prefixes** — a buffer rewritten to claim more
 //!    payload than it carries — are rejected without the decoder
-//!    allocating from the lie, even when the adversary *forges a valid
-//!    checksum* over the corrupted bytes, so the bound comes from the
-//!    decode layer itself rather than the digest;
-//! 4. **tag swaps** between summary types answer `WrongTag`;
-//! 5. a clean buffer **round-trips bit-identically**, and its restore
-//!    report says the checksum was verified.
+//!    allocating from the lie, even under a forged checksum, so the
+//!    bound comes from the decode layer itself rather than the digest;
+//! 4. **tag swaps** answer `WrongTag`: another summary type's tag, and
+//!    this type's previous format tag, with or without a trailer;
+//! 5. a clean buffer **round-trips bit-identically**.
 
 use hh_baselines::{CountMin, CountSketch, LossyCounting, MisraGriesBaseline, SpaceSaving};
 use hh_core::{
@@ -41,48 +41,37 @@ fn workload(seed: u64) -> Vec<u64> {
     planted(M, &[(7, 0.30), (8, PHI + 0.02)], seed)
 }
 
-/// Re-stamps the trailing FNV-1a digest of `buf` so it matches the
-/// (corrupted) bytes before it — the forging adversary that strips the
-/// checksum of its protective value and leaves the decoder's own
-/// bounds as the only line of defense.
-fn forge_checksum(buf: &mut [u8]) {
-    let body_len = buf.len() - 8;
-    let digest = hh_space::fnv1a64x4(&buf[..body_len]);
-    buf[body_len..].copy_from_slice(&digest.to_le_bytes());
+/// `body` with a freshly computed trailer — the forging adversary that
+/// strips the checksum of its protective value and leaves the decoder's
+/// own bounds as the only line of defense.
+fn forge(body: &[u8]) -> Vec<u8> {
+    let mut buf = body.to_vec();
+    buf.extend_from_slice(&hh_space::fnv1a64x4(body).to_le_bytes());
+    buf
 }
 
 /// The full assault on one summary type: every corruption class from
-/// the module docs, over both wire formats.
-fn assault<S: MergeableSummary>(summary: &S, tag: &str, legacy_tag: &str, foreign_tag: &str) {
+/// the module docs. `previous_tag` is the type's retired format tag,
+/// if it ever had one.
+fn assault<S: MergeableSummary>(
+    summary: &S,
+    tag: &str,
+    previous_tag: Option<&str>,
+    foreign_tag: &str,
+) {
     let buf = summary.to_bytes();
+    let body = &buf[..buf.len() - 8];
 
-    // (5) Clean round-trip: bit-identical bytes, verified checksum.
-    let (restored, report) = S::from_bytes_report(&buf).expect("clean buffer restores");
-    assert!(report.checksum_verified, "{tag}: checksum must verify");
-    assert!(!report.legacy_format, "{tag}: current format");
+    // (5) Clean round-trip: bit-identical bytes.
+    let restored = S::from_bytes(&buf).expect("clean buffer restores");
     assert_eq!(
         restored.to_bytes(),
         buf,
         "{tag}: restore → snapshot must be bit-identical"
     );
 
-    // A legacy twin: same payload behind the previous tag, no trailer
-    // (the v(N−1) payload layout is unchanged; only tag and checksum
-    // were added).
-    let legacy = {
-        let swapped = corrupt::swap_tag(&buf, tag, legacy_tag).expect("buffer starts with its tag");
-        swapped[..swapped.len() - 8].to_vec()
-    };
-    let (from_legacy, report) = S::from_bytes_report(&legacy).expect("legacy buffer restores");
-    assert!(!report.checksum_verified, "{legacy_tag}: no checksum");
-    assert!(report.legacy_format, "{legacy_tag}: legacy format");
-    assert_eq!(
-        from_legacy.to_bytes(),
-        buf,
-        "{legacy_tag}: legacy restore re-snapshots to the current format"
-    );
-
-    // (1) Truncation at every offset, both formats: structured Err.
+    // (1) Truncation at every offset: structured Err, whether the
+    // trailer is cut off with the body or forged over what is left.
     for t in corrupt::truncations(&buf) {
         assert!(
             S::from_bytes(t).is_err(),
@@ -90,24 +79,24 @@ fn assault<S: MergeableSummary>(summary: &S, tag: &str, legacy_tag: &str, foreig
             t.len()
         );
     }
-    for t in corrupt::truncations(&legacy) {
+    for t in corrupt::truncations(body) {
         assert!(
-            S::from_bytes(t).is_err(),
-            "{legacy_tag}: truncation to {} bytes must fail",
+            S::from_bytes(&forge(t)).is_err(),
+            "{tag}: body truncated to {} bytes must fail under a forged checksum",
             t.len()
         );
     }
 
-    // (2) Bit flips: the current format rejects every one (digest or
-    // tag); the legacy format must merely never panic.
+    // (2) Bit flips: the checksum rejects every one (digest or tag);
+    // behind a forged checksum the decoder must merely never panic.
     for bad in corrupt::bit_flips(&buf, 0xF1A5, 200) {
         assert!(
             S::from_bytes(&bad).is_err(),
             "{tag}: checksummed buffer must reject any bit flip"
         );
     }
-    for bad in corrupt::bit_flips(&legacy, 0xF1A6, 200) {
-        let _ = S::from_bytes(&bad); // Ok or Err — panics fail the test
+    for bad in corrupt::bit_flips(body, 0xF1A6, 200) {
+        let _ = S::from_bytes(&forge(&bad)); // Ok or Err — panics fail the test
     }
 
     // (3) Inflated length prefixes. Unforged: the digest no longer
@@ -120,75 +109,28 @@ fn assault<S: MergeableSummary>(summary: &S, tag: &str, legacy_tag: &str, foreig
             S::from_bytes(&bad).is_err(),
             "{tag}: inflated prefix must fail the checksum"
         );
-    }
-    for mut bad in corrupt::inflate_length_prefixes(&buf) {
-        forge_checksum(&mut bad);
-        let _ = S::from_bytes(&bad); // must not panic nor over-allocate
-    }
-    for bad in corrupt::inflate_length_prefixes(&legacy) {
-        let _ = S::from_bytes(&bad); // checksum-less: bounds only
+        // Forged: must not panic nor over-allocate.
+        let _ = S::from_bytes(&forge(&bad[..bad.len() - 8]));
     }
 
-    // (4) Tag swap: impersonating another type answers WrongTag.
-    let foreign = corrupt::swap_tag(&buf, tag, foreign_tag).expect("tag present");
-    assert!(
+    // (4) Tag swaps: impersonating another type, or this type's retired
+    // format (as it was written: no trailer; or with a stale or forged
+    // one), is refused.
+    let refused = |bytes: &[u8]| {
         matches!(
-            S::from_bytes(&foreign),
+            S::from_bytes(bytes),
             Err(SnapshotError::WrongTag { .. }) | Err(SnapshotError::ChecksumMismatch)
-        ),
-        "{tag}: foreign tag must be refused"
-    );
-}
-
-/// The dyadic variant of the assault: `hh.dyadic.v1` is a first-format
-/// tag (no legacy twin exists), so the checksum-less lanes drop out and
-/// every corruption class must be rejected outright.
-fn assault_first_format<S: MergeableSummary>(summary: &S, tag: &str, foreign_tag: &str) {
-    let buf = summary.to_bytes();
-
-    let (restored, report) = S::from_bytes_report(&buf).expect("clean buffer restores");
-    assert!(report.checksum_verified, "{tag}: checksum must verify");
-    assert!(!report.legacy_format, "{tag}: current format");
-    assert_eq!(
-        restored.to_bytes(),
-        buf,
-        "{tag}: restore → snapshot must be bit-identical"
-    );
-
-    for t in corrupt::truncations(&buf) {
-        assert!(
-            S::from_bytes(t).is_err(),
-            "{tag}: truncation to {} bytes must fail",
-            t.len()
-        );
-    }
-
-    for bad in corrupt::bit_flips(&buf, 0xF1A7, 200) {
-        assert!(
-            S::from_bytes(&bad).is_err(),
-            "{tag}: checksummed buffer must reject any bit flip"
-        );
-    }
-
-    for bad in corrupt::inflate_length_prefixes(&buf) {
-        assert!(
-            S::from_bytes(&bad).is_err(),
-            "{tag}: inflated prefix must fail the checksum"
-        );
-    }
-    for mut bad in corrupt::inflate_length_prefixes(&buf) {
-        forge_checksum(&mut bad);
-        let _ = S::from_bytes(&bad); // must not panic nor over-allocate
-    }
-
+        )
+    };
     let foreign = corrupt::swap_tag(&buf, tag, foreign_tag).expect("tag present");
-    assert!(
-        matches!(
-            S::from_bytes(&foreign),
-            Err(SnapshotError::WrongTag { .. }) | Err(SnapshotError::ChecksumMismatch)
-        ),
-        "{tag}: foreign tag must be refused"
-    );
+    assert!(refused(&foreign), "{tag}: foreign tag must be refused");
+    if let Some(previous) = previous_tag {
+        let swapped = corrupt::swap_tag(&buf, tag, previous).expect("tag present");
+        let old_body = &swapped[..swapped.len() - 8];
+        for bytes in [old_body, &swapped, &forge(old_body)] {
+            assert!(refused(bytes), "{tag}: {previous} buffer must be refused");
+        }
+    }
 }
 
 #[test]
@@ -196,7 +138,7 @@ fn algo1_snapshot_survives_the_assault() {
     let params = HhParams::new(EPS, PHI).unwrap();
     let mut s = SimpleListHh::new(params, 1 << 40, M, 11).unwrap();
     s.insert_batch(&workload(1));
-    assault(&s, "hh.algo1.v3", "hh.algo1.v2", "hh.algo2.v3");
+    assault(&s, "hh.algo1.v3", Some("hh.algo1.v2"), "hh.algo2.v3");
 }
 
 #[test]
@@ -207,14 +149,19 @@ fn algo2_snapshot_survives_the_assault() {
     let params = HhParams::new(0.2, 0.3).unwrap();
     let mut s = OptimalListHh::new(params, 1 << 40, 2_000, 12).unwrap();
     s.insert_batch(&planted(2_000, &[(7, 0.40), (8, 0.32)], 2));
-    assault(&s, "hh.algo2.v3", "hh.algo2.v2", "hh.algo1.v3");
+    assault(&s, "hh.algo2.v3", Some("hh.algo2.v2"), "hh.algo1.v3");
 }
 
 #[test]
 fn misra_gries_snapshot_survives_the_assault() {
     let mut s = MisraGries::new(64, 40);
     s.insert_batch(&workload(3));
-    assault(&s, "hh.misra-gries.v3", "hh.misra-gries.v2", "hh.algo1.v3");
+    assault(
+        &s,
+        "hh.misra-gries.v3",
+        Some("hh.misra-gries.v2"),
+        "hh.algo1.v3",
+    );
 }
 
 #[test]
@@ -224,7 +171,7 @@ fn count_min_snapshot_survives_the_assault() {
     assault(
         &s,
         "hh.baseline.count-min.v2",
-        "hh.baseline.count-min.v1",
+        Some("hh.baseline.count-min.v1"),
         "hh.baseline.count-sketch.v2",
     );
 }
@@ -236,7 +183,7 @@ fn count_sketch_snapshot_survives_the_assault() {
     assault(
         &s,
         "hh.baseline.count-sketch.v2",
-        "hh.baseline.count-sketch.v1",
+        Some("hh.baseline.count-sketch.v1"),
         "hh.baseline.count-min.v2",
     );
 }
@@ -248,7 +195,7 @@ fn lossy_counting_snapshot_survives_the_assault() {
     assault(
         &s,
         "hh.baseline.lossy-counting.v2",
-        "hh.baseline.lossy-counting.v1",
+        Some("hh.baseline.lossy-counting.v1"),
         "hh.baseline.space-saving.v3",
     );
 }
@@ -260,7 +207,7 @@ fn misra_gries_baseline_snapshot_survives_the_assault() {
     assault(
         &s,
         "hh.baseline.misra-gries.v3",
-        "hh.baseline.misra-gries.v2",
+        Some("hh.baseline.misra-gries.v2"),
         "hh.misra-gries.v3",
     );
 }
@@ -272,14 +219,15 @@ fn space_saving_snapshot_survives_the_assault() {
     assault(
         &s,
         "hh.baseline.space-saving.v3",
-        "hh.baseline.space-saving.v2",
+        Some("hh.baseline.space-saving.v2"),
         "hh.baseline.lossy-counting.v2",
     );
 }
 
 #[test]
 fn dyadic_bank_snapshot_survives_the_assault() {
-    // Two banks through the first-format assault. Coarse parameters
+    // Two banks through the assault; `hh.dyadic.v1` is the bank's first
+    // and only format, so there is no previous tag. Coarse parameters
     // and a small key space keep the buffers in the tens of kilobytes
     // (the truncation sweep is quadratic in snapshot size): a Count-Min
     // bank over 4 levels, and a Misra–Gries bank through the generic
@@ -287,14 +235,14 @@ fn dyadic_bank_snapshot_survives_the_assault() {
     // any inner type must behave identically.
     let mut cm = hh_dyadic::DyadicHh::count_min(0.3, 0.4, 0.2, 1 << 4, 31).unwrap();
     cm.insert_batch(&workload(9).iter().map(|x| x & 0xF).collect::<Vec<_>>());
-    assault_first_format(&cm, "hh.dyadic.v1", "hh.algo1.v3");
+    assault(&cm, "hh.dyadic.v1", None, "hh.algo1.v3");
 
     let mut mg = hh_dyadic::DyadicHh::with_level_builder(0.2, 0.3, 1 << 8, |_, u_k| {
         Ok(MisraGriesBaseline::new(0.2, 0.3, u_k))
     })
     .unwrap();
     mg.insert_batch(&workload(10).iter().map(|x| x & 0xFF).collect::<Vec<_>>());
-    assault_first_format(&mg, "hh.dyadic.v1", "hh.baseline.count-min.v2");
+    assault(&mg, "hh.dyadic.v1", None, "hh.baseline.count-min.v2");
 }
 
 /// Structurally incompatible summaries smuggled through snapshots must
@@ -313,28 +261,22 @@ fn restored_snapshots_still_refuse_incompatible_merges() {
 
     // Different candidate capacities in CountSketch ⇒ Err. No public
     // constructor varies the cap independently of φ, so smuggle one
-    // through a crafted *legacy* (checksum-less) snapshot: locate the
+    // through a crafted snapshot with a forged checksum: locate the
     // `[candidates = 0][candidate_cap]` run in the wire image and bump
     // the cap. The restored sketch is structurally identical except
     // for the cap, and the merge must still catch it.
     let mut d = CountSketch::with_dimensions(64, 3, PHI, 1 << 40, 5);
     let buf = d.to_bytes();
-    let legacy = corrupt::swap_tag(
-        &buf,
-        "hh.baseline.count-sketch.v2",
-        "hh.baseline.count-sketch.v1",
-    )
-    .unwrap();
-    let mut legacy = legacy[..legacy.len() - 8].to_vec();
+    let mut body = buf[..buf.len() - 8].to_vec();
     let cap = ((8.0 / PHI).ceil() as u64).max(8);
     let mut needle = 0u64.to_le_bytes().to_vec();
     needle.extend_from_slice(&cap.to_le_bytes());
-    let at = legacy
+    let at = body
         .windows(16)
         .rposition(|w| w == needle.as_slice())
         .expect("empty-candidates + cap run is unique near the buffer tail");
-    legacy[at + 8..at + 16].copy_from_slice(&(cap + 1).to_le_bytes());
-    let smuggled = CountSketch::from_bytes(&legacy).expect("crafted cap is in range");
+    body[at + 8..at + 16].copy_from_slice(&(cap + 1).to_le_bytes());
+    let smuggled = CountSketch::from_bytes(&forge(&body)).expect("crafted cap is in range");
     let err = d.merge_from(&smuggled).unwrap_err();
     assert!(
         err.to_string().contains("candidate"),
