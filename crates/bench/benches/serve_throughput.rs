@@ -5,7 +5,7 @@
 //! the full serving tax per operation — frame encode, socket write,
 //! server decode, shard dispatch, response frame — so a regression in
 //! any layer of `hh-server` (protocol codec, deadline plumbing, tenant
-//! routing, epoch-swapped reads) lands here even if the summaries
+//! routing, live-shard reads) lands here even if the summaries
 //! themselves got no slower:
 //!
 //! * **ping_rtt** — the protocol floor: one empty request/response
@@ -13,7 +13,10 @@
 //! * **ingest_wire** — one acked batch per iteration, element
 //!   throughput: the serving ingest path clients actually pay.
 //! * **query_wire** — one report read per iteration against a quiescent
-//!   tenant: the epoch-cached serving read.
+//!   tenant: the cached serving read.
+//! * **query_after_ingest_wire** — one small ingest, then one report
+//!   read, per iteration: every read is the first after an ingest, so
+//!   it pays the flush barrier and a cold report.
 //!
 //! Tail behaviour is recorded alongside the means as `_meta` entries
 //! (`serve_query_p50_ns` / `serve_query_p99_ns` from a 400-call sweep),
@@ -28,6 +31,8 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const BATCH: usize = 1 << 12;
+/// The ingest in front of each `query_after_ingest_wire` read.
+const SMALL_BATCH: usize = 64;
 const UNIVERSE: u64 = 1 << 24;
 
 /// A daemon on a loopback port with one SpaceSaving tenant pre-loaded,
@@ -94,6 +99,16 @@ fn bench_serving(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     g.bench_function("query_wire", |b| {
         b.iter(|| black_box(client.query("bench").expect("query")))
+    });
+
+    let mut at = 0usize;
+    g.bench_function("query_after_ingest_wire", |b| {
+        b.iter(|| {
+            let chunk = &data[at..at + SMALL_BATCH];
+            at = (at + SMALL_BATCH) % (data.len() - SMALL_BATCH);
+            client.ingest("bench", 0, black_box(chunk)).expect("ingest");
+            black_box(client.query("bench").expect("query"))
+        })
     });
     g.finish();
 

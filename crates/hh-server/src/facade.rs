@@ -9,8 +9,8 @@
 //! implements the full summary contract (`StreamSummary`,
 //! `HeavyHitters`, `MergeableSummary`, `SpaceUsage`) by delegation, so
 //! everything built for concrete summaries — `ShardRuntime` ingestion,
-//! `Frozen` serving views, checkpoint/recover — works unchanged on the
-//! erased type.
+//! reads under the shard cell locks, merges, checkpoint/recover — works
+//! unchanged on the erased type.
 //!
 //! Two pieces make the erasure total rather than partial:
 //!
@@ -413,7 +413,7 @@ erase!(
 /// Any of the nine summary implementations behind one runtime type.
 ///
 /// Implements the whole summary contract by delegation, so the shard
-/// runtime, frozen serving views, and the snapshot/checkpoint machinery
+/// runtime, the tenant read path, and the snapshot/checkpoint machinery
 /// all work on it unchanged. Restore is tag-dispatched across all
 /// kinds; see the module docs.
 pub struct DynSummary(Box<dyn ErasedSummary>);

@@ -17,7 +17,8 @@
 //! * **Tenancy** ([`facade`], [`tenant`]): any of the nine
 //!   `MergeableSummary` implementations behind one object-safe
 //!   [`DynSummary`]; ingest rides `ShardRuntime` with quarantine-and-
-//!   shed failure handling, reads ride epoch-swapped `Frozen` views.
+//!   shed failure handling; reads run on the live shard (1 shard) or
+//!   on one merged copy the tenant rebuilds after ingest (N shards).
 //! * **Durability** ([`durability`], [`store`], [`server`]): every
 //!   acked ingest is write-ahead logged (`hh-wal`) before the ack, so
 //!   a kill at any point loses nothing acked — recovery restores the

@@ -270,8 +270,7 @@ pub enum Request {
         /// Stream items (at most [`MAX_BATCH`]).
         items: Vec<u64>,
     },
-    /// Reads the tenant's merged heavy-hitter report from its frozen
-    /// serving view.
+    /// Reads the tenant's merged heavy-hitter report.
     ///
     /// Reads are **read-uncommitted**: an ingest is applied to the
     /// shards before its WAL commit, so a concurrent query can count
@@ -298,8 +297,8 @@ pub enum Request {
     },
     /// Asks the server to drain, checkpoint, and exit.
     Shutdown,
-    /// Estimates the mass of an inclusive id range `[lo, hi]` from the
-    /// tenant's frozen serving view. Only tenants of the
+    /// Estimates the mass of an inclusive id range `[lo, hi]` over the
+    /// tenant's merged state. Only tenants of the
     /// [`SummaryKind::Dyadic`] kind can answer.
     RangeQuery {
         /// Target tenant.
@@ -344,7 +343,7 @@ pub enum Response {
     Report {
         /// `(item, estimate)` pairs in decreasing-estimate order.
         entries: Vec<(u64, f64)>,
-        /// Serving-view epoch the report was read from.
+        /// Serving epoch the report was read at.
         epoch: u64,
     },
     /// Reply to [`Request::Health`].
@@ -379,7 +378,7 @@ pub enum Response {
     RangeEstimate {
         /// Estimated range mass, in stream counts.
         estimate: f64,
-        /// Serving-view epoch the estimate was read from.
+        /// Serving epoch the estimate was read at.
         epoch: u64,
     },
     /// Reply to [`Request::HeavyRanges`].
@@ -387,7 +386,7 @@ pub enum Response {
         /// `(level, lo, hi, estimate)` per heavy dyadic interval,
         /// level-major (coarsest first), then by lower endpoint.
         entries: Vec<RangeEntry>,
-        /// Serving-view epoch the ranges were read from.
+        /// Serving epoch the ranges were read at.
         epoch: u64,
     },
 }

@@ -1,14 +1,20 @@
 //! One tenant: a shard bank behind a quarantining [`ShardRuntime`],
-//! with an epoch-swapped [`Frozen`] serving view.
+//! read in place.
 //!
-//! The write side and the read side never contend: ingest dispatches
-//! into the runtime's shards, while queries read a materialized
-//! [`Frozen`] view behind an [`Arc`]. A query against a stale view
-//! triggers a refresh — flush the runtime, merge clones of the shards,
-//! freeze the merge, swap the `Arc`, bump the epoch — and in-flight
-//! readers of the old view keep their borrowed reports until they drop
-//! it. Writers are blocked only for the flush barrier, never for the
-//! reads themselves.
+//! Ingest dispatches into the runtime's shards; reads run on the live
+//! summaries, not on a copy. A read after any ingest first waits on
+//! the flush barrier and bumps the serving epoch. Then:
+//!
+//! * a **1-shard** tenant answers from shard 0 under its cell lock,
+//!   with no clone at all. Every served kind except the core
+//!   Misra–Gries keeps its own query cache, so repeated reads with no
+//!   ingest in between stay cached;
+//! * an **N-shard** tenant answers from one merged copy it keeps. A
+//!   stale read rebuilds it: clone shard 0, then `merge_from` every
+//!   other shard in place under its cell lock — one clone per read.
+//!
+//! Reads hold `&mut Tenant` (the registry lock), so no reader outlives
+//! the state it read. Writers are blocked only for the flush barrier.
 //!
 //! Failure containment is layered:
 //!
@@ -36,8 +42,8 @@ use crate::durability::{encode_frame, BankSnapshot, DedupEntry, DedupTable, Inge
 use crate::facade::{DynSummary, TenantSpec};
 use crate::proto::{ProtocolError, RangeEntry};
 use bytes::Bytes;
-use hh_core::MergeableSummary;
-use hh_pipeline::{Backpressure, FailurePolicy, Frozen, IngestMode, ShardRuntime};
+use hh_core::{HeavyHitters, MergeableSummary};
+use hh_pipeline::{Backpressure, FailurePolicy, IngestMode, ShardRuntime};
 use hh_space::SpaceUsage;
 use hh_wal::{Wal, WalStats};
 use std::sync::Arc;
@@ -46,8 +52,8 @@ use std::time::Duration;
 /// Backoff hint clients get with [`ProtocolError::Overloaded`].
 pub const RETRY_AFTER_MS: u64 = 50;
 
-/// How long a view refresh waits on the flush barrier before giving up
-/// and serving the previous epoch.
+/// How long a stale read waits on the flush barrier before giving up
+/// and reading whatever the shards hold.
 const REFRESH_FLUSH_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// What [`Tenant::ingest_logged`] hands back: the ack payload plus the
@@ -66,14 +72,16 @@ pub struct IngestOutcome {
     pub deduplicated: bool,
 }
 
-/// A live tenant: spec, shard bank, serving view, and bookkeeping.
+/// A live tenant: spec, shard bank, and bookkeeping.
 pub struct Tenant {
     /// The spec the bank was built from (persisted alongside it).
     pub spec: TenantSpec,
     runtime: ShardRuntime<DynSummary>,
-    view: Arc<Frozen<DynSummary>>,
+    /// The merge of every shard, kept by N-shard tenants between reads;
+    /// dropped by a stale read and rebuilt. Always `None` for 1 shard.
+    merged: Option<DynSummary>,
     epoch: u64,
-    /// Items ingested since the last view refresh.
+    /// Items ingested since the last read.
     stale_items: u64,
     /// Items accepted over the tenant's lifetime.
     pub total_items: u64,
@@ -112,16 +120,6 @@ impl std::fmt::Debug for Tenant {
     }
 }
 
-/// Merges clones of `bank` into one summary (shard 0's clone
-/// accumulates the rest).
-fn merge_bank(bank: &[DynSummary]) -> Result<DynSummary, ProtocolError> {
-    let mut acc = bank.first().expect("banks are non-empty").clone();
-    for part in &bank[1..] {
-        acc.merge_from(part)?;
-    }
-    Ok(acc)
-}
-
 impl Tenant {
     /// Builds a fresh tenant from its spec.
     pub fn create(spec: TenantSpec) -> Result<Self, ProtocolError> {
@@ -130,9 +128,12 @@ impl Tenant {
     }
 
     /// Rehydrates a tenant around an existing bank (boot recovery).
+    ///
+    /// # Errors
+    /// A merge error if an N-shard bank's shards do not merge (the
+    /// merged copy is built here, so a bad bank fails closed at boot).
     pub fn from_bank(spec: TenantSpec, bank: Vec<DynSummary>) -> Result<Self, ProtocolError> {
         debug_assert_eq!(bank.len(), spec.shards as usize);
-        let view = Arc::new(Frozen::new(merge_bank(&bank)?));
         let disk_bytes = bank.iter().map(MergeableSummary::to_bytes).collect();
         let mut runtime = ShardRuntime::new(bank, IngestMode::Auto);
         runtime.set_failure_policy(FailurePolicy::Quarantine);
@@ -141,10 +142,10 @@ impl Tenant {
         // the first periodic checkpoint can still be rebuilt.
         runtime.checkpoint();
         let shards = spec.shards as usize;
-        Ok(Self {
+        let mut tenant = Self {
             spec,
             runtime,
-            view,
+            merged: None,
             epoch: 0,
             stale_items: 0,
             total_items: 0,
@@ -157,7 +158,11 @@ impl Tenant {
             disk_hwm: vec![0; shards],
             wal_replayed: 0,
             wal_scratch: Vec::new(),
-        })
+        };
+        if shards > 1 {
+            tenant.merged = Some(tenant.merge_shards()?);
+        }
+        Ok(tenant)
     }
 
     /// Restores the durability metadata persisted in a checkpoint
@@ -332,39 +337,28 @@ impl Tenant {
         Ok(true)
     }
 
-    /// The serving view, refreshed first if ingestion has outrun it.
-    /// The returned `Arc` stays valid (and immutable) however long the
-    /// caller holds it, across any number of later refreshes.
-    pub fn view(&mut self) -> Result<Arc<Frozen<DynSummary>>, ProtocolError> {
-        if self.stale_items > 0 {
-            self.refresh_view()?;
-        }
-        Ok(Arc::clone(&self.view))
-    }
-
-    /// Current serving epoch (bumps on every refresh).
+    /// Current serving epoch (bumps on the first read after an ingest).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// Reads the current report as protocol entries.
     pub fn query(&mut self) -> Result<(Vec<(u64, f64)>, u64), ProtocolError> {
-        let view = self.view()?;
-        let entries = view
-            .report()
-            .entries()
-            .iter()
-            .map(|e| (e.item, e.count))
-            .collect();
+        let entries = self.read(|s| {
+            s.report()
+                .entries()
+                .iter()
+                .map(|e| (e.item, e.count))
+                .collect()
+        })?;
         Ok((entries, self.epoch))
     }
 
-    /// Estimates the mass of the inclusive id range `[lo, hi]` from
-    /// the serving view. Only dyadic tenants can answer; every other
-    /// kind refuses with [`ProtocolError::BadRequest`].
+    /// Estimates the mass of the inclusive id range `[lo, hi]`. Only
+    /// dyadic tenants can answer; every other kind refuses with
+    /// [`ProtocolError::BadRequest`].
     pub fn range_query(&mut self, lo: u64, hi: u64) -> Result<(f64, u64), ProtocolError> {
-        let view = self.view()?;
-        let estimate = view.summary().range_estimate(lo, hi).ok_or_else(|| {
+        let estimate = self.read(|s| s.range_estimate(lo, hi))?.ok_or_else(|| {
             ProtocolError::BadRequest(format!(
                 "kind {:?} does not answer range queries (only dyadic tenants do)",
                 self.spec.kind
@@ -373,12 +367,11 @@ impl Tenant {
         Ok((estimate, self.epoch))
     }
 
-    /// Reads the heavy dyadic intervals at threshold `phi` from the
-    /// serving view, as `(level, lo, hi, estimate)` protocol entries.
-    /// Only dyadic tenants can answer.
+    /// Reads the heavy dyadic intervals at threshold `phi`, as
+    /// `(level, lo, hi, estimate)` protocol entries. Only dyadic
+    /// tenants can answer.
     pub fn heavy_ranges(&mut self, phi: f64) -> Result<(Vec<RangeEntry>, u64), ProtocolError> {
-        let view = self.view()?;
-        let ranges = view.summary().heavy_ranges(phi).ok_or_else(|| {
+        let ranges = self.read(|s| s.heavy_ranges(phi))?.ok_or_else(|| {
             ProtocolError::BadRequest(format!(
                 "kind {:?} does not answer range queries (only dyadic tenants do)",
                 self.spec.kind
@@ -391,25 +384,44 @@ impl Tenant {
         Ok((entries, self.epoch))
     }
 
-    /// Rebuilds the frozen view from the live bank.
-    fn refresh_view(&mut self) -> Result<(), ProtocolError> {
-        if let Err(e) = self.runtime.flush_timeout(REFRESH_FLUSH_TIMEOUT) {
-            // Quarantines were applied by the barrier; a timeout keeps
-            // the batches queued. Either way the bank is still
-            // readable — merge what is there rather than failing the
-            // read path.
-            let _ = e;
-        }
-        let bank = self.runtime.map_summaries(Clone::clone);
-        self.view = Arc::new(Frozen::new(merge_bank(&bank)?));
-        self.epoch += 1;
-        self.stale_items = 0;
-        Ok(())
-    }
-
     /// The merged summary's portable snapshot bytes.
     pub fn snapshot_merged(&mut self) -> Result<Bytes, ProtocolError> {
-        Ok(self.view()?.summary().to_bytes())
+        self.read(MergeableSummary::to_bytes)
+    }
+
+    /// Runs `f` on the tenant's whole state: shard 0 in place for a
+    /// 1-shard tenant, the merged copy otherwise. The first read after
+    /// an ingest flushes the runtime, bumps the epoch and drops the
+    /// merged copy so it is rebuilt from the live shards.
+    fn read<T>(&mut self, f: impl FnOnce(&DynSummary) -> T) -> Result<T, ProtocolError> {
+        if self.stale_items > 0 {
+            // Quarantines were applied by the barrier; a timeout keeps
+            // the batches queued. Either way the bank is still
+            // readable — read what is there rather than failing the
+            // read path.
+            let _ = self.runtime.flush_timeout(REFRESH_FLUSH_TIMEOUT);
+            self.merged = None;
+            self.epoch += 1;
+            self.stale_items = 0;
+        }
+        if self.spec.shards == 1 {
+            return Ok(self.runtime.with_summary(0, f));
+        }
+        let merged = match self.merged.take() {
+            Some(m) => m,
+            None => self.merge_shards()?,
+        };
+        Ok(f(self.merged.insert(merged)))
+    }
+
+    /// Merges the live shards into one summary: clones shard 0 and
+    /// merges every other shard into it under that shard's cell lock.
+    fn merge_shards(&self) -> Result<DynSummary, ProtocolError> {
+        let mut acc = self.runtime.with_summary(0, DynSummary::clone);
+        for j in 1..self.runtime.len() {
+            self.runtime.with_summary(j, |part| acc.merge_from(part))?;
+        }
+        Ok(acc)
     }
 
     /// Checkpoints the bank: arms the runtime's in-memory recovery and
@@ -477,7 +489,8 @@ impl Tenant {
 
     /// Clears quarantine: rebuilds every poisoned shard from its last
     /// in-memory checkpoint and lifts any injected fault. Returns how
-    /// many shards were rebuilt.
+    /// many shards were rebuilt. The next read re-reads the shards
+    /// under a new epoch.
     pub fn recover(&mut self) -> Result<usize, ProtocolError> {
         self.forced_fault = None;
         let poisoned: Vec<usize> = self
@@ -494,9 +507,7 @@ impl Tenant {
                 .map_err(|e| ProtocolError::BadRequest(format!("shard {j}: {e}")))?;
             rebuilt += 1;
         }
-        if rebuilt > 0 {
-            self.stale_items += 1; // force the next read to re-merge
-        }
+        self.stale_items += 1; // force the next read to refresh
         Ok(rebuilt)
     }
 
@@ -510,12 +521,15 @@ impl Tenant {
         self.runtime.health().shed_items
     }
 
-    /// Heap bytes resident in the live bank (the memory-budget input).
+    /// Heap bytes resident in the live bank plus the merged copy an
+    /// N-shard tenant keeps (the memory-budget input).
     pub fn resident_bytes(&self) -> u64 {
+        let merged = self.merged.as_ref().map_or(0, |m| m.heap_bytes() as u64);
         self.runtime
             .map_summaries(|s| s.heap_bytes() as u64)
             .into_iter()
-            .sum()
+            .sum::<u64>()
+            + merged
     }
 
     /// Injects an operator fault: writes fail as quarantined until
@@ -530,7 +544,6 @@ impl Tenant {
 mod tests {
     use super::*;
     use crate::facade::SummaryKind;
-    use hh_core::HeavyHitters;
 
     fn spec() -> TenantSpec {
         TenantSpec {
@@ -558,6 +571,52 @@ mod tests {
         t.ingest("t", 0, &[5; 100]).unwrap();
         let (_, epoch3) = t.query().unwrap();
         assert!(epoch3 > epoch2);
+    }
+
+    #[test]
+    fn one_shard_epoch_bumps_once_per_ingest_and_on_recover() {
+        let mut t = Tenant::create(TenantSpec {
+            shards: 1,
+            ..spec()
+        })
+        .unwrap();
+        assert_eq!(t.query().unwrap().1, 0, "a fresh tenant answers at epoch 0");
+        assert_eq!(t.query().unwrap().1, 0, "no ingest, no bump");
+        t.ingest("t", 0, &[5; 100]).unwrap();
+        assert_eq!(t.epoch(), 0, "ingest alone does not bump");
+        let (entries, epoch) = t.query().unwrap();
+        assert_eq!(epoch, 1, "one ingest, one bump");
+        assert!(entries.iter().any(|&(item, _)| item == 5));
+        t.snapshot_merged().unwrap();
+        assert_eq!(t.query().unwrap().1, 1, "reads after the bump keep it");
+        t.ingest("t", 0, &[6; 100]).unwrap();
+        t.ingest("t", 0, &[6; 100]).unwrap();
+        assert_eq!(
+            t.query().unwrap().1,
+            2,
+            "one bump for any number of ingests"
+        );
+        t.inject_fault("drill");
+        t.recover().unwrap();
+        assert_eq!(t.epoch(), 2);
+        assert_eq!(t.query().unwrap().1, 3, "recover forces a bump");
+        assert_eq!(t.query().unwrap().1, 3);
+        assert!(t.merged.is_none(), "a 1-shard tenant keeps no merged copy");
+    }
+
+    #[test]
+    fn resident_bytes_counts_the_merged_copy() {
+        let mut t = Tenant::create(spec()).unwrap();
+        t.ingest("t", 0, &[7; 500]).unwrap();
+        t.ingest("t", 1, &[9; 300]).unwrap();
+        t.query().unwrap();
+        let shards: u64 = t
+            .runtime
+            .map_summaries(|s| s.heap_bytes() as u64)
+            .into_iter()
+            .sum();
+        let merged = t.merged.as_ref().expect("N-shard tenants keep a merge");
+        assert_eq!(t.resident_bytes(), shards + merged.heap_bytes() as u64);
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //! once at the end, because the bugs this suite exists to catch are
 //! missing invalidations: a mutation that leaves a stale cache behind is
 //! only visible if something cached a value before it ran.
+//!
+//! The same contract is pinned one layer up, on the serving read path:
+//! an `hh-server` tenant answers from its live shard (1 shard) or from
+//! a merged copy it keeps (N shards), so a warm cache on a live summary
+//! must never serve a report that a cold merge of cloned shards would
+//! not.
 
 use hh_baselines::{
     CountMin, CountSketch, LossyCounting, MisraGriesBaseline, SpaceSaving, StickySampling,
@@ -23,6 +29,9 @@ use hh_core::{
     StreamSummary,
 };
 use hh_dyadic::DyadicHh;
+use hh_server::facade::{DynSummary, SummaryKind, TenantSpec};
+use hh_server::proto::ProtocolError;
+use hh_server::Tenant;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -362,4 +371,137 @@ fn warm_cache_sees_every_mutation_kind() {
         r.clone().report().entries(),
         "stale cache after restore-then-continue"
     );
+}
+
+/// Tenant parameters: at ε = 0.1 and m = [`M`] Algorithm 2 samples at
+/// p = 1/4, so short batches are often wholly unsampled and leave its
+/// cache warm on purpose.
+const TENANT_EPS: f64 = 0.1;
+const TENANT_PHI: f64 = 0.2;
+
+/// A heavier skew than [`item`]: ids 0 and 1 clear φ, so every
+/// thresholded kind reports a non-empty list that moves with each
+/// ingest.
+fn tenant_item(rng: &mut StdRng) -> u64 {
+    match rng.gen_range(0..10u32) {
+        0..=2 => 0,
+        3..=4 => 1,
+        _ => rng.gen_range(2..5000u64),
+    }
+}
+
+/// What reads used to cost: clone every shard, merge the clones. The
+/// clones start cold, so this is the reference a warm live read must
+/// match.
+fn cold_merge(bank: &[DynSummary]) -> DynSummary {
+    let mut acc = bank[0].clone();
+    for part in &bank[1..] {
+        acc.merge_from(&part.clone())
+            .expect("one spec, one merge family");
+    }
+    acc
+}
+
+/// Alternates seeded ingest rounds with reads on a tenant of `kind` ×
+/// `shards`. A mirror bank built from the same spec gets exactly the
+/// batches the tenant accepted, in the same order per shard, so its
+/// cold merge is what the tenant's state must read as. Rounds with no
+/// ingest read a tenant that is not stale (the cached path); rounds of
+/// 1–3 items leave sampling kinds' caches warm when nothing is sampled.
+fn tenant_reads_match_cold_merge(kind: SummaryKind, shards: u32, seed: u64, rounds: usize) {
+    let spec = TenantSpec {
+        kind,
+        eps: TENANT_EPS,
+        phi: TENANT_PHI,
+        universe: 1 << 16,
+        m: M,
+        structure_seed: seed,
+        shards,
+        ..TenantSpec::default()
+    };
+    let mut tenant = Tenant::create(spec).expect("valid spec");
+    let mut mirror = spec.build_bank().expect("valid spec");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut reported_rounds = 0;
+    for round in 0..rounds {
+        let ctx = format!(
+            "{kind:?} x{shards} round {round} \
+             (replay: tenant_reads_match_cold_merge(SummaryKind::{kind:?}, {shards}, {seed:#x}, {rounds}))"
+        );
+        for _ in 0..rng.gen_range(0..4u32) {
+            let j = rng.gen_range(0..shards);
+            let len = if rng.gen_bool(0.3) {
+                rng.gen_range(1..4usize)
+            } else {
+                rng.gen_range(1..600usize)
+            };
+            let items: Vec<u64> = (0..len).map(|_| tenant_item(&mut rng)).collect();
+            match tenant.ingest("t", j, &items) {
+                Ok(_) => mirror[j as usize].insert_batch(&items),
+                // A shed batch never reached the shard.
+                Err(ProtocolError::Overloaded { .. }) => {}
+                Err(e) => panic!("{ctx}: ingest failed: {e}"),
+            }
+        }
+        let cold = cold_merge(&mirror);
+        let want: Vec<(u64, u64)> = cold
+            .report()
+            .entries()
+            .iter()
+            .map(|e| (e.item, e.count.to_bits()))
+            .collect();
+        reported_rounds += usize::from(!want.is_empty());
+        for pass in 0..2 {
+            let (got, _) = tenant.query().expect("query");
+            let got: Vec<(u64, u64)> = got.iter().map(|&(i, c)| (i, c.to_bits())).collect();
+            assert_eq!(
+                got, want,
+                "{ctx}: query pass {pass} differs from cold merge"
+            );
+        }
+        assert_eq!(
+            tenant.snapshot_merged().expect("snapshot"),
+            cold.to_bytes(),
+            "{ctx}: snapshot_merged differs from cold merge"
+        );
+        if kind == SummaryKind::Dyadic {
+            for (lo, hi) in [(0, 3), (0, 4_999), (37, 4_096), (0, (1 << 16) - 1)] {
+                let (got, _) = tenant.range_query(lo, hi).expect("range");
+                let want = cold.range_estimate(lo, hi).expect("dyadic answers");
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{ctx}: range [{lo}, {hi}] differs from cold merge"
+                );
+            }
+            for phi in [TENANT_PHI, 0.3] {
+                let (got, _) = tenant.heavy_ranges(phi).expect("heavy ranges");
+                let want: Vec<_> = cold
+                    .heavy_ranges(phi)
+                    .expect("dyadic answers")
+                    .iter()
+                    .map(|r| (r.level, r.lo, r.hi, r.count))
+                    .collect();
+                assert_eq!(
+                    got, want,
+                    "{ctx}: heavy ranges at {phi} differ from cold merge"
+                );
+            }
+        }
+    }
+    assert!(
+        reported_rounds * 2 >= rounds,
+        "{kind:?} x{shards} seed {seed:#x}: only {reported_rounds} of {rounds} rounds \
+         had a non-empty report, so the check is close to vacuous"
+    );
+}
+
+#[test]
+fn tenant_reads_equal_a_cold_merge_for_every_kind_and_shard_count() {
+    for (k, kind) in SummaryKind::ALL.into_iter().enumerate() {
+        for shards in [1, 2, 4] {
+            let seed = 0x51DE_0000 ^ ((k as u64) << 8) ^ u64::from(shards);
+            tenant_reads_match_cold_merge(kind, shards, seed, 12);
+        }
+    }
 }
