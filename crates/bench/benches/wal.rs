@@ -9,6 +9,10 @@
 //!   durability on this host's disk.
 //! * **replay_10k** — cold-start replay throughput over a 10 000-record
 //!   multi-segment log: the recovery-time budget a crash incurs.
+//! * **scan_segment_4mib** — the in-memory scan of one full 4 MiB
+//!   segment of 32 KiB records (the serving path's ingest-record size)
+//!   with a no-op visitor, in bytes: record parsing plus the trailer
+//!   digest, with no filesystem in the loop.
 //! * **serve_ingest_checkpoint_only / serve_ingest_wal** — the serving
 //!   daemon's acked-ingest RTT over loopback TCP without and with the
 //!   log (the default durability), same batch shape as
@@ -20,7 +24,9 @@ use hh_server::client::Client;
 use hh_server::durability::Durability;
 use hh_server::facade::{SummaryKind, TenantSpec};
 use hh_server::server::{Endpoint, Server, ServerConfig};
-use hh_wal::{replay_dir, Wal, WalConfig};
+use hh_wal::record::encode_record;
+use hh_wal::segment::{encode_header, scan_segment};
+use hh_wal::{record_disk_len, replay_dir, Wal, WalConfig};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -112,6 +118,24 @@ fn bench_wal(c: &mut Criterion) {
         })
     });
     let _ = std::fs::remove_dir_all(&dir);
+
+    // --- The scan alone: one full segment, already in memory. ---
+    const SEGMENT: usize = 4 << 20;
+    let rec = vec![0x3Cu8; 32 << 10];
+    let mut segment = encode_header(1).to_vec();
+    let mut records = 0u64;
+    while segment.len() + record_disk_len(rec.len()) <= SEGMENT {
+        records += 1;
+        encode_record(records, &rec, &mut segment);
+    }
+    g.throughput(Throughput::Bytes(segment.len() as u64));
+    g.bench_function("scan_segment_4mib", |b| {
+        b.iter(|| {
+            let scan = scan_segment(black_box(&segment), true, 1, |_, _| Ok(())).expect("scan");
+            assert_eq!(scan.records, records);
+            black_box(scan.valid_len)
+        })
+    });
 
     // --- The serving tax: acked-ingest RTT without and with the log. ---
     let data = hh_bench::zipf_stream(1 << 18, UNIVERSE, 1.2, 11);

@@ -331,9 +331,9 @@ impl SpaceUsage for SimpleListHh {
     }
 }
 
-/// Snapshot format version tag (v3: a trailing FNV-1a/64 integrity
-/// checksum guards the whole buffer).
-const A1_TAG: &str = "hh.algo1.v3";
+/// Snapshot format version tag (v3: a trailing integrity checksum
+/// guards the whole buffer; v4: signed with its folded lane step).
+const A1_TAG: &str = "hh.algo1.v4";
 /// Largest `T2` capacity a snapshot may claim. Real capacities are
 /// `Θ(1/φ)` with `φ > ε > 0`, far below this; the bound exists so a
 /// forged snapshot cannot commit a restored instance to unbounded

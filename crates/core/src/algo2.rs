@@ -960,11 +960,11 @@ impl SpaceUsage for OptimalListHh {
     }
 }
 
-/// Snapshot format version tag. v3 appends the trailing FNV-1a/64
-/// integrity checksum; v2 re-encoded the big arrays through the
+/// Snapshot format version tag. v4 signs with the checksum's folded
+/// lane step; v3 appended the trailing integrity checksum; v2 re-encoded the big arrays through the
 /// codec's bulk byte channel: T2/T3 as varint blocks, the epoch cache
 /// as raw bytes, the (monotone) threshold table delta-coded.
-const A2_TAG: &str = "hh.algo2.v3";
+const A2_TAG: &str = "hh.algo2.v4";
 
 /// Full-state snapshot: parameters, every hash seed, the T1/T2/T3
 /// tables with their epoch caches, and the three randomness sources

@@ -135,9 +135,9 @@ pub trait MergeableSummary: StreamSummary + Sized {
 /// └──────────────────────┴─────────────────┴──────────────────────┘
 /// ```
 ///
-/// The trailer is the striped FNV-1a/64 digest
+/// The trailer is the striped 64-bit digest
 /// (`hh_space::checksum::fnv1a64x4`, four pipelined lanes — the
-/// scalar chain would dominate large-snapshot round-trips) of
+/// scalar FNV-1a chain would dominate large-snapshot round-trips) of
 /// everything before it (tag included) and is verified **before** any
 /// payload byte is
 /// interpreted, so a corrupt buffer is rejected by one linear scan

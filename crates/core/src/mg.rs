@@ -268,10 +268,11 @@ impl MisraGries {
 }
 
 /// Snapshot format version tag (see [`MergeableSummary::to_bytes`]).
-/// v3 appends the trailing FNV-1a/64 integrity checksum; v2 carried
+/// v4 signs with the checksum's folded lane step; v3 appended the
+/// trailing integrity checksum; v2 carried
 /// the keys and counts as two varint blocks through the codec's bulk
 /// byte channel instead of one codec call per pair.
-const MG_TAG: &str = "hh.misra-gries.v3";
+const MG_TAG: &str = "hh.misra-gries.v4";
 
 /// Content snapshot: parameters, stream position, and the live
 /// `(key, count)` entries as one interleaved varint block (key, count,

@@ -249,8 +249,9 @@ impl FrequencyEstimator for CountMin {
     }
 }
 
-/// Snapshot format version tag.
-const TAG: &str = "hh.baseline.count-min.v2";
+/// Snapshot format version tag (v3: signed with the checksum's folded
+/// lane step).
+const TAG: &str = "hh.baseline.count-min.v3";
 /// Decode-time ceiling on the candidate capacity a snapshot may claim.
 const CANDIDATE_CAP_LIMIT: usize = 1 << 24;
 

@@ -268,9 +268,9 @@ impl FrequencyEstimator for CountSketch {
     }
 }
 
-/// Snapshot format version tag (v2: trailing FNV-1a/64 integrity
-/// checksum).
-const TAG: &str = "hh.baseline.count-sketch.v2";
+/// Snapshot format version tag (v2: trailing integrity checksum; v3:
+/// signed with its folded lane step).
+const TAG: &str = "hh.baseline.count-sketch.v3";
 /// Largest candidate capacity a snapshot may claim (real capacities
 /// are `Θ(1/φ)`); bounds a restored instance's future growth.
 const CANDIDATE_CAP_LIMIT: usize = 1 << 24;

@@ -164,9 +164,9 @@ impl FrequencyEstimator for LossyCounting {
     }
 }
 
-/// Snapshot format version tag (v2: trailing FNV-1a/64 integrity
-/// checksum).
-const TAG: &str = "hh.baseline.lossy-counting.v2";
+/// Snapshot format version tag (v2: trailing integrity checksum; v3:
+/// signed with its folded lane step).
+const TAG: &str = "hh.baseline.lossy-counting.v3";
 
 impl Serialize for LossyCounting {
     fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {

@@ -112,8 +112,9 @@ impl SpaceUsage for MisraGriesBaseline {
 }
 
 /// Snapshot format version tag (v2: the wrapped table switched to the
-/// varint-slice wire format; v3: trailing integrity checksum).
-const TAG: &str = "hh.baseline.misra-gries.v3";
+/// varint-slice wire format; v3: trailing integrity checksum; v4:
+/// signed with its folded lane step).
+const TAG: &str = "hh.baseline.misra-gries.v4";
 
 impl Serialize for MisraGriesBaseline {
     fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {

@@ -467,9 +467,9 @@ impl FrequencyEstimator for SpaceSaving {
 
 /// Snapshot format version tag. v2 carries the monitored triples as
 /// one interleaved varint block through the codec's bulk byte channel
-/// instead of one codec call per field; v3 appends the trailing
-/// integrity checksum.
-const TAG: &str = "hh.baseline.space-saving.v3";
+/// instead of one codec call per field; v3 appended the trailing
+/// integrity checksum; v4 signs with its folded lane step.
+const TAG: &str = "hh.baseline.space-saving.v4";
 
 /// Content snapshot: parameters, stream position, and the monitored
 /// `(item, count, err)` triples as one interleaved varint block in

@@ -21,7 +21,7 @@
 //! The bank is generic over any [`MergeableSummary`] point sketch and
 //! inherits the full workspace contract: level-wise [`merge_from`]
 //! (seed-aligned banks merge repetition-wise, exactly like a single
-//! summary), a tagged `hh.dyadic.v1` snapshot with the v3 checksum
+//! summary), a tagged `hh.dyadic.v2` snapshot with the snapshot checksum
 //! trailer and fail-closed bounded decoding, [`SpaceUsage`], and cached
 //! queries — each level summary keeps its own [`QueryCache`]d report,
 //! and the bank caches the descent at the configured φ, so repeated
@@ -65,8 +65,9 @@ use hh_space::{gamma_bits, SpaceUsage};
 
 /// Snapshot tag for [`DyadicHh`] banks (any level-summary type: the
 /// level buffers carry their own tags, so a bank of Count-Mins and a
-/// bank of Algorithm-2 summaries cannot be confused).
-pub const TAG: &str = "hh.dyadic.v1";
+/// bank of Algorithm-2 summaries cannot be confused). v2 is signed with
+/// the checksum's folded lane step.
+pub const TAG: &str = "hh.dyadic.v2";
 
 /// SplitMix64 finalizer: decorrelates the per-level seeds derived from
 /// one bank seed (same convention as the hh-pipeline presets).

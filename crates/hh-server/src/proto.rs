@@ -36,10 +36,11 @@ use hh_core::{MergeError, ParamError, SnapshotError};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::io::{Read, Write};
 
-/// Snapshot-codec tag for request bodies.
-pub const REQUEST_TAG: &str = "hh.proto.req.v1";
+/// Snapshot-codec tag for request bodies (v2: signed with the
+/// checksum's folded lane step, as are responses).
+pub const REQUEST_TAG: &str = "hh.proto.req.v2";
 /// Snapshot-codec tag for response bodies.
-pub const RESPONSE_TAG: &str = "hh.proto.rsp.v1";
+pub const RESPONSE_TAG: &str = "hh.proto.rsp.v2";
 
 /// Hard ceiling on a frame body. A hostile length prefix above this is
 /// rejected before any buffer is allocated.

@@ -449,7 +449,7 @@ fn lock_registry(shared: &Shared) -> std::sync::MutexGuard<'_, Registry> {
 /// is read, so no copy of the log is ever held.
 ///
 /// Fail-closed: a WAL that fails structural validation, or a
-/// crc-valid record whose frame does not decode or contradicts the
+/// checksum-valid record whose frame does not decode or contradicts the
 /// spec, turns the whole tenant into an error — the caller marks the
 /// slot `Broken` (write-and-read quarantine) and every other tenant
 /// keeps serving. Records before the damage may already have been

@@ -4,8 +4,8 @@
 //! Layout under the store root:
 //!
 //! ```text
-//! <root>/<tenant>/spec.hhs      snapshot-codec TenantSpec ("hh.server.spec.v1")
-//! <root>/<tenant>/bank.hhs      checkpoint bundle ("hh.server.bank.v1"):
+//! <root>/<tenant>/spec.hhs      snapshot-codec TenantSpec ("hh.server.spec.v2")
+//! <root>/<tenant>/bank.hhs      checkpoint bundle ("hh.server.bank.v2"):
 //!                               every shard's snapshot + per-shard WAL
 //!                               high-water marks + the dedup table
 //! <root>/<tenant>/wal/          segmented write-ahead log (hh-wal)
@@ -39,11 +39,12 @@ use hh_core::MergeableSummary;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Snapshot-codec tag for persisted tenant specs.
-pub const SPEC_TAG: &str = "hh.server.spec.v1";
+/// Snapshot-codec tag for persisted tenant specs (v2: signed with the
+/// checksum's folded lane step, as is the bundle).
+pub const SPEC_TAG: &str = "hh.server.spec.v2";
 
 /// Snapshot-codec tag for the checkpoint bundle.
-pub const BANK_TAG: &str = "hh.server.bank.v1";
+pub const BANK_TAG: &str = "hh.server.bank.v2";
 
 /// Directory (under the root) holding tenants that failed boot
 /// verification.
@@ -324,6 +325,42 @@ mod tests {
             "forensics not preserved"
         );
         assert!(!root.join("bad").exists(), "corrupt tenant left live");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn checkpoints_under_the_previous_tags_are_quarantined_by_tag() {
+        // What the build before the digest's folded lane step left on
+        // disk: the same files under the v1 tags, their trailers signed
+        // by the retired digest (here: simply stale).
+        let root = tmpdir("previous-tags");
+        let store = Store::open(&root).unwrap();
+        let spec = spec();
+        let (_, bundle) = bank(&spec, 5);
+        store.save_tenant("old", &spec, &bundle).unwrap();
+        for (file, tag) in [("spec.hhs", SPEC_TAG), ("bank.hhs", BANK_TAG)] {
+            let path = root.join("old").join(file);
+            let mut buf = fs::read(&path).unwrap();
+            let at = buf
+                .windows(tag.len())
+                .position(|w| w == tag.as_bytes())
+                .unwrap();
+            buf[at + tag.len() - 1] = b'1';
+            fs::write(&path, &buf).unwrap();
+        }
+        let report = store.load_all().unwrap();
+        assert!(report.recovered.is_empty());
+        assert_eq!(report.lost.len(), 1);
+        let reason = &report.lost[0].1;
+        assert!(
+            reason.contains("tag mismatch") && reason.contains("hh.server.spec.v1"),
+            "{reason}"
+        );
+        assert!(root
+            .join(QUARANTINE_DIR)
+            .join("old")
+            .join("bank.hhs")
+            .exists());
         let _ = fs::remove_dir_all(&root);
     }
 

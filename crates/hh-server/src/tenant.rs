@@ -307,7 +307,7 @@ impl Tenant {
     ///
     /// # Errors
     /// [`ProtocolError::BadRequest`] if the frame names a shard the
-    /// spec does not have — a crc-valid record that contradicts the
+    /// spec does not have — a checksum-valid record that contradicts the
     /// spec is structural damage, and the caller quarantines the
     /// tenant.
     pub fn replay_frame(&mut self, seq: u64, frame: &IngestFrame) -> Result<bool, ProtocolError> {

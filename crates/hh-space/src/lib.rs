@@ -50,7 +50,7 @@ pub mod varcount;
 pub mod varint;
 
 pub use bits::BitVec;
-pub use checksum::{crc32, fnv1a64x4};
+pub use checksum::fnv1a64x4;
 pub use delta::DeltaVec;
 pub use gamma::{GammaDecoder, GammaVec};
 pub use packed::PackedIntVec;

@@ -14,8 +14,9 @@
 //!
 //! The layers, bottom up:
 //!
-//! * [`record`] — one checksummed unit: `[len][seq + payload][crc32]`,
-//!   fail-closed decode (bounded lengths, no panic on any byte soup).
+//! * [`record`] — one checksummed unit:
+//!   `[len][seq + payload][fnv1a64x4]`, fail-closed decode (bounded
+//!   lengths, no panic on any byte soup).
 //! * [`segment`] — header format, naming, and the scan that separates
 //!   legal torn tails (active segment, truncate) from structural
 //!   damage (sealed segment, quarantine).

@@ -3,21 +3,21 @@
 //! A record on disk is
 //!
 //! ```text
-//!     0        4            4+8          4+8+P        4+8+P+4
+//!     0        4            4+8          4+8+P        4+8+P+8
 //!     +--------+------------+--------------+------------+
-//!     | u32 LE |  u64 LE    |   payload    |  u32 LE    |
-//!     | len    |  seq       |   (P bytes)  |  crc32     |
+//!     | u32 LE |  u64 LE    |   payload    |  u64 LE    |
+//!     | len    |  seq       |   (P bytes)  |  fnv1a64x4 |
 //!     +--------+------------+--------------+------------+
 //!               \_________ body (len bytes) _/
 //! ```
 //!
-//! `len` counts the body (sequence number plus payload); the crc32
-//! trailer (the same IEEE-reflected table `hh-space` uses for its
-//! snapshot checksums) covers exactly the body bytes. Decoding is
-//! fail-closed in the v3 snapshot-codec discipline: the length prefix
-//! is bounded by [`MAX_RECORD_LEN`] *before* any slice is taken, a
-//! short buffer is reported as [`RecordFault::Incomplete`] rather than
-//! read past, and a checksum mismatch never yields a byte of payload.
+//! `len` counts the body (sequence number plus payload); the trailer is
+//! `hh-space`'s striped `fnv1a64x4` digest (the one the snapshot codec
+//! signs with) of exactly the body bytes. Decoding is fail-closed in the v3
+//! snapshot-codec discipline: the length prefix is bounded by
+//! [`MAX_RECORD_LEN`] *before* any slice is taken, a short buffer is
+//! reported as [`RecordFault::Incomplete`] rather than read past, and a
+//! checksum mismatch never yields a byte of payload.
 //!
 //! The parser deliberately cannot distinguish a torn tail from a
 //! corrupted record — a torn write of the length field itself produces
@@ -27,7 +27,7 @@
 //! tail of the **active** segment is the torn tail a crash legally
 //! leaves behind (see [`crate::segment`]).
 
-use hh_space::checksum::crc32;
+use hh_space::checksum::fnv1a64x4;
 
 /// Hard ceiling on one record body. An ingest frame is bounded well
 /// under this by the server's batch cap; anything larger in a length
@@ -35,8 +35,8 @@ use hh_space::checksum::crc32;
 pub const MAX_RECORD_LEN: usize = 1 << 20;
 
 /// Bytes of framing around a record body: the u32 length prefix plus
-/// the u32 crc32 trailer.
-pub const RECORD_OVERHEAD: usize = 8;
+/// the u64 digest trailer.
+pub const RECORD_OVERHEAD: usize = 12;
 
 /// The body's fixed prefix: the u64 sequence number.
 const SEQ_LEN: usize = 8;
@@ -60,7 +60,7 @@ pub enum RecordFault {
     /// The length prefix is outside `(SEQ_LEN..=MAX_RECORD_LEN)` — it
     /// cannot be a real record under any completion of the buffer.
     BadLength(u32),
-    /// The body is present but its crc32 trailer does not match.
+    /// The body is present but its digest trailer does not match.
     Checksum,
 }
 
@@ -97,8 +97,8 @@ pub fn encode_record(seq: u64, payload: &[u8], out: &mut Vec<u8>) {
     let body_start = out.len();
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(payload);
-    let crc = crc32(&out[body_start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let digest = fnv1a64x4(&out[body_start..]);
+    out.extend_from_slice(&digest.to_le_bytes());
 }
 
 /// Parses one record at the start of `buf`. Returns its sequence
@@ -118,14 +118,9 @@ pub fn parse_record(buf: &[u8]) -> Result<(u64, &[u8], usize), RecordFault> {
     if buf.len() < total {
         return Err(RecordFault::Incomplete);
     }
-    let body = &buf[4..4 + body_len];
-    let stored = u32::from_le_bytes([
-        buf[4 + body_len],
-        buf[4 + body_len + 1],
-        buf[4 + body_len + 2],
-        buf[4 + body_len + 3],
-    ]);
-    if crc32(body) != stored {
+    let (body, trailer) = buf[4..total].split_at(body_len);
+    let stored = u64::from_le_bytes(trailer.try_into().expect("sized above"));
+    if fnv1a64x4(body) != stored {
         return Err(RecordFault::Checksum);
     }
     let seq = u64::from_le_bytes(body[..SEQ_LEN].try_into().expect("bounded above"));
@@ -151,29 +146,112 @@ mod tests {
         assert_eq!(used + used2, buf.len());
     }
 
+    /// A ~300-byte record whose body (291 bytes) ends in a 3-byte
+    /// sub-block tail, so the sweeps below cross the digest's striped
+    /// words, its scalar tail, the length prefix and the trailer.
+    fn sweep_record() -> Vec<u8> {
+        let payload: Vec<u8> = (0..283u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 11) as u8)
+            .collect();
+        let mut buf = Vec::new();
+        encode_record(0x0123_4567_89AB_CDEF, &payload, &mut buf);
+        assert_eq!(buf.len(), encoded_len(283));
+        buf
+    }
+
+    fn small_record() -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_record(9, &[1, 2, 3, 4, 5, 6, 7, 8], &mut buf);
+        buf
+    }
+
+    /// Flips bit `bit` (0 = LSB of byte 0) of `buf`.
+    fn flip(buf: &mut [u8], bit: usize) {
+        buf[bit / 8] ^= 1 << (bit % 8);
+    }
+
+    /// Panics, naming the flipped bits, if `bent` parses as a record.
+    fn assert_fault(bent: &[u8], bits: &[usize]) {
+        if let Ok((seq, _, used)) = parse_record(bent) {
+            let at: Vec<String> = bits
+                .iter()
+                .map(|b| format!("{b} (byte {})", b / 8))
+                .collect();
+            panic!(
+                "flips of bits {} parsed as seq {seq}, {used} bytes",
+                at.join(", ")
+            );
+        }
+    }
+
     #[test]
     fn every_truncation_is_incomplete_or_bad_length_never_a_panic() {
-        let mut buf = Vec::new();
-        encode_record(42, &[0xAB; 33], &mut buf);
-        for cut in 0..buf.len() {
-            match parse_record(&buf[..cut]) {
-                Err(RecordFault::Incomplete | RecordFault::BadLength(_)) => {}
-                other => panic!("cut at {cut}: {other:?}"),
+        // A cut never touches the length prefix's value, so every cut of
+        // a valid record — inside the prefix, the body or the trailer —
+        // is a short buffer, never a bad length.
+        for buf in [small_record(), sweep_record()] {
+            for cut in 0..buf.len() {
+                assert_eq!(
+                    parse_record(&buf[..cut]),
+                    Err(RecordFault::Incomplete),
+                    "cut at byte {cut} of {}",
+                    buf.len()
+                );
             }
         }
     }
 
     #[test]
     fn every_bit_flip_is_caught() {
-        let mut buf = Vec::new();
-        encode_record(9, &[1, 2, 3, 4, 5, 6, 7, 8], &mut buf);
-        for i in 0..buf.len() {
-            let mut bent = buf.clone();
-            bent[i] ^= 0x20;
-            assert!(
-                parse_record(&bent).is_err(),
-                "flip at byte {i} slipped through"
-            );
+        for buf in [small_record(), sweep_record()] {
+            for bit in 0..buf.len() * 8 {
+                let mut bent = buf.clone();
+                flip(&mut bent, bit);
+                assert_fault(&bent, &[bit]);
+            }
+        }
+    }
+
+    #[test]
+    fn two_bit_flips_within_320_bits_or_in_bit_63_of_any_two_words_are_faults() {
+        // CRC-32 guaranteed every burst of up to 32 bits; pin ten times
+        // that span for the digest that replaced it, over the length,
+        // seq, payload and trailer alike. 320 bits reach past the next
+        // word of the same digest lane (256 bits on). Bit-63 pairs of
+        // body words join at any distance: a lone multiply carries a
+        // bit-63 difference through unchanged, so with a plain FNV-1a
+        // lane these pairs cancelled, in one lane or across lanes.
+        let buf = sweep_record();
+        let bits = buf.len() * 8;
+        let near = (0..bits).flat_map(|a| (a + 1..=(a + 320).min(bits - 1)).map(move |b| (a, b)));
+        let body_words = (buf.len() - RECORD_OVERHEAD) / 8;
+        let top_bit = |word: usize| (4 + 8 * word + 7) * 8 + 7;
+        let top = (0..body_words)
+            .flat_map(|a| (a + 1..body_words).map(move |b| (top_bit(a), top_bit(b))));
+        let mut bent = buf.clone();
+        for (a, b) in near.chain(top) {
+            flip(&mut bent, a);
+            flip(&mut bent, b);
+            assert_fault(&bent, &[a, b]);
+            flip(&mut bent, a);
+            flip(&mut bent, b);
+        }
+        assert_eq!(bent, buf);
+    }
+
+    #[test]
+    fn a_zero_filled_tail_after_a_record_yields_no_record() {
+        // Preallocated or zeroed-by-the-filesystem space past the last
+        // write must not read as a record of any length.
+        let buf = sweep_record();
+        for zeros in 1..=buf.len() {
+            let mut padded = buf.clone();
+            padded.resize(buf.len() + zeros, 0);
+            let (_, _, used) = parse_record(&padded).unwrap();
+            assert_eq!(used, buf.len());
+            if let Ok((seq, _, n)) = parse_record(&padded[used..]) {
+                panic!("{zeros} zero bytes parsed as seq {seq}, {n} bytes");
+            }
         }
     }
 

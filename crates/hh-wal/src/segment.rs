@@ -1,18 +1,21 @@
 //! Segment files: the header format, naming, and the fail-closed scan.
 //!
-//! A segment is `seg-<first_seq, 20 digits>.wal`: a 26-byte header
+//! A segment is `seg-<first_seq, 20 digits>.wal`: a 30-byte header
 //! followed by records ([`crate::record`]). The header is
 //!
 //! ```text
-//!     0            14          22        26
-//!     +------------+-----------+----------+
-//!     | magic      | u64 LE    | u32 LE   |
-//!     | 14 bytes   | first_seq | crc32    |
-//!     +------------+-----------+----------+
+//!     0                 14          22           30
+//!     +-----------------+-----------+------------+
+//!     | magic           | u64 LE    | u64 LE     |
+//!     | hh.wal.seg.v2\n | first_seq | fnv1a64x4  |
+//!     +-----------------+-----------+------------+
 //! ```
 //!
-//! with the crc32 covering magic plus first_seq. The zero-padded
+//! with the digest covering magic plus first_seq. The zero-padded
 //! decimal name makes lexical directory order equal sequence order.
+//!
+//! There is one format: a v1 segment (`hh.wal.seg.v1\n`, CRC-32
+//! trailers) is refused by name, never read (DESIGN §14.1).
 //!
 //! # Torn tail vs structural damage
 //!
@@ -42,13 +45,17 @@
 //! scan with an error, exactly like damage would.
 
 use crate::record::parse_record;
-use hh_space::checksum::crc32;
+use hh_space::checksum::fnv1a64x4;
 
 /// Magic prefix of every segment file.
-pub const SEGMENT_MAGIC: &[u8; 14] = b"hh.wal.seg.v1\n";
+pub const SEGMENT_MAGIC: &[u8; 14] = b"hh.wal.seg.v2\n";
+
+/// Magic of the retired v1 format, recognised only to name it in the
+/// refusal.
+const V1_SEGMENT_MAGIC: &[u8; 14] = b"hh.wal.seg.v1\n";
 
 /// Byte length of the segment header.
-pub const SEGMENT_HEADER_LEN: usize = 26;
+pub const SEGMENT_HEADER_LEN: usize = 30;
 
 /// Builds the file name for the segment whose first record is
 /// `first_seq`.
@@ -65,18 +72,21 @@ pub fn parse_segment_file_name(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Encodes the 26-byte segment header.
+/// Encodes the 30-byte segment header.
 pub fn encode_header(first_seq: u64) -> [u8; SEGMENT_HEADER_LEN] {
     let mut out = [0u8; SEGMENT_HEADER_LEN];
     out[..14].copy_from_slice(SEGMENT_MAGIC);
     out[14..22].copy_from_slice(&first_seq.to_le_bytes());
-    let crc = crc32(&out[..22]);
-    out[22..].copy_from_slice(&crc.to_le_bytes());
+    let digest = fnv1a64x4(&out[..22]);
+    out[22..].copy_from_slice(&digest.to_le_bytes());
     out
 }
 
 /// Verifies a header and returns its `first_seq`.
 pub fn decode_header(bytes: &[u8]) -> Result<u64, String> {
+    if bytes.starts_with(V1_SEGMENT_MAGIC) {
+        return Err("segment written by the v1 (CRC-32) WAL format; only v2 is read".into());
+    }
     if bytes.len() < SEGMENT_HEADER_LEN {
         return Err(format!(
             "segment header truncated at {} of {SEGMENT_HEADER_LEN} bytes",
@@ -86,8 +96,8 @@ pub fn decode_header(bytes: &[u8]) -> Result<u64, String> {
     if &bytes[..14] != SEGMENT_MAGIC {
         return Err("segment magic mismatch".to_string());
     }
-    let stored = u32::from_le_bytes(bytes[22..26].try_into().expect("sized above"));
-    if crc32(&bytes[..22]) != stored {
+    let stored = u64::from_le_bytes(bytes[22..30].try_into().expect("sized above"));
+    if fnv1a64x4(&bytes[..22]) != stored {
         return Err("segment header checksum mismatch".to_string());
     }
     Ok(u64::from_le_bytes(
@@ -275,9 +285,9 @@ mod tests {
     }
 
     #[test]
-    fn a_segment_encoded_by_the_v1_writer_scans_identically() {
+    fn the_committed_v2_segment_is_what_the_encoder_writes_and_scans_identically() {
         // Committed bytes of a 3-record segment (first seq 7) written by
-        // an earlier build's encoder: the on-disk format must not drift.
+        // the v2 encoder: the on-disk format must not drift.
         let fixture: &[u8] = include_bytes!("../fixtures/seg-00000000000000000007.wal");
         let payloads: [&[u8]; 3] = [b"", b"heavy hitters", &[0xA5; 300]];
         assert_eq!(segment_bytes(7, &payloads), fixture, "encoder drifted");
@@ -290,5 +300,28 @@ mod tests {
                 (7 + i as u64, payloads[i])
             );
         }
+    }
+
+    #[test]
+    fn a_v1_segment_is_refused_by_name_before_any_record_is_visited() {
+        // The same three records as written by the retired CRC-32 format.
+        let v1: &[u8] = include_bytes!("../fixtures/v1/seg-00000000000000000007.wal");
+        for sealed in [true, false] {
+            let mut visited = 0;
+            let err = scan_segment(v1, sealed, 7, |_, _| {
+                visited += 1;
+                Ok(())
+            })
+            .unwrap_err();
+            assert!(err.contains("v1 (CRC-32) WAL format"), "{err}");
+            assert_eq!(visited, 0, "sealed={sealed}");
+        }
+        // Even a v1 header cut short names its format.
+        let err = decode_header(&v1[..20]).unwrap_err();
+        assert!(err.contains("v1 (CRC-32)"), "{err}");
+        // Any other magic is plain damage.
+        let mut alien = encode_header(7);
+        alien[..14].copy_from_slice(b"hh.wal.seg.v9\n");
+        assert_eq!(decode_header(&alien).unwrap_err(), "segment magic mismatch");
     }
 }

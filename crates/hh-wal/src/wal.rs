@@ -825,7 +825,7 @@ mod tests {
     }
 
     #[test]
-    fn the_committed_v1_segment_replays_from_its_directory() {
+    fn the_committed_v2_segment_replays_from_its_directory() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
         let replay = replay_dir(&dir).unwrap();
         let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
@@ -833,6 +833,24 @@ mod tests {
         assert_eq!(replay.records[1].payload, b"heavy hitters");
         assert_eq!(replay.records[2].payload, [0xA5; 300]);
         assert_eq!((replay.segments, replay.truncated_bytes), (1, 0));
+    }
+
+    #[test]
+    fn a_directory_holding_a_v1_segment_is_structural_damage() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/v1");
+        match replay_dir(&dir) {
+            Err(WalError::Structural(why)) => {
+                assert!(why.contains("v1 (CRC-32) WAL format"), "{why}");
+            }
+            other => panic!("expected the v1 segment refused, got {other:?}"),
+        }
+        let mut visited = 0;
+        let refused = scan_dir(&dir, |_, _| {
+            visited += 1;
+            Ok(())
+        });
+        assert!(matches!(refused, Err(WalError::Structural(_))));
+        assert_eq!(visited, 0, "no v1 record is ever lent to a visitor");
     }
 
     #[test]

@@ -31,7 +31,13 @@
 //!    malformed frame) must still leave the tenant quarantined — never
 //!    live on the prefix replayed before the damage — and a parallel
 //!    boot quarantines exactly the damaged tenants while the rest serve
-//!    byte-identically to an oracle.
+//!    byte-identically to an oracle;
+//! 8. the WAL has **one on-disk format**: a tenant whose log still
+//!    holds a v1 (CRC-32) segment boots quarantined with a reason that
+//!    names the format, while its siblings serve unchanged, and the
+//!    documented upgrade (graceful `Shutdown`, delete every `wal/`
+//!    directory, restart) keeps every report and resumes acked,
+//!    crash-safe ingest.
 
 use hh_faults::corrupt;
 use hh_faults::net::FaultyConn;
@@ -136,7 +142,7 @@ fn fuzzed_request_frames_never_kill_the_server() {
     }
 
     // (1d) Tag swap: a response body where a request belongs.
-    let swapped = corrupt::swap_tag(&valid, "hh.proto.req.v1", "hh.proto.rsp.v1")
+    let swapped = corrupt::swap_tag(&valid, "hh.proto.req.v2", "hh.proto.rsp.v2")
         .expect("request bodies start with the request tag");
     assert!(
         matches!(
@@ -721,25 +727,43 @@ fn parallel_boot_quarantines_exactly_the_damaged_tenants() {
     }
     server.kill();
 
-    // p2 rots inside a sealed segment; p5 carries a malformed frame.
+    // p2 rots inside a sealed segment; p5 carries a malformed frame;
+    // p7's log is replaced by a segment the retired v1 (CRC-32) format
+    // wrote.
     let segs = wal_segments(&root, "p2");
     let mut bytes = std::fs::read(&segs[1]).unwrap();
     bytes[SEGMENT_HEADER_LEN + 100] ^= 0x20;
     std::fs::write(&segs[1], &bytes).unwrap();
     plant_malformed_frame(&wal_segments(&root, "p5")[1]);
+    for seg in wal_segments(&root, "p7") {
+        std::fs::remove_file(seg).unwrap();
+    }
+    let v1: &[u8] = include_bytes!("../../crates/hh-wal/fixtures/v1/seg-00000000000000000007.wal");
+    let v1_seg = root
+        .join("p7")
+        .join("wal")
+        .join("seg-00000000000000000007.wal");
+    std::fs::write(v1_seg, v1).unwrap();
 
     let server = Server::start(config, Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
     let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
     let health = client.health().unwrap();
+    let damaged = ["p2", "p5", "p7"];
     assert_eq!(health.recovered_tenants, 8);
-    assert_eq!(health.quarantined, vec!["p2".to_string(), "p5".to_string()]);
-    for name in ["p2", "p5"] {
+    assert_eq!(health.quarantined, damaged);
+    for name in damaged {
         assert_quarantined(&mut client, name);
+    }
+    match client.query("p7") {
+        Err(ProtocolError::Quarantined(why)) => {
+            assert!(why.contains("v1 (CRC-32) WAL format"), "{why}");
+        }
+        other => panic!("expected the v1 log refused by name, got {other:?}"),
     }
     use hh_core::MergeableSummary as _;
     use hh_core::StreamSummary as _;
     for (t, name) in names.iter().enumerate() {
-        if name == "p2" || name == "p5" {
+        if damaged.contains(&name.as_str()) {
             continue;
         }
         let mut oracle = spec().build_bank().unwrap().remove(0);
@@ -750,6 +774,93 @@ fn parallel_boot_quarantines_exactly_the_damaged_tenants() {
             client.snapshot(name).unwrap(),
             oracle.to_bytes().as_ref(),
             "{name}: parallel boot diverged from the oracle"
+        );
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `tenant`'s served report with each estimate as raw bits, so equality
+/// is byte-identity.
+fn report_bits(client: &mut Client, tenant: &str) -> Vec<(u64, u64)> {
+    let (entries, _) = client.query(tenant).unwrap();
+    entries
+        .iter()
+        .map(|&(item, f)| (item, f.to_bits()))
+        .collect()
+}
+
+#[test]
+fn upgrade_by_shutdown_and_wal_wipe_keeps_every_report_and_resumes_acked_ingest() {
+    // The one-shot WAL format upgrade, run on one build: a graceful
+    // protocol `Shutdown` checkpoints every tenant, the operator deletes
+    // each `<tenant>/wal`, and the restart reopens an empty log past
+    // the checkpoint marks.
+    let root = tmp_root("wal-upgrade");
+    let config = small_segment_config(&root);
+    let server = Server::start(
+        config.clone(),
+        Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
+    )
+    .unwrap();
+    let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+    let names = ["u0", "u1", "u2"];
+    let mut oracles = Vec::new();
+    let mut reports = Vec::new();
+    for (t, name) in names.iter().enumerate() {
+        load(&mut client, t as u64, name, 3 + t as u64);
+        let mut oracle = spec().build_bank().unwrap().remove(0);
+        for i in 0..3 + t as u64 {
+            use hh_core::StreamSummary as _;
+            oracle.insert_batch(&batch(t as u64, i));
+        }
+        oracles.push(oracle);
+        reports.push(report_bits(&mut client, name));
+    }
+    client.shutdown_server().unwrap();
+    drop(client);
+    server.shutdown();
+
+    for name in names {
+        std::fs::remove_dir_all(root.join(name).join("wal")).unwrap();
+    }
+    let server = Server::start(
+        config.clone(),
+        Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
+    )
+    .unwrap();
+    let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+    let health = client.health().unwrap();
+    assert!(health.quarantined.is_empty(), "{health:?}");
+    assert_eq!(health.wal_replayed, 0, "the wiped logs hold nothing");
+    use hh_core::MergeableSummary as _;
+    let mut acked = Vec::new();
+    for (t, name) in names.iter().enumerate() {
+        assert_eq!(&report_bits(&mut client, name), &reports[t], "{name}");
+        assert_eq!(
+            client.snapshot(name).unwrap(),
+            oracles[t].to_bytes().as_ref(),
+            "{name}: the checkpoint alone must carry every acked batch"
+        );
+        // The next ingest lands in the fresh log and is acked. The
+        // served state after it is the reference (a restored
+        // Space-Saving table may break count ties differently from one
+        // that never stopped, so an uninterrupted oracle is not).
+        assert_eq!(client.ingest(name, 0, &batch(t as u64, 100)).unwrap(), 500);
+        acked.push(client.snapshot(name).unwrap());
+    }
+    server.kill();
+
+    let server = Server::start(config, Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+    let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+    let health = client.health().unwrap();
+    assert!(health.quarantined.is_empty(), "{health:?}");
+    assert_eq!(health.wal_replayed, 3, "{health:?}");
+    for (t, name) in names.iter().enumerate() {
+        assert_eq!(
+            client.snapshot(name).unwrap(),
+            acked[t],
+            "{name}: the post-upgrade ingest did not survive the kill"
         );
     }
     server.shutdown();

@@ -51,14 +51,8 @@ fn forge(body: &[u8]) -> Vec<u8> {
 }
 
 /// The full assault on one summary type: every corruption class from
-/// the module docs. `previous_tag` is the type's retired format tag,
-/// if it ever had one.
-fn assault<S: MergeableSummary>(
-    summary: &S,
-    tag: &str,
-    previous_tag: Option<&str>,
-    foreign_tag: &str,
-) {
+/// the module docs. `previous_tag` is the type's retired format tag.
+fn assault<S: MergeableSummary>(summary: &S, tag: &str, previous_tag: &str, foreign_tag: &str) {
     let buf = summary.to_bytes();
     let body = &buf[..buf.len() - 8];
 
@@ -124,12 +118,13 @@ fn assault<S: MergeableSummary>(
     };
     let foreign = corrupt::swap_tag(&buf, tag, foreign_tag).expect("tag present");
     assert!(refused(&foreign), "{tag}: foreign tag must be refused");
-    if let Some(previous) = previous_tag {
-        let swapped = corrupt::swap_tag(&buf, tag, previous).expect("tag present");
-        let old_body = &swapped[..swapped.len() - 8];
-        for bytes in [old_body, &swapped, &forge(old_body)] {
-            assert!(refused(bytes), "{tag}: {previous} buffer must be refused");
-        }
+    let swapped = corrupt::swap_tag(&buf, tag, previous_tag).expect("tag present");
+    let old_body = &swapped[..swapped.len() - 8];
+    for bytes in [old_body, &swapped, &forge(old_body)] {
+        assert!(
+            refused(bytes),
+            "{tag}: {previous_tag} buffer must be refused"
+        );
     }
 }
 
@@ -138,7 +133,7 @@ fn algo1_snapshot_survives_the_assault() {
     let params = HhParams::new(EPS, PHI).unwrap();
     let mut s = SimpleListHh::new(params, 1 << 40, M, 11).unwrap();
     s.insert_batch(&workload(1));
-    assault(&s, "hh.algo1.v3", Some("hh.algo1.v2"), "hh.algo2.v3");
+    assault(&s, "hh.algo1.v4", "hh.algo1.v3", "hh.algo2.v4");
 }
 
 #[test]
@@ -149,19 +144,14 @@ fn algo2_snapshot_survives_the_assault() {
     let params = HhParams::new(0.2, 0.3).unwrap();
     let mut s = OptimalListHh::new(params, 1 << 40, 2_000, 12).unwrap();
     s.insert_batch(&planted(2_000, &[(7, 0.40), (8, 0.32)], 2));
-    assault(&s, "hh.algo2.v3", Some("hh.algo2.v2"), "hh.algo1.v3");
+    assault(&s, "hh.algo2.v4", "hh.algo2.v3", "hh.algo1.v4");
 }
 
 #[test]
 fn misra_gries_snapshot_survives_the_assault() {
     let mut s = MisraGries::new(64, 40);
     s.insert_batch(&workload(3));
-    assault(
-        &s,
-        "hh.misra-gries.v3",
-        Some("hh.misra-gries.v2"),
-        "hh.algo1.v3",
-    );
+    assault(&s, "hh.misra-gries.v4", "hh.misra-gries.v3", "hh.algo1.v4");
 }
 
 #[test]
@@ -170,9 +160,9 @@ fn count_min_snapshot_survives_the_assault() {
     s.insert_batch(&workload(4));
     assault(
         &s,
+        "hh.baseline.count-min.v3",
         "hh.baseline.count-min.v2",
-        Some("hh.baseline.count-min.v1"),
-        "hh.baseline.count-sketch.v2",
+        "hh.baseline.count-sketch.v3",
     );
 }
 
@@ -182,9 +172,9 @@ fn count_sketch_snapshot_survives_the_assault() {
     s.insert_batch(&workload(5));
     assault(
         &s,
+        "hh.baseline.count-sketch.v3",
         "hh.baseline.count-sketch.v2",
-        Some("hh.baseline.count-sketch.v1"),
-        "hh.baseline.count-min.v2",
+        "hh.baseline.count-min.v3",
     );
 }
 
@@ -194,9 +184,9 @@ fn lossy_counting_snapshot_survives_the_assault() {
     s.insert_batch(&workload(6));
     assault(
         &s,
+        "hh.baseline.lossy-counting.v3",
         "hh.baseline.lossy-counting.v2",
-        Some("hh.baseline.lossy-counting.v1"),
-        "hh.baseline.space-saving.v3",
+        "hh.baseline.space-saving.v4",
     );
 }
 
@@ -206,9 +196,9 @@ fn misra_gries_baseline_snapshot_survives_the_assault() {
     s.insert_batch(&workload(7));
     assault(
         &s,
+        "hh.baseline.misra-gries.v4",
         "hh.baseline.misra-gries.v3",
-        Some("hh.baseline.misra-gries.v2"),
-        "hh.misra-gries.v3",
+        "hh.misra-gries.v4",
     );
 }
 
@@ -218,16 +208,16 @@ fn space_saving_snapshot_survives_the_assault() {
     s.insert_batch(&workload(8));
     assault(
         &s,
+        "hh.baseline.space-saving.v4",
         "hh.baseline.space-saving.v3",
-        Some("hh.baseline.space-saving.v2"),
-        "hh.baseline.lossy-counting.v2",
+        "hh.baseline.lossy-counting.v3",
     );
 }
 
 #[test]
 fn dyadic_bank_snapshot_survives_the_assault() {
-    // Two banks through the assault; `hh.dyadic.v1` is the bank's first
-    // and only format, so there is no previous tag. Coarse parameters
+    // Two banks through the assault; `hh.dyadic.v1` is the bank's
+    // previous format, signed with the previous digest. Coarse parameters
     // and a small key space keep the buffers in the tens of kilobytes
     // (the truncation sweep is quadratic in snapshot size): a Count-Min
     // bank over 4 levels, and a Misra–Gries bank through the generic
@@ -235,14 +225,19 @@ fn dyadic_bank_snapshot_survives_the_assault() {
     // any inner type must behave identically.
     let mut cm = hh_dyadic::DyadicHh::count_min(0.3, 0.4, 0.2, 1 << 4, 31).unwrap();
     cm.insert_batch(&workload(9).iter().map(|x| x & 0xF).collect::<Vec<_>>());
-    assault(&cm, "hh.dyadic.v1", None, "hh.algo1.v3");
+    assault(&cm, "hh.dyadic.v2", "hh.dyadic.v1", "hh.algo1.v4");
 
     let mut mg = hh_dyadic::DyadicHh::with_level_builder(0.2, 0.3, 1 << 8, |_, u_k| {
         Ok(MisraGriesBaseline::new(0.2, 0.3, u_k))
     })
     .unwrap();
     mg.insert_batch(&workload(10).iter().map(|x| x & 0xFF).collect::<Vec<_>>());
-    assault(&mg, "hh.dyadic.v1", None, "hh.baseline.count-min.v2");
+    assault(
+        &mg,
+        "hh.dyadic.v2",
+        "hh.dyadic.v1",
+        "hh.baseline.count-min.v3",
+    );
 }
 
 /// Structurally incompatible summaries smuggled through snapshots must
