@@ -994,14 +994,51 @@ mod tests {
 
     #[test]
     fn every_message_roundtrips() {
+        // The `fnv1a64x4` of every encoding, pinned in `requests()` and
+        // `responses()` order: a codec change that moves one wire byte
+        // fails here, not at a peer running the other build.
+        const REQUEST_DIGESTS: [u64; 11] = [
+            0xB9A7_6DC1_A377_A77A,
+            0x31A9_F41D_087C_87FD,
+            0x0E5D_C1F2_C23D_A220,
+            0x6938_79E9_4706_4FA1,
+            0x44D2_CA7C_DDF3_B704,
+            0x8CFB_C00A_FCB7_9B4F,
+            0x2315_C48B_257B_AD3D,
+            0xC302_50CF_629B_E238,
+            0x2D79_83F1_61DB_2D1C,
+            0x1371_D637_725B_CEFA,
+            0x519E_60BD_44E2_FA1A,
+        ];
+        const RESPONSE_DIGESTS: [u64; 13] = [
+            0x1741_0669_9A2E_B743,
+            0xF96C_7099_E1A4_9828,
+            0x037C_E0A1_E396_7114,
+            0x1044_10FE_0FDD_090D,
+            0x9E51_7FFD_A91A_9AE8,
+            0x1175_4E9B_BE60_BC48,
+            0x522F_5FB4_51CF_E1A8,
+            0x68C0_6B66_723D_67F1,
+            0x375D_5796_6038_E68A,
+            0x866C_4B63_CD98_71A0,
+            0x617C_EB76_E1F3_E3FE,
+            0x454D_8719_9B2F_35E5,
+            0x9813_2417_8BBA_E850,
+        ];
+        let mut digests = Vec::new();
         for req in requests() {
-            let back = Request::decode(&req.encode()).unwrap();
-            assert_eq!(back, req);
+            let body = req.encode();
+            digests.push(hh_space::fnv1a64x4(&body));
+            assert_eq!(Request::decode(&body).unwrap(), req);
         }
+        assert_eq!(digests, REQUEST_DIGESTS, "request encodings moved");
+        digests.clear();
         for rsp in responses() {
-            let back = Response::decode(&rsp.encode()).unwrap();
-            assert_eq!(back, rsp);
+            let body = rsp.encode();
+            digests.push(hh_space::fnv1a64x4(&body));
+            assert_eq!(Response::decode(&body).unwrap(), rsp);
         }
+        assert_eq!(digests, RESPONSE_DIGESTS, "response encodings moved");
     }
 
     #[test]

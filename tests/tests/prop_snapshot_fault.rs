@@ -52,9 +52,25 @@ fn forge(body: &[u8]) -> Vec<u8> {
 
 /// The full assault on one summary type: every corruption class from
 /// the module docs. `previous_tag` is the type's retired format tag.
-fn assault<S: MergeableSummary>(summary: &S, tag: &str, previous_tag: &str, foreign_tag: &str) {
+/// `expected_digest` pins the `fnv1a64x4` of the whole snapshot, so a
+/// codec change that moves a single encoded byte fails here.
+fn assault<S: MergeableSummary>(
+    summary: &S,
+    tag: &str,
+    previous_tag: &str,
+    foreign_tag: &str,
+    expected_digest: u64,
+) {
     let buf = summary.to_bytes();
     let body = &buf[..buf.len() - 8];
+
+    // (0) The encoding is pinned byte for byte.
+    assert_eq!(
+        hh_space::fnv1a64x4(&buf),
+        expected_digest,
+        "{tag}: snapshot bytes moved ({} bytes)",
+        buf.len()
+    );
 
     // (5) Clean round-trip: bit-identical bytes.
     let restored = S::from_bytes(&buf).expect("clean buffer restores");
@@ -133,7 +149,13 @@ fn algo1_snapshot_survives_the_assault() {
     let params = HhParams::new(EPS, PHI).unwrap();
     let mut s = SimpleListHh::new(params, 1 << 40, M, 11).unwrap();
     s.insert_batch(&workload(1));
-    assault(&s, "hh.algo1.v4", "hh.algo1.v3", "hh.algo2.v4");
+    assault(
+        &s,
+        "hh.algo1.v4",
+        "hh.algo1.v3",
+        "hh.algo2.v4",
+        0xA784_EEA3_70AE_1073,
+    );
 }
 
 #[test]
@@ -144,14 +166,26 @@ fn algo2_snapshot_survives_the_assault() {
     let params = HhParams::new(0.2, 0.3).unwrap();
     let mut s = OptimalListHh::new(params, 1 << 40, 2_000, 12).unwrap();
     s.insert_batch(&planted(2_000, &[(7, 0.40), (8, 0.32)], 2));
-    assault(&s, "hh.algo2.v4", "hh.algo2.v3", "hh.algo1.v4");
+    assault(
+        &s,
+        "hh.algo2.v4",
+        "hh.algo2.v3",
+        "hh.algo1.v4",
+        0xDD60_7C6E_8F2E_D907,
+    );
 }
 
 #[test]
 fn misra_gries_snapshot_survives_the_assault() {
     let mut s = MisraGries::new(64, 40);
     s.insert_batch(&workload(3));
-    assault(&s, "hh.misra-gries.v4", "hh.misra-gries.v3", "hh.algo1.v4");
+    assault(
+        &s,
+        "hh.misra-gries.v4",
+        "hh.misra-gries.v3",
+        "hh.algo1.v4",
+        0xD80B_872C_32B3_0142,
+    );
 }
 
 #[test]
@@ -163,6 +197,7 @@ fn count_min_snapshot_survives_the_assault() {
         "hh.baseline.count-min.v3",
         "hh.baseline.count-min.v2",
         "hh.baseline.count-sketch.v3",
+        0x865E_537B_7E7A_7466,
     );
 }
 
@@ -175,6 +210,7 @@ fn count_sketch_snapshot_survives_the_assault() {
         "hh.baseline.count-sketch.v3",
         "hh.baseline.count-sketch.v2",
         "hh.baseline.count-min.v3",
+        0xA492_A701_40E1_EA02,
     );
 }
 
@@ -187,6 +223,7 @@ fn lossy_counting_snapshot_survives_the_assault() {
         "hh.baseline.lossy-counting.v3",
         "hh.baseline.lossy-counting.v2",
         "hh.baseline.space-saving.v4",
+        0xB16F_E2EF_B8BC_9E06,
     );
 }
 
@@ -199,6 +236,7 @@ fn misra_gries_baseline_snapshot_survives_the_assault() {
         "hh.baseline.misra-gries.v4",
         "hh.baseline.misra-gries.v3",
         "hh.misra-gries.v4",
+        0xB2D7_05F4_800E_DD75,
     );
 }
 
@@ -211,6 +249,7 @@ fn space_saving_snapshot_survives_the_assault() {
         "hh.baseline.space-saving.v4",
         "hh.baseline.space-saving.v3",
         "hh.baseline.lossy-counting.v3",
+        0xC998_F6FC_AB68_9864,
     );
 }
 
@@ -225,7 +264,13 @@ fn dyadic_bank_snapshot_survives_the_assault() {
     // any inner type must behave identically.
     let mut cm = hh_dyadic::DyadicHh::count_min(0.3, 0.4, 0.2, 1 << 4, 31).unwrap();
     cm.insert_batch(&workload(9).iter().map(|x| x & 0xF).collect::<Vec<_>>());
-    assault(&cm, "hh.dyadic.v2", "hh.dyadic.v1", "hh.algo1.v4");
+    assault(
+        &cm,
+        "hh.dyadic.v2",
+        "hh.dyadic.v1",
+        "hh.algo1.v4",
+        0x3E09_C57E_EB5B_46CE,
+    );
 
     let mut mg = hh_dyadic::DyadicHh::with_level_builder(0.2, 0.3, 1 << 8, |_, u_k| {
         Ok(MisraGriesBaseline::new(0.2, 0.3, u_k))
@@ -237,6 +282,7 @@ fn dyadic_bank_snapshot_survives_the_assault() {
         "hh.dyadic.v2",
         "hh.dyadic.v1",
         "hh.baseline.count-min.v3",
+        0x6796_7B3E_E143_9BFE,
     );
 }
 
