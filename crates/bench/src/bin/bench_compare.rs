@@ -124,8 +124,8 @@ impl Recorded {
 
 /// Parses the benchmark records out of a `scripts/bench.sh` JSON file.
 /// The format is one object per line inside a flat array — a shape this
-/// repo controls — so a line-oriented field scan is exact and keeps the
-/// vendored serde stub out of the loop. `best_ns` falls back to
+/// repo controls — so a line-oriented field scan is exact and needs no
+/// JSON parser. `best_ns` falls back to
 /// `mean_ns` for hand-built records that omit it. Lines in the `_meta`
 /// group are host facts, split out instead of diffed.
 fn parse(path: &str) -> Result<Recorded, String> {

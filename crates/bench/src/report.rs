@@ -1,4 +1,4 @@
-//! Minimal Markdown/CSV table emitters (serde_json is outside the
+//! Minimal Markdown/CSV table emitters (no JSON or CSV crate is in the
 //! allowed dependency set, so output is hand-rolled).
 
 use std::fmt::Write as _;

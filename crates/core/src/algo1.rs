@@ -34,10 +34,10 @@ use crate::report::{ItemEstimate, Report};
 use crate::traits::{HeavyHitters, StreamSummary};
 use hh_hash::{CarterWegmanFamily, CarterWegmanHash, HashFamily, HashFunction};
 use hh_sampling::SkipSampler;
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::SpaceUsage;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Algorithm 1 of the paper (Theorem 1).
 #[derive(Debug, Clone)]
@@ -344,42 +344,39 @@ const T2_CAP_LIMIT: usize = 1 << 24;
 /// count, and the sampler/RNG state, so a restored instance reports
 /// bit-identically *and* continues ingesting exactly as the original
 /// would have.
-impl Serialize for SimpleListHh {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        self.params.serialize(&mut serializer)?;
-        serializer.write_u64(self.universe)?;
-        self.sampler.serialize(&mut serializer)?;
-        self.hash.serialize(&mut serializer)?;
-        self.t1.serialize(&mut serializer)?;
-        self.t2.serialize(&mut serializer)?;
-        serializer.write_u64(self.t2_cap as u64)?;
-        serializer.write_u64(self.samples)?;
-        snapshot::write_rng_state(self.rng.to_state(), &mut serializer)?;
-        serializer.done()
+impl Codec for SimpleListHh {
+    fn write_to(&self, w: &mut Writer) {
+        self.params.write_to(w);
+        w.write_u64(self.universe);
+        self.sampler.write_to(w);
+        self.hash.write_to(w);
+        self.t1.write_to(w);
+        self.t2.write_to(w);
+        w.write_u64(self.t2_cap as u64);
+        w.write_u64(self.samples);
+        snapshot::write_rng_state(self.rng.to_state(), w);
     }
-}
 
-impl<'de> Deserialize<'de> for SimpleListHh {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let params = HhParams::deserialize(&mut deserializer)?;
-        let universe = deserializer.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let params = HhParams::read_from(r)?;
+        let universe = r.read_u64()?;
         if universe == 0 {
-            return Err(serde::de::Error::invariant("empty universe"));
+            return Err(CodecError::invariant("empty universe"));
         }
-        let sampler = SkipSampler::deserialize(&mut deserializer)?;
-        let hash = CarterWegmanHash::deserialize(&mut deserializer)?;
-        let t1 = MisraGries::deserialize(&mut deserializer)?;
-        let t2: Vec<(u64, u64)> = Vec::deserialize(&mut deserializer)?;
-        let t2_cap = deserializer.read_u64()?;
+        let sampler = SkipSampler::read_from(r)?;
+        let hash = CarterWegmanHash::read_from(r)?;
+        let t1 = MisraGries::read_from(r)?;
+        let t2: Vec<(u64, u64)> = Vec::read_from(r)?;
+        let t2_cap = r.read_u64()?;
         if t2_cap == 0 || t2_cap > T2_CAP_LIMIT as u64 {
-            return Err(serde::de::Error::invariant("T2 capacity out of range"));
+            return Err(CodecError::invariant("T2 capacity out of range"));
         }
         let t2_cap = t2_cap as usize;
         if t2.len() > t2_cap {
-            return Err(serde::de::Error::invariant("T2 overflows its capacity"));
+            return Err(CodecError::invariant("T2 overflows its capacity"));
         }
-        let samples = deserializer.read_u64()?;
-        let rng = StdRng::from_state(snapshot::read_rng_state(&mut deserializer)?);
+        let samples = r.read_u64()?;
+        let rng = StdRng::from_state(snapshot::read_rng_state(r)?);
         let p = sampler.probability();
         Ok(Self {
             params,

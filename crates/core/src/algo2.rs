@@ -67,10 +67,10 @@ use crate::report::{ItemEstimate, Report};
 use crate::traits::{HeavyHitters, StreamSummary};
 use hh_hash::{HashFamily, HashFunction, MultiplyShift64Family, MultiplyShift64Hash};
 use hh_sampling::{BitBudget, BitSkipSampler};
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::{gamma_sum_bits, sparse_slice_bits, SpaceUsage};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Whether the accelerated epoch counters (the paper's T3) are active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -978,66 +978,63 @@ const A2_TAG: &str = "hh.algo2.v4";
 /// friends) as preallocated byte blocks instead of one codec call per
 /// cell; the `reserve` hint up front sizes the output buffer once so
 /// the whole snapshot is written into a single allocation.
-impl Serialize for OptimalListHh {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
+impl Codec for OptimalListHh {
+    fn write_to(&self, w: &mut Writer) {
         // Preallocate: ~1 varint byte per counter cell plus a
         // fixed-field allowance (the epoch cache is not on the wire).
-        serializer.reserve(self.t2.len() + self.t3.len() + 512);
-        self.params.serialize(&mut serializer)?;
-        serializer.write_u64(self.universe)?;
-        self.sampler.serialize(&mut serializer)?;
-        self.t1.serialize(&mut serializer)?;
-        self.hashes.serialize(&mut serializer)?;
-        snapshot::write_u64_slice(&self.t2, &mut serializer)?;
-        snapshot::write_u64_slice(&self.t3, &mut serializer)?;
-        snapshot::write_u64_slice_delta(&self.epoch_thresholds, &mut serializer)?;
-        serializer.write_u64(self.k_eps as u64)?;
-        self.t2_skip.serialize(&mut serializer)?;
-        self.bits.serialize(&mut serializer)?;
-        serializer.write_bool(self.mode == EpochMode::Accelerated)?;
-        serializer.write_u64(self.samples)?;
-        snapshot::write_rng_state(self.rng.to_state(), &mut serializer)?;
-        serializer.done()
+        w.reserve(self.t2.len() + self.t3.len() + 512);
+        self.params.write_to(w);
+        w.write_u64(self.universe);
+        self.sampler.write_to(w);
+        self.t1.write_to(w);
+        self.hashes.write_to(w);
+        snapshot::write_u64_slice(&self.t2, w);
+        snapshot::write_u64_slice(&self.t3, w);
+        snapshot::write_u64_slice_delta(&self.epoch_thresholds, w);
+        w.write_u64(self.k_eps as u64);
+        self.t2_skip.write_to(w);
+        self.bits.write_to(w);
+        w.write_bool(self.mode == EpochMode::Accelerated);
+        w.write_u64(self.samples);
+        snapshot::write_rng_state(self.rng.to_state(), w);
     }
-}
 
-impl<'de> Deserialize<'de> for OptimalListHh {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let params = HhParams::deserialize(&mut deserializer)?;
-        let universe = deserializer.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let params = HhParams::read_from(r)?;
+        let universe = r.read_u64()?;
         if universe == 0 {
-            return Err(serde::de::Error::invariant("empty universe"));
+            return Err(CodecError::invariant("empty universe"));
         }
-        let sampler = BitSkipSampler::deserialize(&mut deserializer)?;
-        let t1 = MisraGries::deserialize(&mut deserializer)?;
-        let hashes: Vec<MultiplyShift64Hash> = Vec::deserialize(&mut deserializer)?;
-        let t2: Vec<u64> = snapshot::read_u64_slice(&mut deserializer)?;
-        let t3: Vec<u64> = snapshot::read_u64_slice(&mut deserializer)?;
-        let epoch_thresholds: Vec<u64> = snapshot::read_u64_slice_delta(&mut deserializer)?;
-        let k_eps = deserializer.read_u64()?;
+        let sampler = BitSkipSampler::read_from(r)?;
+        let t1 = MisraGries::read_from(r)?;
+        let hashes: Vec<MultiplyShift64Hash> = Vec::read_from(r)?;
+        let t2: Vec<u64> = snapshot::read_u64_slice(r)?;
+        let t3: Vec<u64> = snapshot::read_u64_slice(r)?;
+        let epoch_thresholds: Vec<u64> = snapshot::read_u64_slice_delta(r)?;
+        let k_eps = r.read_u64()?;
         if k_eps > 64 {
-            return Err(serde::de::Error::invariant("epsilon exponent above 64"));
+            return Err(CodecError::invariant("epsilon exponent above 64"));
         }
         let k_eps = k_eps as u32;
-        let t2_skip = BitSkipSampler::deserialize(&mut deserializer)?;
-        let bits = BitBudget::deserialize(&mut deserializer)?;
-        let accelerated = deserializer.read_bool()?;
-        let samples = deserializer.read_u64()?;
-        let rng = StdRng::from_state(snapshot::read_rng_state(&mut deserializer)?);
+        let t2_skip = BitSkipSampler::read_from(r)?;
+        let bits = BitBudget::read_from(r)?;
+        let accelerated = r.read_bool()?;
+        let samples = r.read_u64()?;
+        let rng = StdRng::from_state(snapshot::read_rng_state(r)?);
 
         let r = hashes.len();
         if r == 0 {
-            return Err(serde::de::Error::invariant("no repetitions"));
+            return Err(CodecError::invariant("no repetitions"));
         }
         let buckets = hashes[0].range();
         if hashes.iter().any(|h| h.range() != buckets) {
-            return Err(serde::de::Error::invariant("repetition ranges disagree"));
+            return Err(CodecError::invariant("repetition ranges disagree"));
         }
         // Shape arithmetic over wire-supplied dimensions must be
         // checked: a forged `r`/`range` pair can overflow `usize`, and
         // under overflow-checks builds an unchecked multiply would
         // panic instead of returning `Err`.
-        let shape_err = || serde::de::Error::invariant("table shapes inconsistent");
+        let shape_err = || CodecError::invariant("table shapes inconsistent");
         let cells = usize::try_from(buckets)
             .ok()
             .and_then(|b| r.checked_mul(b))
@@ -1050,9 +1047,7 @@ impl<'de> Deserialize<'de> for OptimalListHh {
             return Err(shape_err());
         }
         if epoch_thresholds.len() != k_eps as usize + 1 {
-            return Err(serde::de::Error::invariant(
-                "epoch table shape inconsistent",
-            ));
+            return Err(CodecError::invariant("epoch table shape inconsistent"));
         }
         // The epoch cache is derived state (the threshold-table lookup
         // of each T2 value, which `advance_epoch` maintains exactly):

@@ -1,7 +1,7 @@
 //! Problem parameters and internal constants profiles.
 
 use crate::error::ParamError;
-use serde::{Deserialize, Serialize};
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 
 /// The `(ε, φ, δ)` triple of Definition 1: additive error `εm`, report
 /// threshold `φm`, failure probability `δ`.
@@ -15,21 +15,18 @@ pub struct HhParams {
 /// Field-wise snapshot of the validated `(ε, φ, δ)` triple; restore
 /// re-runs the constructor validation, so a corrupted buffer cannot
 /// smuggle in an invalid configuration.
-impl Serialize for HhParams {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.write_f64(self.eps)?;
-        serializer.write_f64(self.phi)?;
-        serializer.write_f64(self.delta)?;
-        serializer.done()
+impl Codec for HhParams {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_f64(self.eps);
+        w.write_f64(self.phi);
+        w.write_f64(self.delta);
     }
-}
 
-impl<'de> Deserialize<'de> for HhParams {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let eps = deserializer.read_f64()?;
-        let phi = deserializer.read_f64()?;
-        let delta = deserializer.read_f64()?;
-        Self::with_delta(eps, phi, delta).map_err(serde::de::Error::invariant)
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let eps = r.read_f64()?;
+        let phi = r.read_f64()?;
+        let delta = r.read_f64()?;
+        Self::with_delta(eps, phi, delta).map_err(CodecError::invariant)
     }
 }
 
@@ -84,7 +81,7 @@ impl HhParams {
 /// differ. Experiments state which profile they use; the practical profile
 /// is the default and is what the guarantee experiments (E11) validate
 /// empirically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constants {
     /// Sample-budget multiplier: Algorithm 1 draws
     /// `ℓ = sample_factor · ln(6/δ) / ε²` samples in expectation

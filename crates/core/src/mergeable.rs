@@ -131,7 +131,7 @@ pub trait MergeableSummary: StreamSummary + Sized {
 ///
 /// ```text
 /// ┌──────────────────────┬─────────────────┬──────────────────────┐
-/// │ tag ("hh.<type>.vN") │ payload (serde) │ fnv1a64x4 trailer 8B │
+/// │ tag ("hh.<type>.vN") │ payload (codec) │ fnv1a64x4 trailer 8B │
 /// └──────────────────────┴─────────────────┴──────────────────────┘
 /// ```
 ///
@@ -147,19 +147,18 @@ pub trait MergeableSummary: StreamSummary + Sized {
 /// with [`SnapshotError::WrongTag`].
 pub mod snapshot {
     use super::{Bytes, SnapshotError};
-    use serde::bincode;
-    use serde::{Deserialize, Serialize};
+    use hh_space::codec::{Codec, CodecError, ErrorKind, Reader, Writer};
 
     /// Size of the trailing integrity checksum in bytes.
     pub const CHECKSUM_LEN: usize = 8;
 
     /// Maps a codec failure class onto the snapshot error taxonomy.
-    fn codec_err(e: bincode::Error) -> SnapshotError {
+    fn codec_err(e: CodecError) -> SnapshotError {
         match e.kind() {
-            bincode::ErrorKind::Truncated => SnapshotError::Truncated,
-            bincode::ErrorKind::LengthOverflow => SnapshotError::LengthOverflow(e.to_string()),
-            bincode::ErrorKind::Invariant => SnapshotError::InvariantViolated(e.to_string()),
-            bincode::ErrorKind::Invalid => SnapshotError::Malformed(e.to_string()),
+            ErrorKind::Truncated => SnapshotError::Truncated,
+            ErrorKind::LengthOverflow => SnapshotError::LengthOverflow(e.to_string()),
+            ErrorKind::Invariant => SnapshotError::InvariantViolated(e.to_string()),
+            ErrorKind::Invalid => SnapshotError::Malformed(e.to_string()),
         }
     }
 
@@ -178,14 +177,11 @@ pub mod snapshot {
     /// names the summary type and snapshot-format version) and appends
     /// the striped `fnv1a64x4` digest of the whole buffer as an 8-byte
     /// little-endian trailer.
-    pub fn encode<T: Serialize>(tag: &str, value: &T) -> Bytes {
-        let mut w = bincode::Writer::default();
-        use serde::Serializer as _;
-        w.write_str(tag).expect("in-memory write cannot fail");
-        value
-            .serialize(&mut w)
-            .expect("in-memory write cannot fail");
-        let mut buf = w.done().expect("in-memory write cannot fail");
+    pub fn encode<T: Codec>(tag: &str, value: &T) -> Bytes {
+        let mut w = Writer::default();
+        w.write_str(tag);
+        value.write_to(&mut w);
+        let mut buf = w.into_bytes();
         let digest = hh_space::checksum::fnv1a64x4(&buf);
         buf.extend_from_slice(&digest.to_le_bytes());
         Bytes::from(buf)
@@ -194,15 +190,9 @@ pub mod snapshot {
     /// Decodes a buffer produced by [`encode`] with the same `tag`:
     /// verifies the trailer over everything before it, then decodes the
     /// payload between tag and trailer, which must consume it exactly.
-    pub fn decode<T: for<'de> Deserialize<'de>>(
-        tag: &'static str,
-        bytes: &[u8],
-    ) -> Result<T, SnapshotError> {
-        use serde::Deserializer as _;
+    pub fn decode<T: Codec>(tag: &'static str, bytes: &[u8]) -> Result<T, SnapshotError> {
         if !starts_with_tag(bytes, tag) {
-            let mut found = bincode::Reader::new(bytes)
-                .read_string()
-                .map_err(codec_err)?;
+            let mut found = Reader::new(bytes).read_string().map_err(codec_err)?;
             found.truncate(64);
             return Err(SnapshotError::WrongTag {
                 expected: tag,
@@ -223,10 +213,10 @@ pub mod snapshot {
         if hh_space::checksum::fnv1a64x4(body) != stored {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        let mut r = bincode::Reader::new(body);
+        let mut r = Reader::new(body);
         let matched = r.check_str(tag).map_err(codec_err)?;
         debug_assert!(matched, "starts_with_tag pre-checked the tag");
-        let value = T::deserialize(&mut r).map_err(codec_err)?;
+        let value = T::read_from(&mut r).map_err(codec_err)?;
         if r.remaining() != 0 {
             return Err(SnapshotError::InvariantViolated(format!(
                 "{} trailing bytes after payload",
@@ -243,71 +233,60 @@ pub mod snapshot {
     /// thousands of cells worth `O(1)` expected bits each — this
     /// replaces one codec call and 8 bytes per cell with one bulk call
     /// and ~1 byte per cell.
-    pub fn write_u64_slice<S: serde::Serializer>(
-        values: &[u64],
-        serializer: &mut S,
-    ) -> Result<(), S::Error> {
-        serializer.write_seq_len(values.len())?;
-        serializer.write_byte_seq(&hh_space::encode_uvarints(values))
+    pub fn write_u64_slice(values: &[u64], w: &mut Writer) {
+        w.write_seq_len(values.len());
+        w.write_byte_seq(&hh_space::encode_uvarints(values));
     }
 
     /// Reads back a slice written by [`write_u64_slice`], validating
     /// the block exhaustively (count, truncation, overlong runs,
     /// trailing bytes).
-    pub fn read_u64_slice<'de, D: serde::Deserializer<'de>>(
-        deserializer: &mut D,
-    ) -> Result<Vec<u64>, D::Error> {
-        let n = deserializer.read_seq_len()?;
-        let block = deserializer.read_byte_seq()?;
+    pub fn read_u64_slice(r: &mut Reader<'_>) -> Result<Vec<u64>, CodecError> {
+        let n = r.read_seq_len()?;
+        let block = r.read_byte_seq()?;
         hh_space::decode_uvarints(&block, n)
-            .ok_or_else(|| serde::de::Error::invariant("malformed varint counter block"))
+            .ok_or_else(|| CodecError::invariant("malformed varint counter block"))
     }
 
     /// Like [`write_u64_slice`] but delta-encoded, for **non-decreasing**
     /// slices (threshold tables): first value, then LEB128 gaps.
     ///
-    /// # Errors
-    /// If the slice decreases anywhere (a caller bug, surfaced as a
-    /// serialization error rather than silently mis-encoded).
-    pub fn write_u64_slice_delta<S: serde::Serializer>(
-        values: &[u64],
-        serializer: &mut S,
-    ) -> Result<(), S::Error> {
-        let block = hh_space::encode_deltas(values)
-            .ok_or_else(|| serde::ser::Error::custom("delta-encoding a decreasing slice"))?;
-        serializer.write_seq_len(values.len())?;
-        serializer.write_byte_seq(&block)
+    /// # Panics
+    /// If the slice decreases anywhere: a caller bug, never silently
+    /// mis-encoded.
+    pub fn write_u64_slice_delta(values: &[u64], w: &mut Writer) {
+        let block = hh_space::encode_deltas(values).unwrap_or_else(|| {
+            let i = values.windows(2).position(|p| p[1] < p[0]).unwrap_or(0);
+            panic!(
+                "delta-encoding a decreasing slice: values[{i}] > values[{}]",
+                i + 1
+            )
+        });
+        w.write_seq_len(values.len());
+        w.write_byte_seq(&block);
     }
 
     /// Reads back a slice written by [`write_u64_slice_delta`].
-    pub fn read_u64_slice_delta<'de, D: serde::Deserializer<'de>>(
-        deserializer: &mut D,
-    ) -> Result<Vec<u64>, D::Error> {
-        let n = deserializer.read_seq_len()?;
-        let block = deserializer.read_byte_seq()?;
+    pub fn read_u64_slice_delta(r: &mut Reader<'_>) -> Result<Vec<u64>, CodecError> {
+        let n = r.read_seq_len()?;
+        let block = r.read_byte_seq()?;
         hh_space::decode_deltas(&block, n)
-            .ok_or_else(|| serde::de::Error::invariant("malformed delta counter block"))
+            .ok_or_else(|| CodecError::invariant("malformed delta counter block"))
     }
 
-    /// Serializes a `[u64; 4]` RNG state (helper for the manual serde
-    /// impls of the randomized summaries).
-    pub fn write_rng_state<S: serde::Serializer>(
-        state: [u64; 4],
-        serializer: &mut S,
-    ) -> Result<(), S::Error> {
-        for w in state {
-            serializer.write_u64(w)?;
+    /// Writes a `[u64; 4]` RNG state (helper for the randomized
+    /// summaries' codecs).
+    pub fn write_rng_state(state: [u64; 4], w: &mut Writer) {
+        for word in state {
+            w.write_u64(word);
         }
-        Ok(())
     }
 
     /// Reads back a `[u64; 4]` RNG state written by [`write_rng_state`].
-    pub fn read_rng_state<'de, D: serde::Deserializer<'de>>(
-        deserializer: &mut D,
-    ) -> Result<[u64; 4], D::Error> {
+    pub fn read_rng_state(r: &mut Reader<'_>) -> Result<[u64; 4], CodecError> {
         let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = deserializer.read_u64()?;
+        for word in &mut s {
+            *word = r.read_u64()?;
         }
         Ok(s)
     }

@@ -30,8 +30,8 @@
 use crate::error::{MergeError, SnapshotError};
 use crate::mergeable::{check_compatible, snapshot, MergeableSummary};
 use crate::traits::StreamSummary;
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::space::{gamma_bits, SpaceUsage};
-use serde::{Deserialize, Serialize};
 
 /// Multiplicative-hash constant (2⁶⁴/φ, odd).
 const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -283,81 +283,72 @@ const MG_TAG: &str = "hh.misra-gries.v4";
 /// restore rebuilds a fresh table with identical content, estimates,
 /// and space accounting (equality on this type is content-based for
 /// the same reason).
-impl Serialize for MisraGries {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.reserve(self.len * 6 + 64);
-        serializer.write_u64(self.capacity as u64)?;
-        serializer.write_u64(self.key_bits)?;
-        serializer.write_u64(self.processed)?;
-        serializer.write_seq_len(self.len)?;
+impl Codec for MisraGries {
+    fn write_to(&self, w: &mut Writer) {
+        w.reserve(self.len * 6 + 64);
+        w.write_u64(self.capacity as u64);
+        w.write_u64(self.key_bits);
+        w.write_u64(self.processed);
+        w.write_seq_len(self.len);
         let mut block = Vec::with_capacity(self.len * 6 + 8);
         for (k, c) in self.live() {
             hh_space::varint::push_uvarint(&mut block, k);
             hh_space::varint::push_uvarint(&mut block, c);
         }
-        serializer.write_byte_seq(&block)?;
-        serializer.done()
+        w.write_byte_seq(&block);
     }
-}
 
-impl<'de> Deserialize<'de> for MisraGries {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         // The table allocates 2·capacity slots eagerly, so the bound must
         // be tight enough that a crafted buffer cannot provoke a huge
         // allocation: 2^20 counters covers eps down to ~10^-6, far past
         // any configuration the constructors produce.
-        let capacity = deserializer.read_u64()?;
+        let capacity = r.read_u64()?;
         if capacity == 0 || capacity > (1 << 20) {
-            return Err(serde::de::Error::invariant(
-                "MisraGries capacity out of range",
-            ));
+            return Err(CodecError::invariant("MisraGries capacity out of range"));
         }
-        let key_bits = deserializer.read_u64()?;
+        let key_bits = r.read_u64()?;
         if key_bits > 64 {
-            return Err(serde::de::Error::invariant(
-                "MisraGries key width above 64 bits",
-            ));
+            return Err(CodecError::invariant("MisraGries key width above 64 bits"));
         }
-        let processed = deserializer.read_u64()?;
-        let n = deserializer.read_seq_len()?;
+        let processed = r.read_u64()?;
+        let n = r.read_seq_len()?;
         if n > capacity as usize {
-            return Err(serde::de::Error::invariant(
-                "MisraGries entries exceed capacity",
-            ));
+            return Err(CodecError::invariant("MisraGries entries exceed capacity"));
         }
-        let block = deserializer.read_byte_seq()?;
+        let block = r.read_byte_seq()?;
         let mut entries = Vec::with_capacity(n);
         let mut total = 0u64;
         let mut pos = 0usize;
         for _ in 0..n {
-            let bad = || serde::de::Error::invariant("MisraGries malformed entry block");
+            let bad = || CodecError::invariant("MisraGries malformed entry block");
             let k = hh_space::varint::read_uvarint(&block, &mut pos).ok_or_else(bad)?;
             let c = hh_space::varint::read_uvarint(&block, &mut pos).ok_or_else(bad)?;
             if c == 0 {
-                return Err(serde::de::Error::invariant("MisraGries zero-count entry"));
+                return Err(CodecError::invariant("MisraGries zero-count entry"));
             }
-            total = total.checked_add(c).ok_or_else(|| {
-                serde::de::Error::invariant("MisraGries counts exceed stream position")
-            })?;
+            total = total
+                .checked_add(c)
+                .ok_or_else(|| CodecError::invariant("MisraGries counts exceed stream position"))?;
             entries.push((k, c));
         }
         // Retained counts can never exceed the stream positions that
         // funded them — a forged buffer violating this would poison
         // every downstream threshold computation.
         if total > processed {
-            return Err(serde::de::Error::invariant(
+            return Err(CodecError::invariant(
                 "MisraGries counts exceed stream position",
             ));
         }
         if pos != block.len() {
-            return Err(serde::de::Error::invariant("MisraGries trailing bytes"));
+            return Err(CodecError::invariant("MisraGries trailing bytes"));
         }
         // Validate key uniqueness *before* any entry is placed —
         // `place()` requires absent keys.
         let mut keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
         keys.sort_unstable();
         if keys.windows(2).any(|w| w[0] == w[1]) {
-            return Err(serde::de::Error::invariant("MisraGries duplicate keys"));
+            return Err(CodecError::invariant("MisraGries duplicate keys"));
         }
         let mut table = MisraGries::new(capacity as usize, key_bits);
         for (k, c) in entries {

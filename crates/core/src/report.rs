@@ -1,10 +1,8 @@
 //! Report types returned by the heavy-hitter algorithms.
 
-use serde::{Deserialize, Serialize};
-
 /// One reported item with its frequency estimate `f̃_i` (in stream counts,
 /// not fractions).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ItemEstimate {
     /// The item id.
     pub item: u64,
@@ -15,7 +13,7 @@ pub struct ItemEstimate {
 
 /// The output set `S` of Definition 1 with estimates, sorted by decreasing
 /// estimate.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     entries: Vec<ItemEstimate>,
 }

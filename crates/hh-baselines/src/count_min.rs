@@ -19,11 +19,11 @@ use hh_core::{
 };
 use hh_hash::FastMap;
 use hh_hash::{CarterWegmanFamily, CarterWegmanHash, HashFamily, HashFunction};
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::space::{gamma_bits, SpaceUsage};
 use hh_space::VarCounterArray;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The Count-Min sketch with heavy-hitter candidate tracking.
 #[derive(Debug, Clone)]
@@ -255,66 +255,55 @@ const TAG: &str = "hh.baseline.count-min.v3";
 /// Decode-time ceiling on the candidate capacity a snapshot may claim.
 const CANDIDATE_CAP_LIMIT: usize = 1 << 24;
 
-impl Serialize for CountMin {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        self.rows.serialize(&mut serializer)?;
-        serializer.write_u64(self.width)?;
-        serializer.write_bool(self.conservative)?;
-        self.sorted_candidates().serialize(&mut serializer)?;
-        serializer.write_u64(self.candidate_cap as u64)?;
-        serializer.write_u64(self.key_bits)?;
-        serializer.write_u64(self.processed)?;
-        serializer.write_f64(self.eps)?;
-        serializer.write_f64(self.phi)?;
-        serializer.done()
+impl Codec for CountMin {
+    fn write_to(&self, w: &mut Writer) {
+        self.rows.write_to(w);
+        w.write_u64(self.width);
+        w.write_bool(self.conservative);
+        self.sorted_candidates().write_to(w);
+        w.write_u64(self.candidate_cap as u64);
+        w.write_u64(self.key_bits);
+        w.write_u64(self.processed);
+        w.write_f64(self.eps);
+        w.write_f64(self.phi);
     }
-}
 
-impl<'de> Deserialize<'de> for CountMin {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let rows: Vec<(CarterWegmanHash, VarCounterArray)> = Vec::deserialize(&mut deserializer)?;
-        let width = deserializer.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let rows: Vec<(CarterWegmanHash, VarCounterArray)> = Vec::read_from(r)?;
+        let width = r.read_u64()?;
         if rows.is_empty() || width == 0 {
-            return Err(serde::de::Error::invariant(
-                "CountMin needs at least one row",
-            ));
+            return Err(CodecError::invariant("CountMin needs at least one row"));
         }
         if rows
             .iter()
             .any(|(h, row)| h.range() != width || row.len() as u64 != width)
         {
-            return Err(serde::de::Error::invariant(
-                "CountMin row shapes inconsistent",
-            ));
+            return Err(CodecError::invariant("CountMin row shapes inconsistent"));
         }
-        let conservative = deserializer.read_bool()?;
-        let cand: Vec<u64> = Vec::deserialize(&mut deserializer)?;
-        let candidate_cap = deserializer.read_u64()?;
+        let conservative = r.read_bool()?;
+        let cand: Vec<u64> = Vec::read_from(r)?;
+        let candidate_cap = r.read_u64()?;
         if candidate_cap == 0 || candidate_cap > CANDIDATE_CAP_LIMIT as u64 {
-            return Err(serde::de::Error::invariant(
+            return Err(CodecError::invariant(
                 "CountMin candidate capacity out of range",
             ));
         }
         let candidate_cap = candidate_cap as usize;
         if cand.len() > candidate_cap {
-            return Err(serde::de::Error::invariant("CountMin candidates overflow"));
+            return Err(CodecError::invariant("CountMin candidates overflow"));
         }
         if cand.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(serde::de::Error::invariant(
-                "CountMin candidates not sorted",
-            ));
+            return Err(CodecError::invariant("CountMin candidates not sorted"));
         }
-        let key_bits = deserializer.read_u64()?;
+        let key_bits = r.read_u64()?;
         if key_bits > 64 {
-            return Err(serde::de::Error::invariant("key width exceeds 64 bits"));
+            return Err(CodecError::invariant("key width exceeds 64 bits"));
         }
-        let processed = deserializer.read_u64()?;
-        let eps = deserializer.read_f64()?;
-        let phi = deserializer.read_f64()?;
+        let processed = r.read_u64()?;
+        let eps = r.read_f64()?;
+        let phi = r.read_f64()?;
         if !(eps > 0.0 && eps < phi && phi <= 1.0) {
-            return Err(serde::de::Error::invariant(
-                "invalid (eps, phi) in snapshot",
-            ));
+            return Err(CodecError::invariant("invalid (eps, phi) in snapshot"));
         }
         let mut candidates = FastMap::default();
         for item in cand {

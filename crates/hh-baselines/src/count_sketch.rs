@@ -14,10 +14,10 @@ use hh_core::{
 };
 use hh_hash::FastMap;
 use hh_hash::{HashFamily, HashFunction, PolynomialFamily, PolynomialHash};
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::space::{gamma_bits, SpaceUsage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The CountSketch summary with heavy-hitter candidate tracking.
 #[derive(Debug, Clone)]
@@ -275,64 +275,55 @@ const TAG: &str = "hh.baseline.count-sketch.v3";
 /// are `Θ(1/φ)`); bounds a restored instance's future growth.
 const CANDIDATE_CAP_LIMIT: usize = 1 << 24;
 
-impl Serialize for CountSketch {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        self.rows.serialize(&mut serializer)?;
-        serializer.write_u64(self.width)?;
-        self.sorted_candidates().serialize(&mut serializer)?;
-        serializer.write_u64(self.candidate_cap as u64)?;
-        serializer.write_u64(self.key_bits)?;
-        serializer.write_u64(self.processed)?;
-        serializer.write_f64(self.phi)?;
-        serializer.done()
+impl Codec for CountSketch {
+    fn write_to(&self, w: &mut Writer) {
+        self.rows.write_to(w);
+        w.write_u64(self.width);
+        self.sorted_candidates().write_to(w);
+        w.write_u64(self.candidate_cap as u64);
+        w.write_u64(self.key_bits);
+        w.write_u64(self.processed);
+        w.write_f64(self.phi);
     }
-}
 
-impl<'de> Deserialize<'de> for CountSketch {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let rows: Vec<(PolynomialHash, Vec<i64>)> = Vec::deserialize(&mut deserializer)?;
-        let width = deserializer.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let rows: Vec<(PolynomialHash, Vec<i64>)> = Vec::read_from(r)?;
+        let width = r.read_u64()?;
         if rows.is_empty() || rows.len() % 2 == 0 {
-            return Err(serde::de::Error::invariant("CountSketch depth must be odd"));
+            return Err(CodecError::invariant("CountSketch depth must be odd"));
         }
         if rows
             .iter()
             .any(|(h, row)| h.range() != width || row.len() as u64 != width)
         {
-            return Err(serde::de::Error::invariant(
-                "CountSketch row shapes inconsistent",
-            ));
+            return Err(CodecError::invariant("CountSketch row shapes inconsistent"));
         }
-        let cand: Vec<u64> = Vec::deserialize(&mut deserializer)?;
-        let candidate_cap = deserializer.read_u64()?;
+        let cand: Vec<u64> = Vec::read_from(r)?;
+        let candidate_cap = r.read_u64()?;
         if candidate_cap == 0 || candidate_cap > CANDIDATE_CAP_LIMIT as u64 {
-            return Err(serde::de::Error::invariant(
+            return Err(CodecError::invariant(
                 "CountSketch candidate capacity out of range",
             ));
         }
         let candidate_cap = candidate_cap as usize;
         if cand.len() > candidate_cap {
-            return Err(serde::de::Error::invariant(
-                "CountSketch candidates overflow",
-            ));
+            return Err(CodecError::invariant("CountSketch candidates overflow"));
         }
         if cand.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(serde::de::Error::invariant(
+            return Err(CodecError::invariant(
                 "CountSketch candidates unsorted or duplicated",
             ));
         }
-        let key_bits = deserializer.read_u64()?;
+        let key_bits = r.read_u64()?;
         if key_bits > 64 {
-            return Err(serde::de::Error::invariant(
-                "CountSketch key width above 64 bits",
-            ));
+            return Err(CodecError::invariant("CountSketch key width above 64 bits"));
         }
-        let processed = deserializer.read_u64()?;
+        let processed = r.read_u64()?;
         // Every arrival adds ±1 to one cell per row, so |cell| ≤
         // processed (and processed itself must fit the signed counter
         // domain for that bound to mean anything).
         if processed > i64::MAX as u64 {
-            return Err(serde::de::Error::invariant(
+            return Err(CodecError::invariant(
                 "CountSketch stream position overflows counters",
             ));
         }
@@ -340,13 +331,13 @@ impl<'de> Deserialize<'de> for CountSketch {
             .iter()
             .any(|(_, row)| row.iter().any(|&c| c.unsigned_abs() > processed))
         {
-            return Err(serde::de::Error::invariant(
+            return Err(CodecError::invariant(
                 "CountSketch cell exceeds stream position",
             ));
         }
-        let phi = deserializer.read_f64()?;
+        let phi = r.read_f64()?;
         if !(phi > 0.0 && phi <= 1.0) {
-            return Err(serde::de::Error::invariant("invalid phi in snapshot"));
+            return Err(CodecError::invariant("invalid phi in snapshot"));
         }
         let mut candidates = FastMap::default();
         for item in cand {

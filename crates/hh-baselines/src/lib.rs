@@ -56,7 +56,7 @@ pub mod sticky;
 pub use count_min::CountMin;
 pub use count_sketch::CountSketch;
 pub use lossy::LossyCounting;
-pub use merge::{shard_and_merge, Mergeable};
+pub use merge::shard_and_merge;
 pub use misra_gries::MisraGriesBaseline;
 pub use sample_hold::SampleAndHold;
 pub use space_saving::SpaceSaving;

@@ -17,8 +17,8 @@ use hh_core::{
     Report, SnapshotError, StreamSummary,
 };
 use hh_hash::FastMap;
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::space::{gamma_bits, SpaceUsage};
-use serde::{Deserialize, Serialize};
 
 /// The Lossy Counting summary.
 #[derive(Debug, Clone)]
@@ -168,64 +168,57 @@ impl FrequencyEstimator for LossyCounting {
 /// signed with its folded lane step).
 const TAG: &str = "hh.baseline.lossy-counting.v3";
 
-impl Serialize for LossyCounting {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.write_u64(self.window)?;
-        serializer.write_u64(self.current_window)?;
-        serializer.write_u64(self.in_window)?;
-        serializer.write_u64(self.key_bits)?;
-        serializer.write_u64(self.processed)?;
-        serializer.write_f64(self.eps)?;
-        serializer.write_f64(self.phi)?;
-        self.sorted_entries().serialize(&mut serializer)?;
-        serializer.done()
+impl Codec for LossyCounting {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_u64(self.window);
+        w.write_u64(self.current_window);
+        w.write_u64(self.in_window);
+        w.write_u64(self.key_bits);
+        w.write_u64(self.processed);
+        w.write_f64(self.eps);
+        w.write_f64(self.phi);
+        self.sorted_entries().write_to(w);
     }
-}
 
-impl<'de> Deserialize<'de> for LossyCounting {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let window = deserializer.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let window = r.read_u64()?;
         if window == 0 {
-            return Err(serde::de::Error::invariant(
+            return Err(CodecError::invariant(
                 "LossyCounting window must be positive",
             ));
         }
-        let current_window = deserializer.read_u64()?;
-        let in_window = deserializer.read_u64()?;
+        let current_window = r.read_u64()?;
+        let in_window = r.read_u64()?;
         if in_window >= window || current_window == 0 {
-            return Err(serde::de::Error::invariant(
+            return Err(CodecError::invariant(
                 "LossyCounting window state inconsistent",
             ));
         }
-        let key_bits = deserializer.read_u64()?;
+        let key_bits = r.read_u64()?;
         if key_bits > 64 {
-            return Err(serde::de::Error::invariant(
+            return Err(CodecError::invariant(
                 "LossyCounting key width above 64 bits",
             ));
         }
-        let processed = deserializer.read_u64()?;
-        let eps = deserializer.read_f64()?;
-        let phi = deserializer.read_f64()?;
+        let processed = r.read_u64()?;
+        let eps = r.read_f64()?;
+        let phi = r.read_f64()?;
         if !(eps > 0.0 && eps < phi && phi <= 1.0) {
-            return Err(serde::de::Error::invariant(
-                "invalid (eps, phi) in snapshot",
-            ));
+            return Err(CodecError::invariant("invalid (eps, phi) in snapshot"));
         }
-        let pairs: Vec<(u64, (u64, u64))> = Vec::deserialize(&mut deserializer)?;
+        let pairs: Vec<(u64, (u64, u64))> = Vec::read_from(r)?;
         let mut entries = FastMap::default();
         for (item, cd) in pairs {
             if cd.0 == 0 {
-                return Err(serde::de::Error::invariant(
-                    "LossyCounting zero-count entry",
-                ));
+                return Err(CodecError::invariant("LossyCounting zero-count entry"));
             }
             if cd.0 > processed {
-                return Err(serde::de::Error::invariant(
+                return Err(CodecError::invariant(
                     "LossyCounting count exceeds stream position",
                 ));
             }
             if entries.insert(item, cd).is_some() {
-                return Err(serde::de::Error::invariant("LossyCounting duplicate items"));
+                return Err(CodecError::invariant("LossyCounting duplicate items"));
             }
         }
         Ok(Self {

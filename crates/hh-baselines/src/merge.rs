@@ -22,11 +22,6 @@
 
 use hh_core::{MergeableSummary, StreamSummary};
 
-/// Re-export of the workspace-wide mergeability trait (the former
-/// baseline-local `Mergeable` trait grew into it; see
-/// [`hh_core::MergeableSummary`]).
-pub use hh_core::MergeableSummary as Mergeable;
-
 /// Summarizes `stream` with `shards` parallel workers, each building an
 /// independent summary with `make()`, then merges left to right.
 ///

@@ -6,8 +6,8 @@ use hh_core::{
     HeavyHitters, ItemEstimate, MergeError, MergeableSummary, MisraGries, QueryCache, Report,
     SnapshotError, StreamSummary,
 };
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::SpaceUsage;
-use serde::{Deserialize, Serialize};
 
 /// Misra–Gries run over raw ids with `⌈1/ε⌉` counters, reporting at the
 /// `(φ − ε/2)m` threshold.
@@ -116,25 +116,20 @@ impl SpaceUsage for MisraGriesBaseline {
 /// signed with its folded lane step).
 const TAG: &str = "hh.baseline.misra-gries.v4";
 
-impl Serialize for MisraGriesBaseline {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.write_f64(self.eps)?;
-        serializer.write_f64(self.phi)?;
-        self.table.serialize(&mut serializer)?;
-        serializer.done()
+impl Codec for MisraGriesBaseline {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_f64(self.eps);
+        w.write_f64(self.phi);
+        self.table.write_to(w);
     }
-}
 
-impl<'de> Deserialize<'de> for MisraGriesBaseline {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let eps = deserializer.read_f64()?;
-        let phi = deserializer.read_f64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let eps = r.read_f64()?;
+        let phi = r.read_f64()?;
         if !(eps > 0.0 && eps < phi && phi <= 1.0) {
-            return Err(serde::de::Error::invariant(
-                "invalid (eps, phi) in snapshot",
-            ));
+            return Err(CodecError::invariant("invalid (eps, phi) in snapshot"));
         }
-        let table = MisraGries::deserialize(&mut deserializer)?;
+        let table = MisraGries::read_from(r)?;
         Ok(Self {
             table,
             eps,

@@ -22,8 +22,8 @@ use hh_core::{
     Report, SnapshotError, StreamSummary,
 };
 use hh_hash::FastMap;
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::space::{gamma_bits, SpaceUsage};
-use serde::{Deserialize, Serialize};
 
 const NONE: u32 = u32::MAX;
 
@@ -476,72 +476,65 @@ const TAG: &str = "hh.baseline.space-saving.v4";
 /// decreasing-count order — a single buffer built and written in one
 /// pass. The slab/bucket pointer graph is a word-RAM artifact and is
 /// rebuilt on restore; every query observes identical state.
-impl Serialize for SpaceSaving {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.reserve(self.map.len() * 10 + 96);
-        serializer.write_u64(self.capacity as u64)?;
-        serializer.write_u64(self.key_bits)?;
-        serializer.write_f64(self.phi)?;
-        serializer.write_u64(self.processed)?;
+impl Codec for SpaceSaving {
+    fn write_to(&self, w: &mut Writer) {
+        w.reserve(self.map.len() * 10 + 96);
+        w.write_u64(self.capacity as u64);
+        w.write_u64(self.key_bits);
+        w.write_f64(self.phi);
+        w.write_u64(self.processed);
         let triples = self.entries();
-        serializer.write_seq_len(triples.len())?;
+        w.write_seq_len(triples.len());
         let mut block = Vec::with_capacity(triples.len() * 10 + 8);
         for &(i, c, e) in &triples {
             hh_space::varint::push_uvarint(&mut block, i);
             hh_space::varint::push_uvarint(&mut block, c);
             hh_space::varint::push_uvarint(&mut block, e);
         }
-        serializer.write_byte_seq(&block)?;
-        serializer.done()
+        w.write_byte_seq(&block);
     }
-}
 
-impl<'de> Deserialize<'de> for SpaceSaving {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         // Capacity drives eager map/slab allocation; keep the accepted
         // range tight (2^20 monitored items covers eps down to ~10^-6)
         // so a crafted buffer cannot provoke a huge allocation.
-        let capacity = deserializer.read_u64()? as usize;
+        let capacity = r.read_u64()? as usize;
         if capacity == 0 || capacity > (1 << 20) {
-            return Err(serde::de::Error::invariant(
-                "SpaceSaving capacity out of range",
-            ));
+            return Err(CodecError::invariant("SpaceSaving capacity out of range"));
         }
-        let key_bits = deserializer.read_u64()?;
+        let key_bits = r.read_u64()?;
         if key_bits > 64 {
-            return Err(serde::de::Error::invariant("key width exceeds 64 bits"));
+            return Err(CodecError::invariant("key width exceeds 64 bits"));
         }
-        let phi = deserializer.read_f64()?;
+        let phi = r.read_f64()?;
         if !(phi > 0.0 && phi <= 1.0) {
-            return Err(serde::de::Error::invariant("invalid phi in snapshot"));
+            return Err(CodecError::invariant("invalid phi in snapshot"));
         }
-        let processed = deserializer.read_u64()?;
-        let n = deserializer.read_seq_len()?;
+        let processed = r.read_u64()?;
+        let n = r.read_seq_len()?;
         if n > capacity {
-            return Err(serde::de::Error::invariant(
-                "SpaceSaving entries exceed capacity",
-            ));
+            return Err(CodecError::invariant("SpaceSaving entries exceed capacity"));
         }
-        let block = deserializer.read_byte_seq()?;
+        let block = r.read_byte_seq()?;
         let mut triples: Vec<(u64, u64, u64)> = Vec::with_capacity(n);
         let mut pos = 0usize;
         for _ in 0..n {
-            let bad = || serde::de::Error::truncated();
+            let bad = || CodecError::truncated();
             let i = hh_space::varint::read_uvarint(&block, &mut pos).ok_or_else(bad)?;
             let c = hh_space::varint::read_uvarint(&block, &mut pos).ok_or_else(bad)?;
             let e = hh_space::varint::read_uvarint(&block, &mut pos).ok_or_else(bad)?;
             if c == 0 || e > c || c > processed {
-                return Err(serde::de::Error::invariant("SpaceSaving malformed triple"));
+                return Err(CodecError::invariant("SpaceSaving malformed triple"));
             }
             triples.push((i, c, e));
         }
         if pos != block.len() {
-            return Err(serde::de::Error::invariant("SpaceSaving trailing bytes"));
+            return Err(CodecError::invariant("SpaceSaving trailing bytes"));
         }
         let mut keys: Vec<u64> = triples.iter().map(|&(i, _, _)| i).collect();
         keys.sort_unstable();
         if keys.windows(2).any(|w| w[0] == w[1]) {
-            return Err(serde::de::Error::invariant("SpaceSaving duplicate items"));
+            return Err(CodecError::invariant("SpaceSaving duplicate items"));
         }
         let mut ss = SpaceSaving {
             capacity,

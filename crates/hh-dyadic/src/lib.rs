@@ -61,6 +61,7 @@ use hh_core::{
     FrequencyEstimator, HeavyHitters, HhParams, ItemEstimate, MergeError, MergeableSummary,
     OptimalListHh, ParamError, QueryCache, Report, SnapshotError, StreamSummary,
 };
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::{gamma_bits, SpaceUsage};
 
 /// Snapshot tag for [`DyadicHh`] banks (any level-summary type: the
@@ -519,54 +520,52 @@ impl<S: MergeableSummary + Clone> MergeableSummary for DyadicHh<S> {
     }
 }
 
-impl<S: MergeableSummary> serde::Serialize for DyadicHh<S> {
-    fn serialize<W: serde::Serializer>(&self, mut serializer: W) -> Result<W::Ok, W::Error> {
-        serializer.write_u64(self.key_bits as u64)?;
-        serializer.write_u64(self.universe)?;
-        serializer.write_f64(self.eps)?;
-        serializer.write_f64(self.phi)?;
-        serializer.write_u64(self.processed)?;
-        serializer.write_seq_len(self.levels.len())?;
+impl<S: MergeableSummary> Codec for DyadicHh<S> {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_u64(self.key_bits as u64);
+        w.write_u64(self.universe);
+        w.write_f64(self.eps);
+        w.write_f64(self.phi);
+        w.write_u64(self.processed);
+        w.write_seq_len(self.levels.len());
         for level in &self.levels {
             // Each level keeps its own tagged, checksummed buffer: the
             // outer tag names the bank, the inner tags pin the level
             // type, and the outer trailer covers everything.
-            serializer.write_byte_seq(&level.to_bytes())?;
+            w.write_byte_seq(&level.to_bytes());
         }
-        serializer.done()
     }
-}
 
-impl<'de, S: MergeableSummary> serde::Deserialize<'de> for DyadicHh<S> {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error as _;
-        let key_bits = deserializer.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let key_bits = r.read_u64()?;
         if key_bits == 0 || key_bits > 64 {
-            return Err(D::Error::invariant("dyadic level count out of range"));
+            return Err(CodecError::invariant("dyadic level count out of range"));
         }
-        let universe = deserializer.read_u64()?;
+        let universe = r.read_u64()?;
         if universe == 0 || hh_space::id_bits(universe) != key_bits {
-            return Err(D::Error::invariant(
+            return Err(CodecError::invariant(
                 "dyadic universe inconsistent with level count",
             ));
         }
-        let eps = deserializer.read_f64()?;
-        let phi = deserializer.read_f64()?;
+        let eps = r.read_f64()?;
+        let phi = r.read_f64()?;
         if !(eps > 0.0 && eps < phi && phi <= 1.0) {
-            return Err(D::Error::invariant("invalid (eps, phi) in dyadic snapshot"));
+            return Err(CodecError::invariant(
+                "invalid (eps, phi) in dyadic snapshot",
+            ));
         }
-        let processed = deserializer.read_u64()?;
-        let n = deserializer.read_seq_len()?;
+        let processed = r.read_u64()?;
+        let n = r.read_seq_len()?;
         if n as u64 != key_bits {
-            return Err(D::Error::invariant("dyadic level count mismatch"));
+            return Err(CodecError::invariant("dyadic level count mismatch"));
         }
         // n ≤ 64 at this point: the allocation is bounded regardless of
         // what the (already checksummed) buffer claims.
         let mut levels = Vec::with_capacity(n);
         for k in 0..n {
-            let buf = deserializer.read_byte_seq()?;
+            let buf = r.read_byte_seq()?;
             let level = S::from_bytes(&buf)
-                .map_err(|e| D::Error::invariant(format!("dyadic level {}: {e}", k + 1)))?;
+                .map_err(|e| CodecError::invariant(format!("dyadic level {}: {e}", k + 1)))?;
             levels.push(level);
         }
         Ok(Self {

@@ -16,12 +16,12 @@
 
 use crate::mersenne::{self, P};
 use crate::{HashFamily, HashFunction};
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::SpaceUsage;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The family `{h_{a,b} : a ∈ [1,p), b ∈ [0,p)}` with codomain `[0, range)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CarterWegmanFamily {
     range: u64,
 }
@@ -61,22 +61,19 @@ pub struct CarterWegmanHash {
 /// Field-wise snapshot of the drawn coefficients and the structural
 /// range, so a restored function hashes identically — the seed-sharing
 /// contract that makes summaries built on this family mergeable.
-impl Serialize for CarterWegmanHash {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.write_u64(self.a)?;
-        serializer.write_u64(self.b)?;
-        serializer.write_u64(self.range)?;
-        serializer.done()
+impl Codec for CarterWegmanHash {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_u64(self.a);
+        w.write_u64(self.b);
+        w.write_u64(self.range);
     }
-}
 
-impl<'de> Deserialize<'de> for CarterWegmanHash {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let a = deserializer.read_u64()?;
-        let b = deserializer.read_u64()?;
-        let range = deserializer.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let a = r.read_u64()?;
+        let b = r.read_u64()?;
+        let range = r.read_u64()?;
         if !(1..P).contains(&a) || b >= P || range == 0 || range >= P {
-            return Err(serde::de::Error::invariant(
+            return Err(CodecError::invariant(
                 "CarterWegmanHash snapshot outside the field",
             ));
         }

@@ -7,12 +7,12 @@
 //! claim of Theorems 1 and 2.
 
 use crate::{HashFamily, HashFunction};
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::SpaceUsage;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The multiply-shift family producing `ℓ`-bit outputs (range `2^ℓ`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiplyShiftFamily {
     out_bits: u32,
 }
@@ -48,7 +48,7 @@ impl HashFamily for MultiplyShiftFamily {
 }
 
 /// A sampled multiply-shift function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiplyShiftHash {
     a: u128,
     b: u128,
@@ -94,7 +94,7 @@ impl SpaceUsage for MultiplyShiftHash {
 /// hot path, where the hash is evaluated `R ≈ 20` times per sampled item
 /// and the unit-cost RAM model of §2.3 prices exactly this operation
 /// at O(1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiplyShift64Family {
     out_bits: u32,
 }
@@ -138,20 +138,17 @@ pub struct MultiplyShift64Hash {
 /// Field-wise snapshot: the odd multiplier and the shift. A restored
 /// function hashes identically, which is what lets seed-aligned
 /// Algorithm-2 repetitions merge bucket-wise.
-impl Serialize for MultiplyShift64Hash {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.write_u64(self.a)?;
-        serializer.write_u64(self.shift as u64)?;
-        serializer.done()
+impl Codec for MultiplyShift64Hash {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_u64(self.a);
+        w.write_u64(self.shift as u64);
     }
-}
 
-impl<'de> Deserialize<'de> for MultiplyShift64Hash {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let a = deserializer.read_u64()?;
-        let shift = deserializer.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let a = r.read_u64()?;
+        let shift = r.read_u64()?;
         if a & 1 == 0 || !(1..=63).contains(&shift) {
-            return Err(serde::de::Error::invariant(
+            return Err(CodecError::invariant(
                 "MultiplyShift64Hash snapshot malformed",
             ));
         }

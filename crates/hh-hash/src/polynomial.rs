@@ -7,12 +7,12 @@
 
 use crate::mersenne::{self, P};
 use crate::{HashFamily, HashFunction};
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::SpaceUsage;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Family of degree-(k−1) polynomials over `F_p` reduced into `[0, range)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolynomialFamily {
     range: u64,
     k: usize,
@@ -62,20 +62,17 @@ pub struct PolynomialHash {
 /// Field-wise snapshot: the coefficient vector and the structural range.
 /// A restored function hashes (and signs) identically, preserving the
 /// shared-seed contract sketch merging relies on.
-impl Serialize for PolynomialHash {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        self.coeffs.serialize(&mut serializer)?;
-        serializer.write_u64(self.range)?;
-        serializer.done()
+impl Codec for PolynomialHash {
+    fn write_to(&self, w: &mut Writer) {
+        self.coeffs.write_to(w);
+        w.write_u64(self.range);
     }
-}
 
-impl<'de> Deserialize<'de> for PolynomialHash {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let coeffs: Vec<u64> = Vec::deserialize(&mut deserializer)?;
-        let range = deserializer.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let coeffs: Vec<u64> = Vec::read_from(r)?;
+        let range = r.read_u64()?;
         if coeffs.is_empty() || coeffs.iter().any(|&c| c >= P) || range == 0 || range >= P {
-            return Err(serde::de::Error::invariant(
+            return Err(CodecError::invariant(
                 "PolynomialHash snapshot outside the field",
             ));
         }

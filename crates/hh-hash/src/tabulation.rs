@@ -11,13 +11,12 @@
 use crate::{HashFamily, HashFunction};
 use hh_space::SpaceUsage;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 const CHUNKS: usize = 8;
 const TABLE: usize = 256;
 
 /// The simple-tabulation family producing `out_bits`-bit outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TabulationFamily {
     out_bits: u32,
 }
@@ -51,41 +50,10 @@ impl HashFamily for TabulationFamily {
 }
 
 /// A sampled simple-tabulation function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TabulationHash {
-    #[serde(with = "table_serde")]
     tables: Vec<[u64; TABLE]>,
     out_bits: u32,
-}
-
-// Only the real serde_derive wires `#[serde(with)]` helpers into the
-// derived impls; the vendored derive stubs don't, so outside of tests
-// (which call these directly) the module looks dead to rustc.
-#[cfg_attr(not(test), allow(dead_code))]
-mod table_serde {
-    //! `[u64; 256]` has no built-in serde impls; round-trip via `Vec<u64>`.
-    use super::TABLE;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(t: &Vec<[u64; TABLE]>, s: S) -> Result<S::Ok, S::Error> {
-        let flat: Vec<u64> = t.iter().flat_map(|a| a.iter().copied()).collect();
-        flat.serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<[u64; TABLE]>, D::Error> {
-        let flat: Vec<u64> = Vec::deserialize(d)?;
-        if flat.len() % TABLE != 0 {
-            return Err(serde::de::Error::invariant("tabulation table length"));
-        }
-        Ok(flat
-            .chunks_exact(TABLE)
-            .map(|c| {
-                let mut a = [0u64; TABLE];
-                a.copy_from_slice(c);
-                a
-            })
-            .collect())
-    }
 }
 
 impl HashFunction for TabulationHash {
@@ -149,21 +117,6 @@ mod tests {
             }
         }
         assert!(changed > total * 9 / 10, "changed {changed}/{total}");
-    }
-
-    #[test]
-    fn table_serde_round_trips_through_codec() {
-        // The `#[serde(with = "table_serde")]` helpers must encode
-        // `Vec<[u64; 256]>` losslessly; drive them through the vendored
-        // byte codec directly (derived impls are compile-time stubs).
-        let mut rng = StdRng::seed_from_u64(8);
-        let h = TabulationFamily::new_pow2(16).sample(&mut rng);
-        let mut writer = serde::bincode::Writer::default();
-        super::table_serde::serialize(&h.tables, &mut writer).unwrap();
-        let bytes = serde::Serializer::done(writer).unwrap();
-        assert_eq!(bytes.len(), 8 + CHUNKS * TABLE * 8);
-        let back = super::table_serde::deserialize(serde::bincode::Reader::new(&bytes)).unwrap();
-        assert_eq!(back, h.tables);
     }
 
     #[test]

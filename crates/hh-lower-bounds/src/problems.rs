@@ -1,12 +1,11 @@
 //! The communication problems of §4.1, as concrete instances.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// `Indexing_{m,t}` (Definition 10): Alice holds `x ∈ [alphabet]^t`, Bob
 /// holds `i ∈ [t]` and must output `x_i`. One-way complexity
 /// `Ω(t·log alphabet)` (Lemma 5).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexingInstance {
     /// Alphabet size (the `m` of Definition 10).
     pub alphabet: u64,
@@ -46,7 +45,7 @@ impl IndexingInstance {
 /// `ε-Perm` (Definition 11): Alice holds a permutation of `[n]` cut into
 /// `1/ε` contiguous blocks; Bob holds an item and must name its block.
 /// One-way complexity `Ω(n log(1/ε))` (Lemma 6).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpsPermInstance {
     /// The permutation σ (`σ[pos]` = item at position pos).
     pub sigma: Vec<u32>,
@@ -105,7 +104,7 @@ impl EpsPermInstance {
 
 /// `Greater-Than_n` (Definition 12): Alice holds `x`, Bob holds `y ≠ x`,
 /// Bob outputs `[x > y]`. One-way complexity `Ω(log n)` (Lemma 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GreaterThanInstance {
     /// Alice's number.
     pub x: u32,

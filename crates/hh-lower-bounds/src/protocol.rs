@@ -1,10 +1,9 @@
 //! The one-way protocol abstraction shared by every reduction.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// Result of executing one reduction end to end.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReductionOutcome {
     /// Bits of the message Alice sent: the streaming algorithm's model
     /// state plus any auxiliary payload (e.g. the Hamming weights in

@@ -14,9 +14,9 @@
 //! "spread out" because samples are `Θ(1/ε)` positions apart on average).
 
 use crate::lemma1::Lemma1Sampler;
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::space::{delta_bits, gamma_bits, SpaceUsage};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Rounds probability `p` to `2^{-k}` with `k = round(−log₂ p)` clamped to
 /// `[0, 64]`, per footnote 3.
@@ -48,7 +48,7 @@ pub(crate) fn geometric_gap<R: Rng + ?Sized>(k: u32, rng: &mut R) -> u64 {
 }
 
 /// Independent coin with probability `2^{-k}` per offered item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BernoulliSampler {
     inner: Lemma1Sampler,
 }
@@ -193,23 +193,20 @@ impl SpaceUsage for SkipSampler {
 
 /// Field-wise snapshot: exponent, countdown, primed flag. Restoring
 /// resumes the trial sequence exactly where the snapshot left it.
-impl Serialize for SkipSampler {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.write_u64(self.k as u64)?;
-        serializer.write_u64(self.remaining)?;
-        serializer.write_bool(self.primed)?;
-        serializer.done()
+impl Codec for SkipSampler {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_u64(self.k as u64);
+        w.write_u64(self.remaining);
+        w.write_bool(self.primed);
     }
-}
 
-impl<'de> Deserialize<'de> for SkipSampler {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let k = deserializer.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let k = r.read_u64()?;
         if k > 64 {
-            return Err(serde::de::Error::invariant("SkipSampler exponent above 64"));
+            return Err(CodecError::invariant("SkipSampler exponent above 64"));
         }
-        let remaining = deserializer.read_u64()?;
-        let primed = deserializer.read_bool()?;
+        let remaining = r.read_u64()?;
+        let primed = r.read_bool()?;
         let mut s = Self::with_exponent(k as u32);
         s.remaining = remaining;
         s.primed = primed;

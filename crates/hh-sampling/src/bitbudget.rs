@@ -18,9 +18,9 @@
 //! (equally valid) execution than the one-word-per-flip code they
 //! replace.
 
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::space::{delta_bits, gamma_bits, SpaceUsage};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// A buffered random-bit source: draws one `u64` at a time from the
 /// backing RNG and serves `k`-bit slices out of it.
@@ -86,20 +86,17 @@ impl SpaceUsage for BitBudget {
 
 /// Field-wise snapshot: the buffered word and the fresh-bit count, so a
 /// restored budget hands out the exact slices the original would have.
-impl Serialize for BitBudget {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.write_u64(self.word)?;
-        serializer.write_u64(self.left as u64)?;
-        serializer.done()
+impl Codec for BitBudget {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_u64(self.word);
+        w.write_u64(self.left as u64);
     }
-}
 
-impl<'de> Deserialize<'de> for BitBudget {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let word = deserializer.read_u64()?;
-        let left = deserializer.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let word = r.read_u64()?;
+        let left = r.read_u64()?;
         if left > 64 {
-            return Err(serde::de::Error::invariant("BitBudget has at most 64 bits"));
+            return Err(CodecError::invariant("BitBudget has at most 64 bits"));
         }
         Ok(Self {
             word,
@@ -262,25 +259,20 @@ impl SpaceUsage for BitSkipSampler {
 /// Field-wise snapshot of the random state only — exponent, countdown,
 /// primed flag; the SWAR masks are derived from the exponent at restore
 /// time. Restoring resumes the trial sequence exactly.
-impl Serialize for BitSkipSampler {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.write_u64(self.k as u64)?;
-        serializer.write_u64(self.remaining)?;
-        serializer.write_bool(self.primed)?;
-        serializer.done()
+impl Codec for BitSkipSampler {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_u64(self.k as u64);
+        w.write_u64(self.remaining);
+        w.write_bool(self.primed);
     }
-}
 
-impl<'de> Deserialize<'de> for BitSkipSampler {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let k = deserializer.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let k = r.read_u64()?;
         if k > 64 {
-            return Err(serde::de::Error::invariant(
-                "BitSkipSampler exponent above 64",
-            ));
+            return Err(CodecError::invariant("BitSkipSampler exponent above 64"));
         }
-        let remaining = deserializer.read_u64()?;
-        let primed = deserializer.read_bool()?;
+        let remaining = r.read_u64()?;
+        let primed = r.read_bool()?;
         let mut s = Self::with_exponent(k as u32);
         s.remaining = remaining;
         s.primed = primed;

@@ -9,10 +9,9 @@
 
 use hh_space::space::{delta_bits, SpaceUsage};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Samples each offered item independently with probability `2^{-k}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lemma1Sampler {
     /// Number of fair coin flips per decision; the sampler's entire state.
     k: u32,

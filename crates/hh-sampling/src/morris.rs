@@ -13,11 +13,10 @@
 
 use hh_space::space::{gamma_bits, SpaceUsage};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A bank of `s` independent base-`b` Morris counters whose estimates are
 /// averaged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MorrisCounter {
     /// Exponents of the independent copies.
     exponents: Vec<u32>,

@@ -8,10 +8,9 @@
 
 use hh_space::SpaceUsage;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Uniform fixed-size sample over a stream of unknown length.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReservoirSampler<T> {
     sample: Vec<T>,
     capacity: usize,

@@ -24,7 +24,7 @@
 //!   either double-apply or drop the replay tail.
 
 use crate::proto::MAX_BATCH;
-use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -231,62 +231,59 @@ pub struct BankSnapshot {
     pub dedup: Vec<(u64, DedupEntry)>,
 }
 
-impl Serialize for BankSnapshot {
-    fn serialize<S: Serializer>(&self, mut s: S) -> Result<S::Ok, S::Error> {
-        s.write_seq_len(self.shards.len())?;
+impl Codec for BankSnapshot {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_seq_len(self.shards.len());
         for bytes in &self.shards {
-            s.write_byte_seq(bytes)?;
+            w.write_byte_seq(bytes);
         }
-        s.write_seq_len(self.hwms.len())?;
+        w.write_seq_len(self.hwms.len());
         for &hwm in &self.hwms {
-            s.write_u64(hwm)?;
+            w.write_u64(hwm);
         }
-        s.write_seq_len(self.dedup.len())?;
+        w.write_seq_len(self.dedup.len());
         for &(client, e) in &self.dedup {
-            s.write_u64(client)?;
-            s.write_u64(e.req_seq)?;
-            s.write_u64(e.accepted)?;
-            s.write_u64(e.wal_seq)?;
+            w.write_u64(client);
+            w.write_u64(e.req_seq);
+            w.write_u64(e.accepted);
+            w.write_u64(e.wal_seq);
         }
-        s.done()
     }
-}
 
-impl<'de> Deserialize<'de> for BankSnapshot {
-    fn deserialize<D: Deserializer<'de>>(mut d: D) -> Result<Self, D::Error> {
-        let n = d.read_seq_len()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.read_seq_len()?;
         if n == 0 || n > crate::facade::MAX_SHARDS as usize {
-            return Err(de::Error::invariant(format!(
+            return Err(CodecError::invariant(format!(
                 "bank claims {n} shards outside 1..={}",
                 crate::facade::MAX_SHARDS
             )));
         }
         let mut shards = Vec::with_capacity(n);
         for _ in 0..n {
-            shards.push(d.read_byte_seq()?);
+            shards.push(r.read_byte_seq()?);
         }
-        let h = d.read_seq_len()?;
+        let h = r.read_seq_len()?;
         if h != n {
-            return Err(de::Error::invariant(format!(
+            return Err(CodecError::invariant(format!(
                 "bank has {n} shards but {h} high-water marks"
             )));
         }
         let mut hwms = Vec::with_capacity(h);
         for _ in 0..h {
-            hwms.push(d.read_u64()?);
+            hwms.push(r.read_u64()?);
         }
-        let k = d.read_seq_len()?;
+        let k = r.read_seq_len()?;
         if k > DEDUP_CAP {
-            return Err(de::Error::length_overflow(format!(
+            return Err(CodecError::length_overflow(format!(
                 "bank carries {k} dedup entries, above the {DEDUP_CAP} cap"
             )));
         }
         let mut dedup = Vec::with_capacity(k);
         for _ in 0..k {
-            let client = d.read_u64()?;
-            let req_seq = d.read_u64()?;
-            let accepted = d.read_u64()?;
-            let wal_seq = d.read_u64()?;
+            let client = r.read_u64()?;
+            let req_seq = r.read_u64()?;
+            let accepted = r.read_u64()?;
+            let wal_seq = r.read_u64()?;
             dedup.push((
                 client,
                 DedupEntry {

@@ -33,7 +33,7 @@
 use crate::facade::{SummaryKind, TenantSpec, MAX_SHARDS};
 use hh_core::mergeable::snapshot;
 use hh_core::{MergeError, ParamError, SnapshotError};
-use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
+use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use std::io::{Read, Write};
 
 /// Snapshot-codec tag for request bodies (v2: signed with the
@@ -443,53 +443,49 @@ pub struct ServerHealth {
     pub wal_truncated_bytes: u64,
 }
 
-// --- manual serde impls (the vendored derive is a compile-time stub) ---
+// --- wire codecs ---
 
-fn write_string_seq<S: Serializer>(values: &[String], s: &mut S) -> Result<(), S::Error> {
-    s.write_seq_len(values.len())?;
+fn write_string_seq(values: &[String], w: &mut Writer) {
+    w.write_seq_len(values.len());
     for v in values {
-        s.write_str(v)?;
+        w.write_str(v);
     }
-    Ok(())
 }
 
-fn read_string_seq<'de, D: Deserializer<'de>>(d: &mut D) -> Result<Vec<String>, D::Error> {
-    let n = d.read_seq_len()?;
+fn read_string_seq(r: &mut Reader<'_>) -> Result<Vec<String>, CodecError> {
+    let n = r.read_seq_len()?;
     let mut out = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        out.push(d.read_string()?);
+        out.push(r.read_string()?);
     }
     Ok(out)
 }
 
-impl Serialize for TenantSpec {
-    fn serialize<S: Serializer>(&self, mut s: S) -> Result<S::Ok, S::Error> {
-        s.write_u64(self.kind.code())?;
-        s.write_f64(self.eps)?;
-        s.write_f64(self.phi)?;
-        s.write_f64(self.delta)?;
-        s.write_u64(self.universe)?;
-        s.write_u64(self.m)?;
-        s.write_u64(self.structure_seed)?;
-        s.write_u64(u64::from(self.shards))?;
-        s.done()
+impl Codec for TenantSpec {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_u64(self.kind.code());
+        w.write_f64(self.eps);
+        w.write_f64(self.phi);
+        w.write_f64(self.delta);
+        w.write_u64(self.universe);
+        w.write_u64(self.m);
+        w.write_u64(self.structure_seed);
+        w.write_u64(u64::from(self.shards));
     }
-}
 
-impl<'de> Deserialize<'de> for TenantSpec {
-    fn deserialize<D: Deserializer<'de>>(mut d: D) -> Result<Self, D::Error> {
-        let code = d.read_u64()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let code = r.read_u64()?;
         let kind = SummaryKind::from_code(code)
-            .ok_or_else(|| de::Error::invariant(format!("unknown summary kind code {code}")))?;
-        let eps = d.read_f64()?;
-        let phi = d.read_f64()?;
-        let delta = d.read_f64()?;
-        let universe = d.read_u64()?;
-        let m = d.read_u64()?;
-        let structure_seed = d.read_u64()?;
-        let shards = d.read_u64()?;
+            .ok_or_else(|| CodecError::invariant(format!("unknown summary kind code {code}")))?;
+        let eps = r.read_f64()?;
+        let phi = r.read_f64()?;
+        let delta = r.read_f64()?;
+        let universe = r.read_u64()?;
+        let m = r.read_u64()?;
+        let structure_seed = r.read_u64()?;
+        let shards = r.read_u64()?;
         if shards == 0 || shards > u64::from(MAX_SHARDS) {
-            return Err(de::Error::invariant(format!(
+            return Err(CodecError::invariant(format!(
                 "shard count {shards} outside 1..={MAX_SHARDS}"
             )));
         }
@@ -506,14 +502,14 @@ impl<'de> Deserialize<'de> for TenantSpec {
     }
 }
 
-impl Serialize for Request {
-    fn serialize<S: Serializer>(&self, mut s: S) -> Result<S::Ok, S::Error> {
+impl Codec for Request {
+    fn write_to(&self, w: &mut Writer) {
         match self {
-            Self::Ping => s.write_u64(0)?,
+            Self::Ping => w.write_u64(0),
             Self::Create { tenant, spec } => {
-                s.write_u64(1)?;
-                s.write_str(tenant)?;
-                spec.serialize(&mut s)?;
+                w.write_u64(1);
+                w.write_str(tenant);
+                spec.write_to(w);
             }
             Self::Ingest {
                 tenant,
@@ -522,76 +518,73 @@ impl Serialize for Request {
                 req_seq,
                 items,
             } => {
-                s.write_u64(2)?;
-                s.write_str(tenant)?;
-                s.write_u64(u64::from(*shard))?;
-                s.write_u64(*client)?;
-                s.write_u64(*req_seq)?;
-                snapshot::write_u64_slice(items, &mut s)?;
+                w.write_u64(2);
+                w.write_str(tenant);
+                w.write_u64(u64::from(*shard));
+                w.write_u64(*client);
+                w.write_u64(*req_seq);
+                snapshot::write_u64_slice(items, w);
             }
             Self::Query { tenant } => {
-                s.write_u64(3)?;
-                s.write_str(tenant)?;
+                w.write_u64(3);
+                w.write_str(tenant);
             }
-            Self::Health => s.write_u64(4)?,
-            Self::Checkpoint => s.write_u64(5)?,
+            Self::Health => w.write_u64(4),
+            Self::Checkpoint => w.write_u64(5),
             Self::Snapshot { tenant } => {
-                s.write_u64(6)?;
-                s.write_str(tenant)?;
+                w.write_u64(6);
+                w.write_str(tenant);
             }
             Self::Recover { tenant } => {
-                s.write_u64(7)?;
-                s.write_str(tenant)?;
+                w.write_u64(7);
+                w.write_str(tenant);
             }
-            Self::Shutdown => s.write_u64(8)?,
+            Self::Shutdown => w.write_u64(8),
             Self::RangeQuery { tenant, lo, hi } => {
-                s.write_u64(9)?;
-                s.write_str(tenant)?;
-                s.write_u64(*lo)?;
-                s.write_u64(*hi)?;
+                w.write_u64(9);
+                w.write_str(tenant);
+                w.write_u64(*lo);
+                w.write_u64(*hi);
             }
             Self::HeavyRanges { tenant, phi } => {
-                s.write_u64(10)?;
-                s.write_str(tenant)?;
-                s.write_f64(*phi)?;
+                w.write_u64(10);
+                w.write_str(tenant);
+                w.write_f64(*phi);
             }
         }
-        s.done()
     }
-}
 
-impl<'de> Deserialize<'de> for Request {
-    fn deserialize<D: Deserializer<'de>>(mut d: D) -> Result<Self, D::Error> {
-        let read_tenant = |d: &mut D| -> Result<String, D::Error> {
-            let name = d.read_string()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let read_tenant = |r: &mut Reader<'_>| -> Result<String, CodecError> {
+            let name = r.read_string()?;
             if name.len() > MAX_TENANT_NAME {
-                return Err(de::Error::length_overflow(format!(
+                return Err(CodecError::length_overflow(format!(
                     "tenant name of {} bytes exceeds the {MAX_TENANT_NAME}-byte cap",
                     name.len()
                 )));
             }
             Ok(name)
         };
-        Ok(match d.read_u64()? {
+        Ok(match r.read_u64()? {
             0 => Self::Ping,
             1 => {
-                let tenant = read_tenant(&mut d)?;
-                let spec = TenantSpec::deserialize(&mut d)?;
+                let tenant = read_tenant(r)?;
+                let spec = TenantSpec::read_from(r)?;
                 Self::Create { tenant, spec }
             }
             2 => {
-                let tenant = read_tenant(&mut d)?;
-                let shard = d.read_u64()?;
+                let tenant = read_tenant(r)?;
+                let shard = r.read_u64()?;
                 if shard > u64::from(MAX_SHARDS) {
-                    return Err(de::Error::invariant(format!(
+                    return Err(CodecError::invariant(format!(
                         "shard index {shard} outside any legal bank"
                     )));
                 }
-                let client = d.read_u64()?;
-                let req_seq = d.read_u64()?;
-                let items = snapshot::read_u64_slice(&mut d)?;
+                let client = r.read_u64()?;
+                let req_seq = r.read_u64()?;
+                let items = snapshot::read_u64_slice(r)?;
                 if items.len() > MAX_BATCH {
-                    return Err(de::Error::length_overflow(format!(
+                    return Err(CodecError::length_overflow(format!(
                         "ingest batch of {} items exceeds the {MAX_BATCH}-item cap",
                         items.len()
                     )));
@@ -605,221 +598,215 @@ impl<'de> Deserialize<'de> for Request {
                 }
             }
             3 => Self::Query {
-                tenant: read_tenant(&mut d)?,
+                tenant: read_tenant(r)?,
             },
             4 => Self::Health,
             5 => Self::Checkpoint,
             6 => Self::Snapshot {
-                tenant: read_tenant(&mut d)?,
+                tenant: read_tenant(r)?,
             },
             7 => Self::Recover {
-                tenant: read_tenant(&mut d)?,
+                tenant: read_tenant(r)?,
             },
             8 => Self::Shutdown,
             9 => {
-                let tenant = read_tenant(&mut d)?;
-                let lo = d.read_u64()?;
-                let hi = d.read_u64()?;
+                let tenant = read_tenant(r)?;
+                let lo = r.read_u64()?;
+                let hi = r.read_u64()?;
                 if lo > hi {
-                    return Err(de::Error::invariant(format!(
+                    return Err(CodecError::invariant(format!(
                         "range lower bound {lo} above upper bound {hi}"
                     )));
                 }
                 Self::RangeQuery { tenant, lo, hi }
             }
             10 => {
-                let tenant = read_tenant(&mut d)?;
-                let phi = d.read_f64()?;
+                let tenant = read_tenant(r)?;
+                let phi = r.read_f64()?;
                 if !(phi > 0.0 && phi <= 1.0) {
-                    return Err(de::Error::invariant(format!(
+                    return Err(CodecError::invariant(format!(
                         "range threshold {phi} outside (0, 1]"
                     )));
                 }
                 Self::HeavyRanges { tenant, phi }
             }
-            op => return Err(de::Error::invariant(format!("unknown request op {op}"))),
+            op => return Err(CodecError::invariant(format!("unknown request op {op}"))),
         })
     }
 }
 
-impl Serialize for ServerHealth {
-    fn serialize<S: Serializer>(&self, mut s: S) -> Result<S::Ok, S::Error> {
-        s.write_u64(self.tenants)?;
-        s.write_u64(self.active_connections)?;
-        s.write_u64(self.accept_rejections)?;
-        s.write_u64(self.shed_batches)?;
-        s.write_u64(self.evictions)?;
-        s.write_u64(self.checkpoints)?;
-        s.write_u64(self.recovered_tenants)?;
-        write_string_seq(&self.quarantined, &mut s)?;
-        s.write_u64(self.resident_bytes)?;
-        s.write_u64(self.wal_appended)?;
-        s.write_u64(self.wal_depth)?;
-        s.write_u64(self.wal_fsyncs)?;
-        s.write_u64(self.wal_max_commit_wait_us)?;
-        s.write_u64(self.wal_replayed)?;
-        s.write_u64(self.dedup_hits)?;
-        s.write_u64(self.wal_segments)?;
-        s.write_u64(self.boot_recovery_us)?;
-        s.write_u64(self.wal_truncated_bytes)?;
-        s.done()
+impl Codec for ServerHealth {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_u64(self.tenants);
+        w.write_u64(self.active_connections);
+        w.write_u64(self.accept_rejections);
+        w.write_u64(self.shed_batches);
+        w.write_u64(self.evictions);
+        w.write_u64(self.checkpoints);
+        w.write_u64(self.recovered_tenants);
+        write_string_seq(&self.quarantined, w);
+        w.write_u64(self.resident_bytes);
+        w.write_u64(self.wal_appended);
+        w.write_u64(self.wal_depth);
+        w.write_u64(self.wal_fsyncs);
+        w.write_u64(self.wal_max_commit_wait_us);
+        w.write_u64(self.wal_replayed);
+        w.write_u64(self.dedup_hits);
+        w.write_u64(self.wal_segments);
+        w.write_u64(self.boot_recovery_us);
+        w.write_u64(self.wal_truncated_bytes);
     }
-}
 
-impl<'de> Deserialize<'de> for ServerHealth {
-    fn deserialize<D: Deserializer<'de>>(mut d: D) -> Result<Self, D::Error> {
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Self {
-            tenants: d.read_u64()?,
-            active_connections: d.read_u64()?,
-            accept_rejections: d.read_u64()?,
-            shed_batches: d.read_u64()?,
-            evictions: d.read_u64()?,
-            checkpoints: d.read_u64()?,
-            recovered_tenants: d.read_u64()?,
-            quarantined: read_string_seq(&mut d)?,
-            resident_bytes: d.read_u64()?,
-            wal_appended: d.read_u64()?,
-            wal_depth: d.read_u64()?,
-            wal_fsyncs: d.read_u64()?,
-            wal_max_commit_wait_us: d.read_u64()?,
-            wal_replayed: d.read_u64()?,
-            dedup_hits: d.read_u64()?,
-            wal_segments: d.read_u64()?,
-            boot_recovery_us: d.read_u64()?,
-            wal_truncated_bytes: d.read_u64()?,
+            tenants: r.read_u64()?,
+            active_connections: r.read_u64()?,
+            accept_rejections: r.read_u64()?,
+            shed_batches: r.read_u64()?,
+            evictions: r.read_u64()?,
+            checkpoints: r.read_u64()?,
+            recovered_tenants: r.read_u64()?,
+            quarantined: read_string_seq(r)?,
+            resident_bytes: r.read_u64()?,
+            wal_appended: r.read_u64()?,
+            wal_depth: r.read_u64()?,
+            wal_fsyncs: r.read_u64()?,
+            wal_max_commit_wait_us: r.read_u64()?,
+            wal_replayed: r.read_u64()?,
+            dedup_hits: r.read_u64()?,
+            wal_segments: r.read_u64()?,
+            boot_recovery_us: r.read_u64()?,
+            wal_truncated_bytes: r.read_u64()?,
         })
     }
 }
 
-impl Serialize for Response {
-    fn serialize<S: Serializer>(&self, mut s: S) -> Result<S::Ok, S::Error> {
+impl Codec for Response {
+    fn write_to(&self, w: &mut Writer) {
         match self {
-            Self::Pong => s.write_u64(0)?,
-            Self::Created => s.write_u64(1)?,
+            Self::Pong => w.write_u64(0),
+            Self::Created => w.write_u64(1),
             Self::Ingested { accepted } => {
-                s.write_u64(2)?;
-                s.write_u64(*accepted)?;
+                w.write_u64(2);
+                w.write_u64(*accepted);
             }
             Self::RetryAfter { millis } => {
-                s.write_u64(3)?;
-                s.write_u64(*millis)?;
+                w.write_u64(3);
+                w.write_u64(*millis);
             }
             Self::Report { entries, epoch } => {
-                s.write_u64(4)?;
-                s.write_seq_len(entries.len())?;
+                w.write_u64(4);
+                w.write_seq_len(entries.len());
                 for &(item, estimate) in entries {
-                    s.write_u64(item)?;
-                    s.write_f64(estimate)?;
+                    w.write_u64(item);
+                    w.write_f64(estimate);
                 }
-                s.write_u64(*epoch)?;
+                w.write_u64(*epoch);
             }
             Self::Health(health) => {
-                s.write_u64(5)?;
-                health.serialize(&mut s)?;
+                w.write_u64(5);
+                health.write_to(w);
             }
             Self::Checkpointed { tenants } => {
-                s.write_u64(6)?;
-                s.write_u64(*tenants)?;
+                w.write_u64(6);
+                w.write_u64(*tenants);
             }
             Self::Snapshot { bytes } => {
-                s.write_u64(7)?;
-                s.write_byte_seq(bytes)?;
+                w.write_u64(7);
+                w.write_byte_seq(bytes);
             }
-            Self::ShuttingDown => s.write_u64(8)?,
+            Self::ShuttingDown => w.write_u64(8),
             Self::Recovered { shards } => {
-                s.write_u64(10)?;
-                s.write_u64(*shards)?;
+                w.write_u64(10);
+                w.write_u64(*shards);
             }
             Self::Error { code, message } => {
-                s.write_u64(9)?;
-                s.write_u64(*code)?;
-                s.write_str(message)?;
+                w.write_u64(9);
+                w.write_u64(*code);
+                w.write_str(message);
             }
             Self::RangeEstimate { estimate, epoch } => {
-                s.write_u64(11)?;
-                s.write_f64(*estimate)?;
-                s.write_u64(*epoch)?;
+                w.write_u64(11);
+                w.write_f64(*estimate);
+                w.write_u64(*epoch);
             }
             Self::Ranges { entries, epoch } => {
-                s.write_u64(12)?;
-                s.write_seq_len(entries.len())?;
+                w.write_u64(12);
+                w.write_seq_len(entries.len());
                 for &(level, lo, hi, estimate) in entries {
-                    s.write_u64(u64::from(level))?;
-                    s.write_u64(lo)?;
-                    s.write_u64(hi)?;
-                    s.write_f64(estimate)?;
+                    w.write_u64(u64::from(level));
+                    w.write_u64(lo);
+                    w.write_u64(hi);
+                    w.write_f64(estimate);
                 }
-                s.write_u64(*epoch)?;
+                w.write_u64(*epoch);
             }
         }
-        s.done()
     }
-}
 
-impl<'de> Deserialize<'de> for Response {
-    fn deserialize<D: Deserializer<'de>>(mut d: D) -> Result<Self, D::Error> {
-        Ok(match d.read_u64()? {
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.read_u64()? {
             0 => Self::Pong,
             1 => Self::Created,
             2 => Self::Ingested {
-                accepted: d.read_u64()?,
+                accepted: r.read_u64()?,
             },
             3 => Self::RetryAfter {
-                millis: d.read_u64()?,
+                millis: r.read_u64()?,
             },
             4 => {
-                let n = d.read_seq_len()?;
+                let n = r.read_seq_len()?;
                 let mut entries = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    let item = d.read_u64()?;
-                    let estimate = d.read_f64()?;
+                    let item = r.read_u64()?;
+                    let estimate = r.read_f64()?;
                     entries.push((item, estimate));
                 }
                 Self::Report {
                     entries,
-                    epoch: d.read_u64()?,
+                    epoch: r.read_u64()?,
                 }
             }
-            5 => Self::Health(ServerHealth::deserialize(&mut d)?),
+            5 => Self::Health(ServerHealth::read_from(r)?),
             6 => Self::Checkpointed {
-                tenants: d.read_u64()?,
+                tenants: r.read_u64()?,
             },
             7 => Self::Snapshot {
-                bytes: d.read_byte_seq()?,
+                bytes: r.read_byte_seq()?,
             },
             8 => Self::ShuttingDown,
             9 => Self::Error {
-                code: d.read_u64()?,
-                message: d.read_string()?,
+                code: r.read_u64()?,
+                message: r.read_string()?,
             },
             10 => Self::Recovered {
-                shards: d.read_u64()?,
+                shards: r.read_u64()?,
             },
             11 => Self::RangeEstimate {
-                estimate: d.read_f64()?,
-                epoch: d.read_u64()?,
+                estimate: r.read_f64()?,
+                epoch: r.read_u64()?,
             },
             12 => {
-                let n = d.read_seq_len()?;
+                let n = r.read_seq_len()?;
                 let mut entries = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    let level = d.read_u64()?;
+                    let level = r.read_u64()?;
                     if level > 64 {
-                        return Err(de::Error::invariant(format!(
+                        return Err(CodecError::invariant(format!(
                             "dyadic level {level} above 64"
                         )));
                     }
-                    let lo = d.read_u64()?;
-                    let hi = d.read_u64()?;
-                    let estimate = d.read_f64()?;
+                    let lo = r.read_u64()?;
+                    let hi = r.read_u64()?;
+                    let estimate = r.read_f64()?;
                     entries.push((level as u32, lo, hi, estimate));
                 }
                 Self::Ranges {
                     entries,
-                    epoch: d.read_u64()?,
+                    epoch: r.read_u64()?,
                 }
             }
-            op => return Err(de::Error::invariant(format!("unknown response op {op}"))),
+            op => return Err(CodecError::invariant(format!("unknown response op {op}"))),
         })
     }
 }

@@ -7,10 +7,9 @@
 //! reports.
 
 use crate::space::SpaceUsage;
-use serde::{Deserialize, Serialize};
 
 /// Growable bit vector with O(1) random access.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitVec {
     words: Vec<u64>,
     len: usize,

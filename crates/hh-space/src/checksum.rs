@@ -35,7 +35,8 @@
 //!   spreads by carries that depend on the data. No flip pair cancels
 //!   by construction; the tests sweep bit 63 of every pair of words
 //!   and every flip pair at most 320 bits apart (one lane's next word
-//!   is 256 bits on) to pin it.
+//!   is 256 bits on) to pin it, plus every 3-bit pattern and 200 000
+//!   seeded 4-bit patterns across two consecutive words of one lane.
 //! * **The length is folded in**: a truncated or zero-padded buffer is
 //!   a different input to the final fold, never a free collision.
 //! * **A random corruption is missed with probability about 2⁻⁶⁴**,
@@ -183,6 +184,72 @@ mod tests {
                     "missed bit 63 of words {a} and {b}"
                 );
             }
+        }
+    }
+
+    /// Flips `bits` of `buf` in place. Bits index the 128 bits of lane
+    /// `lane`'s first two words — bytes `8l..8l+8`, then bytes
+    /// `32+8l..32+8l+8` — and come back as offsets into the buffer.
+    fn flip_lane_bits(buf: &mut [u8], lane: usize, bits: &[usize]) -> Vec<usize> {
+        bits.iter()
+            .map(|&b| {
+                let word = if b < 64 { 8 * lane } else { 32 + 8 * lane };
+                let at = 8 * word + b % 64;
+                buf[at / 8] ^= 1 << (at % 8);
+                at
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_3_bit_flip_across_two_words_of_a_lane_moves_the_digest() {
+        // C(128, 3) = 341 376 patterns per lane, every lane.
+        let mut buf: Vec<u8> = (0..64u8).collect();
+        let s0 = fnv1a64x4(&buf);
+        for lane in 0..4 {
+            for a in 0..128 {
+                for b in a + 1..128 {
+                    for c in b + 1..128 {
+                        let at = flip_lane_bits(&mut buf, lane, &[a, b, c]);
+                        let moved = fnv1a64x4(&buf) != s0;
+                        flip_lane_bits(&mut buf, lane, &[a, b, c]);
+                        assert!(moved, "missed flips of buffer bits {at:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_4_bit_flips_across_two_words_of_a_lane_move_the_digest() {
+        const SEED: u64 = 0x5EED_4B17;
+        // SplitMix64: a std-only, seeded pattern source.
+        let mut state = SEED;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut buf: Vec<u8> = (0..64u8).collect();
+        let s0 = fnv1a64x4(&buf);
+        for case in 0..200_000 {
+            let lane = (next() % 4) as usize;
+            let mut bits = Vec::with_capacity(4);
+            while bits.len() < 4 {
+                let b = (next() % 128) as usize;
+                if !bits.contains(&b) {
+                    bits.push(b);
+                }
+            }
+            let at = flip_lane_bits(&mut buf, lane, &bits);
+            let moved = fnv1a64x4(&buf) != s0;
+            flip_lane_bits(&mut buf, lane, &bits);
+            assert!(
+                moved,
+                "seed {SEED:#x}, case {case}: missed flips of buffer bits {at:?}"
+            );
         }
     }
 

@@ -12,10 +12,9 @@
 
 use crate::bits::BitVec;
 use crate::space::SpaceUsage;
-use serde::{Deserialize, Serialize};
 
 /// Append-only sequence of delta-coded unsigned integers.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaVec {
     bits: BitVec,
     len: usize,

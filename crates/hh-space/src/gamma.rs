@@ -10,10 +10,9 @@
 
 use crate::bits::BitVec;
 use crate::space::SpaceUsage;
-use serde::{Deserialize, Serialize};
 
 /// Append-only sequence of gamma-coded unsigned integers.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GammaVec {
     bits: BitVec,
     len: usize,

@@ -20,7 +20,8 @@
 //! [`PackedIntVec`], [`GammaVec`], [`VarCounterArray`]) so that the model
 //! accounting is backed by an executable encoding rather than a formula, and
 //! the bound formulas of Table 1 ([`bounds`]) used by the experiment
-//! harness.
+//! harness. The binary codec every snapshot and wire frame is written in
+//! ([`codec`]) and its integrity digest ([`checksum`]) live here too.
 //!
 //! # Example
 //!
@@ -41,6 +42,7 @@
 pub mod bits;
 pub mod bounds;
 pub mod checksum;
+pub mod codec;
 pub mod delta;
 pub mod gamma;
 pub mod packed;

@@ -8,10 +8,9 @@
 
 use crate::bits::BitVec;
 use crate::space::SpaceUsage;
-use serde::{Deserialize, Serialize};
 
 /// A vector of `len` unsigned integers, each stored in exactly `width` bits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedIntVec {
     bits: BitVec,
     width: u32,

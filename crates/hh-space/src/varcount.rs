@@ -9,9 +9,9 @@
 //! model cost is itself O(1). [`VarCounterArray::to_gamma`] materializes the
 //! compact encoding to prove the accounting is realizable.
 
+use crate::codec::{Codec, CodecError, Reader, Writer};
 use crate::gamma::GammaVec;
 use crate::space::{gamma_bits, SpaceUsage};
-use serde::{Deserialize, Serialize};
 
 /// An array of `u64` counters whose model space cost is the sum of the
 /// gamma-code lengths of the current values.
@@ -29,20 +29,17 @@ pub struct VarCounterArray {
 /// single bulk call instead of one codec call per counter. The
 /// incremental gamma-bit sum is an invariant of the values and is
 /// recomputed at restore time rather than trusted from the wire.
-impl Serialize for VarCounterArray {
-    fn serialize<S: serde::Serializer>(&self, mut serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.write_seq_len(self.counts.len())?;
-        serializer.write_byte_seq(&crate::varint::encode_uvarints(&self.counts))?;
-        serializer.done()
+impl Codec for VarCounterArray {
+    fn write_to(&self, w: &mut Writer) {
+        w.write_seq_len(self.counts.len());
+        w.write_byte_seq(&crate::varint::encode_uvarints(&self.counts));
     }
-}
 
-impl<'de> Deserialize<'de> for VarCounterArray {
-    fn deserialize<D: serde::Deserializer<'de>>(mut deserializer: D) -> Result<Self, D::Error> {
-        let n = deserializer.read_seq_len()?;
-        let block = deserializer.read_byte_seq()?;
+    fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.read_seq_len()?;
+        let block = r.read_byte_seq()?;
         let counts = crate::varint::decode_uvarints(&block, n)
-            .ok_or_else(|| serde::de::Error::invariant("malformed counter varint block"))?;
+            .ok_or_else(|| CodecError::invariant("malformed counter varint block"))?;
         let model_bit_sum = counts.iter().map(|&c| gamma_bits(c)).sum();
         Ok(Self {
             counts,

@@ -5,10 +5,10 @@
 //! deferred-accounting analysis prices them at `O(1)` expected bits
 //! each; that is the whole point of the Theorem-2 space bound). Writing
 //! them as fixed 8-byte words costs 8× the information content *and*
-//! one codec trait call per cell. These helpers instead encode a whole
+//! one codec call per cell. These helpers instead encode a whole
 //! slice into a contiguous byte block — preallocated once, written
 //! once — that travels through the codec's bulk byte channel
-//! (`Serializer::write_byte_seq`) as a single length-prefixed `memcpy`.
+//! ([`crate::codec::Writer::write_byte_seq`]) as a single length-prefixed `memcpy`.
 //!
 //! Two encodings:
 //!

@@ -11,14 +11,13 @@
 
 use crate::{ItemSource, ZipfGenerator};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of address bits in the generated keys (IPv4).
 pub const KEY_BITS: u32 = 32;
 
 /// One planted block: `value` is the prefix's leading bits, `len` its
 /// length in bits (CIDR `/len`), `mass` its exact marginal probability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Block {
     value: u64,
     len: u32,
@@ -64,7 +63,7 @@ impl Block {
 /// let in_ten = stream.iter().filter(|&&a| a >> 24 == 10).count();
 /// assert!((in_ten as f64 / 50_000.0 - 0.40).abs() < 0.02);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CidrZipf {
     blocks: Vec<Block>,
     planted_mass: f64,

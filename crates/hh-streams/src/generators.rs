@@ -3,10 +3,9 @@
 use crate::ItemSource;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Uniform item source over `[0, n)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UniformGenerator {
     n: u64,
 }
@@ -31,7 +30,7 @@ impl ItemSource for UniformGenerator {
 /// Item source with explicitly *planted* heavy items over a uniform
 /// background — the workload for the guarantee experiments (E11), because
 /// the true frequencies are designed, not sampled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlantedGenerator {
     /// `(item, probability)` for the planted items.
     heavy: Vec<(u64, f64)>,
@@ -104,7 +103,7 @@ impl ItemSource for PlantedGenerator {
 
 /// How a fixed multiset of items is laid out along the stream. The paper's
 /// guarantees are order-independent; these policies probe that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderPolicy {
     /// Uniformly random permutation of the multiset.
     Shuffled,

@@ -1,11 +1,10 @@
 //! Exact ground truth for scoring the streaming algorithms.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Exact frequency oracle: the (space-unconstrained) reference that every
 /// experiment compares streaming summaries against.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExactCounts {
     counts: HashMap<u64, u64>,
     len: u64,

@@ -13,10 +13,9 @@
 
 use crate::ItemSource;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Zipf(`a`) sampler over `[0, n)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZipfGenerator {
     n: u64,
     exponent: f64,

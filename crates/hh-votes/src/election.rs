@@ -2,10 +2,9 @@
 //! experiments.
 
 use crate::ranking::Ranking;
-use serde::{Deserialize, Serialize};
 
 /// An exact tally over a (small enough to store) list of votes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Election {
     n: usize,
     votes: u64,

@@ -9,10 +9,9 @@
 //! the true winner is designed.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A total order of candidates `0..n`: `order[0]` is the most preferred.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Ranking {
     order: Vec<u32>,
 }
@@ -125,7 +124,7 @@ impl Ranking {
 /// Sampled by the repeated-insertion method (RIM): candidates are taken
 /// in center order and inserted into the growing ranking, position drawn
 /// with geometrically decaying weights.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MallowsModel {
     center: Ranking,
     dispersion: f64,
@@ -181,7 +180,7 @@ impl MallowsModel {
 
 /// The Plackett–Luce model: candidates drawn without replacement with
 /// probability proportional to their weight.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlackettLuce {
     weights: Vec<f64>,
 }

@@ -1,6 +1,5 @@
 //! Space-accounting integration: every summary's `model_bits` must be
-//! meaningful (realizable, monotone in the right parameters) and the
-//! serde surface must round-trip.
+//! meaningful (realizable, monotone in the right parameters).
 
 use hh_baselines::{MisraGriesBaseline, SpaceSaving};
 use hh_core::{HhParams, OptimalListHh, Report, SimpleListHh, StreamSummary};
@@ -120,12 +119,6 @@ fn reports_serde_round_trip() {
     a.insert_all(&stream);
     use hh_core::HeavyHitters;
     let report = a.report();
-    // serde round trip through a self-describing text format: use the
-    // Debug-independent serde_test-style check via bincode-free manual
-    // encoding — the repo deliberately has no serde_json, so round-trip
-    // through the serde data model with a Vec<u8> postcard-like encoder
-    // is out of scope; instead verify Serialize is derivable by
-    // serializing into a simple displayable structure.
     let entries: Vec<(u64, f64)> = report.entries().iter().map(|e| (e.item, e.count)).collect();
     let rebuilt = Report::new(
         entries

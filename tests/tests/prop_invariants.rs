@@ -97,7 +97,7 @@ proptest! {
         let mut b = MisraGriesBaseline::new(0.2, 0.5, 64);
         a.insert_all(&left);
         b.insert_all(&right);
-        use hh_baselines::Mergeable;
+        use hh_core::MergeableSummary;
         a.merge_from(&b).unwrap();
         let m = (left.len() + right.len()) as u64;
         let k = a.capacity() as u64;
