@@ -178,9 +178,15 @@ pub mod snapshot {
     /// the striped `fnv1a64x4` digest of the whole buffer as an 8-byte
     /// little-endian trailer.
     pub fn encode<T: Codec>(tag: &str, value: &T) -> Bytes {
+        encode_with(tag, |w| value.write_to(w))
+    }
+
+    /// [`encode`] for a payload written by `write`: a caller encodes
+    /// from borrowed parts without building an owned [`Codec`] value.
+    pub fn encode_with(tag: &str, write: impl FnOnce(&mut Writer)) -> Bytes {
         let mut w = Writer::default();
         w.write_str(tag);
-        value.write_to(&mut w);
+        write(&mut w);
         let mut buf = w.into_bytes();
         let digest = hh_space::checksum::fnv1a64x4(&buf);
         buf.extend_from_slice(&digest.to_le_bytes());
@@ -228,23 +234,23 @@ pub mod snapshot {
 
     /// Writes a `u64` counter slice as one varint block through the
     /// codec's bulk byte channel: element count, then every value
-    /// LEB128-encoded into a single length-prefixed byte string. For
-    /// the counter tables of the paper's algorithms — tens of
-    /// thousands of cells worth `O(1)` expected bits each — this
-    /// replaces one codec call and 8 bytes per cell with one bulk call
-    /// and ~1 byte per cell.
+    /// LEB128-encoded into a single length-prefixed byte string,
+    /// encoded straight into the writer's buffer. For the counter
+    /// tables of the paper's algorithms — tens of thousands of cells
+    /// worth `O(1)` expected bits each — this replaces one codec call
+    /// and 8 bytes per cell with one bulk call and ~1 byte per cell.
     pub fn write_u64_slice(values: &[u64], w: &mut Writer) {
         w.write_seq_len(values.len());
-        w.write_byte_seq(&hh_space::encode_uvarints(values));
+        w.write_byte_seq_with(|out| hh_space::push_uvarints(out, values));
     }
 
-    /// Reads back a slice written by [`write_u64_slice`], validating
-    /// the block exhaustively (count, truncation, overlong runs,
-    /// trailing bytes).
+    /// Reads back a slice written by [`write_u64_slice`], decoding the
+    /// block in place and validating it exhaustively (count,
+    /// truncation, overlong runs, trailing bytes).
     pub fn read_u64_slice(r: &mut Reader<'_>) -> Result<Vec<u64>, CodecError> {
         let n = r.read_seq_len()?;
-        let block = r.read_byte_seq()?;
-        hh_space::decode_uvarints(&block, n)
+        let block = r.read_byte_slice()?;
+        hh_space::decode_uvarints(block, n)
             .ok_or_else(|| CodecError::invariant("malformed varint counter block"))
     }
 
@@ -255,22 +261,22 @@ pub mod snapshot {
     /// If the slice decreases anywhere: a caller bug, never silently
     /// mis-encoded.
     pub fn write_u64_slice_delta(values: &[u64], w: &mut Writer) {
-        let block = hh_space::encode_deltas(values).unwrap_or_else(|| {
-            let i = values.windows(2).position(|p| p[1] < p[0]).unwrap_or(0);
-            panic!(
-                "delta-encoding a decreasing slice: values[{i}] > values[{}]",
-                i + 1
-            )
-        });
         w.write_seq_len(values.len());
-        w.write_byte_seq(&block);
+        w.write_byte_seq_with(|out| {
+            if let Err(i) = hh_space::push_deltas(out, values) {
+                panic!(
+                    "delta-encoding a decreasing slice: values[{i}] > values[{}]",
+                    i + 1
+                );
+            }
+        });
     }
 
     /// Reads back a slice written by [`write_u64_slice_delta`].
     pub fn read_u64_slice_delta(r: &mut Reader<'_>) -> Result<Vec<u64>, CodecError> {
         let n = r.read_seq_len()?;
-        let block = r.read_byte_seq()?;
-        hh_space::decode_deltas(&block, n)
+        let block = r.read_byte_slice()?;
+        hh_space::decode_deltas(block, n)
             .ok_or_else(|| CodecError::invariant("malformed delta counter block"))
     }
 

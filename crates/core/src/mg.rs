@@ -290,12 +290,12 @@ impl Codec for MisraGries {
         w.write_u64(self.key_bits);
         w.write_u64(self.processed);
         w.write_seq_len(self.len);
-        let mut block = Vec::with_capacity(self.len * 6 + 8);
-        for (k, c) in self.live() {
-            hh_space::varint::push_uvarint(&mut block, k);
-            hh_space::varint::push_uvarint(&mut block, c);
-        }
-        w.write_byte_seq(&block);
+        w.write_byte_seq_with(|block| {
+            for (k, c) in self.live() {
+                hh_space::varint::push_uvarint(block, k);
+                hh_space::varint::push_uvarint(block, c);
+            }
+        });
     }
 
     fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -316,14 +316,14 @@ impl Codec for MisraGries {
         if n > capacity as usize {
             return Err(CodecError::invariant("MisraGries entries exceed capacity"));
         }
-        let block = r.read_byte_seq()?;
+        let block = r.read_byte_slice()?;
         let mut entries = Vec::with_capacity(n);
         let mut total = 0u64;
         let mut pos = 0usize;
         for _ in 0..n {
             let bad = || CodecError::invariant("MisraGries malformed entry block");
-            let k = hh_space::varint::read_uvarint(&block, &mut pos).ok_or_else(bad)?;
-            let c = hh_space::varint::read_uvarint(&block, &mut pos).ok_or_else(bad)?;
+            let k = hh_space::varint::read_uvarint(block, &mut pos).ok_or_else(bad)?;
+            let c = hh_space::varint::read_uvarint(block, &mut pos).ok_or_else(bad)?;
             if c == 0 {
                 return Err(CodecError::invariant("MisraGries zero-count entry"));
             }

@@ -485,13 +485,13 @@ impl Codec for SpaceSaving {
         w.write_u64(self.processed);
         let triples = self.entries();
         w.write_seq_len(triples.len());
-        let mut block = Vec::with_capacity(triples.len() * 10 + 8);
-        for &(i, c, e) in &triples {
-            hh_space::varint::push_uvarint(&mut block, i);
-            hh_space::varint::push_uvarint(&mut block, c);
-            hh_space::varint::push_uvarint(&mut block, e);
-        }
-        w.write_byte_seq(&block);
+        w.write_byte_seq_with(|block| {
+            for &(i, c, e) in &triples {
+                hh_space::varint::push_uvarint(block, i);
+                hh_space::varint::push_uvarint(block, c);
+                hh_space::varint::push_uvarint(block, e);
+            }
+        });
     }
 
     fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -515,14 +515,14 @@ impl Codec for SpaceSaving {
         if n > capacity {
             return Err(CodecError::invariant("SpaceSaving entries exceed capacity"));
         }
-        let block = r.read_byte_seq()?;
+        let block = r.read_byte_slice()?;
         let mut triples: Vec<(u64, u64, u64)> = Vec::with_capacity(n);
         let mut pos = 0usize;
         for _ in 0..n {
             let bad = || CodecError::truncated();
-            let i = hh_space::varint::read_uvarint(&block, &mut pos).ok_or_else(bad)?;
-            let c = hh_space::varint::read_uvarint(&block, &mut pos).ok_or_else(bad)?;
-            let e = hh_space::varint::read_uvarint(&block, &mut pos).ok_or_else(bad)?;
+            let i = hh_space::varint::read_uvarint(block, &mut pos).ok_or_else(bad)?;
+            let c = hh_space::varint::read_uvarint(block, &mut pos).ok_or_else(bad)?;
+            let e = hh_space::varint::read_uvarint(block, &mut pos).ok_or_else(bad)?;
             if c == 0 || e > c || c > processed {
                 return Err(CodecError::invariant("SpaceSaving malformed triple"));
             }

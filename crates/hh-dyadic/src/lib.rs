@@ -563,8 +563,7 @@ impl<S: MergeableSummary> Codec for DyadicHh<S> {
         // what the (already checksummed) buffer claims.
         let mut levels = Vec::with_capacity(n);
         for k in 0..n {
-            let buf = r.read_byte_seq()?;
-            let level = S::from_bytes(&buf)
+            let level = S::from_bytes(r.read_byte_slice()?)
                 .map_err(|e| CodecError::invariant(format!("dyadic level {}: {e}", k + 1)))?;
             levels.push(level);
         }

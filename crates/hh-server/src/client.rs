@@ -155,7 +155,12 @@ impl Client {
     /// One request/response exchange. `Error` responses become `Err`;
     /// every other response is returned as-is.
     pub fn call(&mut self, req: &Request) -> Result<Response, ProtocolError> {
-        if let Err(e) = self.conn.write_frame(&req.encode()) {
+        self.exchange(&req.encode())
+    }
+
+    /// [`Client::call`] for an already-encoded request body.
+    fn exchange(&mut self, body: &[u8]) -> Result<Response, ProtocolError> {
+        if let Err(e) = self.conn.write_frame(body) {
             // A server refusing at the door writes one parting frame
             // (RetryAfter) and closes; our request write then breaks.
             // Salvage that frame before reporting the transport error.
@@ -178,7 +183,12 @@ impl Client {
     /// Folds a [`Response::RetryAfter`] into [`ProtocolError::Overloaded`]
     /// for operations that expect a definite outcome.
     fn call_expecting(&mut self, req: &Request) -> Result<Response, ProtocolError> {
-        match self.call(req)? {
+        self.exchange_expecting(&req.encode())
+    }
+
+    /// [`Client::call_expecting`] for an already-encoded request body.
+    fn exchange_expecting(&mut self, body: &[u8]) -> Result<Response, ProtocolError> {
+        match self.exchange(body)? {
             Response::RetryAfter { millis } => Err(ProtocolError::Overloaded {
                 retry_after_ms: millis,
             }),
@@ -230,14 +240,8 @@ impl Client {
         req_seq: u64,
         items: &[u64],
     ) -> Result<u64, ProtocolError> {
-        let req = Request::Ingest {
-            tenant: tenant.to_string(),
-            shard,
-            client: self.client_id,
-            req_seq,
-            items: items.to_vec(),
-        };
-        match self.call_expecting(&req)? {
+        let body = Request::encode_ingest(tenant, shard, self.client_id, req_seq, items);
+        match self.exchange_expecting(&body)? {
             Response::Ingested { accepted } => Ok(accepted),
             _ => Err(ProtocolError::UnexpectedResponse("ingest wanted Ingested")),
         }

@@ -117,7 +117,15 @@ pub struct DeadlineConn<T: Transport> {
     /// Optional server-wide stop flag; when it flips, the idle wait
     /// between frames ends as a clean hang-up within one io tick.
     stop: Option<Arc<AtomicBool>>,
+    /// Outgoing frame (prefix + body), reused across writes; see
+    /// [`DeadlineConn::write_frame`].
+    out: Vec<u8>,
 }
+
+/// Largest outgoing-frame buffer a connection keeps between writes. A
+/// full ingest batch fits; a rare multi-megabyte snapshot reply is not
+/// held for the connection's lifetime.
+const KEEP_OUT_BUF: usize = 1 << 20;
 
 impl<T: Transport> DeadlineConn<T> {
     /// Wraps `inner` under `limits`.
@@ -126,6 +134,7 @@ impl<T: Transport> DeadlineConn<T> {
             inner,
             limits,
             stop: None,
+            out: Vec::new(),
         }
     }
 
@@ -202,10 +211,17 @@ impl<T: Transport> DeadlineConn<T> {
         self.inner.set_write_deadline(Some(self.limits.io))?;
         // One buffer, one write: prefix and body in the same segment so
         // the peer never waits on a second packet for a frame boundary.
-        let mut framed = Vec::with_capacity(4 + body.len());
-        framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        framed.extend_from_slice(body);
-        self.write_all_deadline(&framed, deadline)?;
+        // The buffer is the connection's own, so a frame costs one copy
+        // of the body and no allocation once the buffer has grown.
+        let mut out = std::mem::take(&mut self.out);
+        out.clear();
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(body);
+        let written = self.write_all_deadline(&out, deadline);
+        if out.capacity() <= KEEP_OUT_BUF {
+            self.out = out;
+        }
+        written?;
         self.inner.flush()?;
         Ok(())
     }

@@ -49,9 +49,12 @@ pub const DEDUP_CAP: usize = 4096;
 /// One acked ingest batch, as logged to (and replayed from) the WAL.
 ///
 /// The encoding is plain little-endian — `[u32 shard][u64 client]
-/// [u64 req_seq][u32 count][count × u64 items]` — not the snapshot
-/// codec: the WAL record layer already owns framing and checksumming,
-/// so the payload only needs to be unambiguous and bounded.
+/// [u64 req_seq][u32 count][count × u64 items]` — not a tagged
+/// snapshot: the WAL record layer already owns framing and
+/// checksumming, so the payload only needs to be unambiguous and
+/// bounded. The items are the same raw word block an `Ingest` request
+/// carries on the wire, written and read through the codec's bulk word
+/// channel.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestFrame {
     /// Target shard in the tenant's bank.
@@ -68,15 +71,18 @@ pub struct IngestFrame {
 /// the hot-path form, no [`IngestFrame`] allocation.
 pub fn encode_frame(shard: u32, client: u64, req_seq: u64, items: &[u64], out: &mut Vec<u8>) {
     out.clear();
-    out.reserve(24 + items.len() * 8);
+    out.reserve(FRAME_HEADER + items.len() * 8);
     out.extend_from_slice(&shard.to_le_bytes());
     out.extend_from_slice(&client.to_le_bytes());
     out.extend_from_slice(&req_seq.to_le_bytes());
     out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-    for &item in items {
-        out.extend_from_slice(&item.to_le_bytes());
-    }
+    let mut w = Writer::from(std::mem::take(out));
+    w.write_u64_words(items);
+    *out = w.into_bytes();
 }
+
+/// Bytes of an ingest frame before its item block.
+const FRAME_HEADER: usize = 24;
 
 impl IngestFrame {
     /// Encodes into `out` (cleared first).
@@ -92,31 +98,28 @@ impl IngestFrame {
     /// checksum-valid record is structural damage, not a torn tail, and
     /// leaves `self` unspecified.
     pub fn decode_from(&mut self, buf: &[u8]) -> Result<(), String> {
-        if buf.len() < 24 {
-            return Err(format!("ingest frame of {} bytes is too short", buf.len()));
-        }
-        let count = u32::from_le_bytes(buf[20..24].try_into().expect("sized")) as usize;
+        let (header, block) = buf
+            .split_at_checked(FRAME_HEADER)
+            .ok_or_else(|| format!("ingest frame of {} bytes is too short", buf.len()))?;
+        let count = u32::from_le_bytes(header[20..24].try_into().expect("sized")) as usize;
         if count > MAX_BATCH {
             return Err(format!(
                 "ingest frame claims {count} items, above the {MAX_BATCH}-item cap"
             ));
         }
-        if buf.len() != 24 + count * 8 {
+        if block.len() != count * 8 {
             return Err(format!(
                 "ingest frame length {} does not match {count} items",
                 buf.len()
             ));
         }
-        self.shard = u32::from_le_bytes(buf[0..4].try_into().expect("sized"));
-        self.client = u64::from_le_bytes(buf[4..12].try_into().expect("sized"));
-        self.req_seq = u64::from_le_bytes(buf[12..20].try_into().expect("sized"));
+        self.shard = u32::from_le_bytes(header[0..4].try_into().expect("sized"));
+        self.client = u64::from_le_bytes(header[4..12].try_into().expect("sized"));
+        self.req_seq = u64::from_le_bytes(header[12..20].try_into().expect("sized"));
         self.items.clear();
-        self.items.extend(
-            buf[24..]
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)"))),
-        );
-        Ok(())
+        Reader::new(block)
+            .read_u64_words_into(count, &mut self.items)
+            .map_err(|e| e.to_string())
     }
 }
 

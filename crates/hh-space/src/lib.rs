@@ -61,4 +61,4 @@ pub use space::{
     merged_sparse_slice_bits, sparse_slice_bits, SpaceUsage,
 };
 pub use varcount::VarCounterArray;
-pub use varint::{decode_deltas, decode_uvarints, encode_deltas, encode_uvarints};
+pub use varint::{decode_deltas, decode_uvarints, push_deltas, push_uvarints};

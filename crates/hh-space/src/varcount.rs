@@ -32,13 +32,13 @@ pub struct VarCounterArray {
 impl Codec for VarCounterArray {
     fn write_to(&self, w: &mut Writer) {
         w.write_seq_len(self.counts.len());
-        w.write_byte_seq(&crate::varint::encode_uvarints(&self.counts));
+        w.write_byte_seq_with(|out| crate::varint::push_uvarints(out, &self.counts));
     }
 
     fn read_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let n = r.read_seq_len()?;
-        let block = r.read_byte_seq()?;
-        let counts = crate::varint::decode_uvarints(&block, n)
+        let block = r.read_byte_slice()?;
+        let counts = crate::varint::decode_uvarints(block, n)
             .ok_or_else(|| CodecError::invariant("malformed counter varint block"))?;
         let model_bit_sum = counts.iter().map(|&c| gamma_bits(c)).sum();
         Ok(Self {

@@ -5,16 +5,17 @@
 //! deferred-accounting analysis prices them at `O(1)` expected bits
 //! each; that is the whole point of the Theorem-2 space bound). Writing
 //! them as fixed 8-byte words costs 8× the information content *and*
-//! one codec call per cell. These helpers instead encode a whole
-//! slice into a contiguous byte block — preallocated once, written
-//! once — that travels through the codec's bulk byte channel
-//! ([`crate::codec::Writer::write_byte_seq`]) as a single length-prefixed `memcpy`.
+//! one codec call per cell. These helpers instead append a whole
+//! slice as one contiguous byte block — reserved once, written once —
+//! straight into the buffer of the codec's bulk byte channel
+//! ([`crate::codec::Writer::write_byte_seq_with`]), and decode it in
+//! place from a borrowed slice ([`crate::codec::Reader::read_byte_slice`]).
 //!
 //! Two encodings:
 //!
-//! * [`encode_uvarints`] — plain LEB128 per value: 1 byte for values
+//! * [`push_uvarints`] — plain LEB128 per value: 1 byte for values
 //!   below 128, which covers essentially every live T2/T3 cell.
-//! * [`encode_deltas`] — first value plus LEB128 *gaps*, for
+//! * [`push_deltas`] — first value plus LEB128 *gaps*, for
 //!   **non-decreasing** slices (epoch threshold tables, offset arrays),
 //!   where the gaps are small even when the values are not.
 //!
@@ -74,16 +75,16 @@ const LANES: usize = 8;
 /// 8 packed single-byte values.
 const CONT_BITS: u64 = 0x8080_8080_8080_8080;
 
-/// Encodes `values` as back-to-back LEB128 varints.
+/// Appends `values` to `out` as back-to-back LEB128 varints.
 ///
 /// Counter slices are almost entirely sub-128 values (1 encoded byte),
 /// so the encoder runs 8 values per step: one OR-fold proves the whole
 /// lane is single-byte and writes it as one 8-byte block; lanes with a
-/// wide value fall back to per-value encoding. The output is
-/// preallocated for the all-small common case and grows only when wide
-/// values appear.
-pub fn encode_uvarints(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() + values.len() / 8 + 16);
+/// wide value fall back to per-value encoding. Room is reserved for the
+/// all-small common case, so `out` grows again only when wide values
+/// appear.
+pub fn push_uvarints(out: &mut Vec<u8>, values: &[u64]) {
+    out.reserve(values.len() + values.len() / 8 + 16);
     let lanes = values.len() / LANES * LANES;
     for chunk in values[..lanes].chunks_exact(LANES) {
         if chunk.iter().fold(0, |a, &v| a | v) < 0x80 {
@@ -94,17 +95,16 @@ pub fn encode_uvarints(values: &[u64]) -> Vec<u8> {
             out.extend_from_slice(&packed);
         } else {
             for &v in chunk {
-                push_uvarint(&mut out, v);
+                push_uvarint(out, v);
             }
         }
     }
     for &v in &values[lanes..] {
-        push_uvarint(&mut out, v);
+        push_uvarint(out, v);
     }
-    out
 }
 
-/// Decodes exactly `n` values written by [`encode_uvarints`]. `None` if
+/// Decodes exactly `n` values written by [`push_uvarints`]. `None` if
 /// the block truncates early, carries an invalid run, or has leftover
 /// bytes after the `n`-th value.
 ///
@@ -146,25 +146,28 @@ pub fn decode_uvarints(buf: &[u8], n: usize) -> Option<Vec<u64>> {
     (pos == buf.len()).then_some(out)
 }
 
-/// Encodes a **non-decreasing** slice as its first value followed by
-/// LEB128 gaps. Returns `None` if the slice decreases anywhere (callers
-/// fall back to [`encode_uvarints`]); the empty slice encodes to an
-/// empty block.
-pub fn encode_deltas(values: &[u64]) -> Option<Vec<u8>> {
-    let Some(&first) = values.first() else {
-        return Some(Vec::new());
-    };
-    let mut out = Vec::with_capacity(values.len() + uvarint_len(first));
-    push_uvarint(&mut out, first);
-    let mut prev = first;
-    for &v in &values[1..] {
-        push_uvarint(&mut out, v.checked_sub(prev)?);
-        prev = v;
+/// Appends a **non-decreasing** slice to `out` as its first value
+/// followed by LEB128 gaps; the empty slice appends nothing.
+///
+/// # Errors
+/// `Err(i)` if `values[i] > values[i + 1]`. The slice is checked before
+/// anything is written, so `out` is then unchanged.
+pub fn push_deltas(out: &mut Vec<u8>, values: &[u64]) -> Result<(), usize> {
+    if let Some(i) = values.windows(2).position(|p| p[1] < p[0]) {
+        return Err(i);
     }
-    Some(out)
+    let Some(&first) = values.first() else {
+        return Ok(());
+    };
+    out.reserve(values.len() + uvarint_len(first));
+    push_uvarint(out, first);
+    for p in values.windows(2) {
+        push_uvarint(out, p[1] - p[0]);
+    }
+    Ok(())
 }
 
-/// Decodes exactly `n` values written by [`encode_deltas`]; `None` on
+/// Decodes exactly `n` values written by [`push_deltas`]; `None` on
 /// any malformation, including a cumulative sum overflowing `u64`.
 pub fn decode_deltas(buf: &[u8], n: usize) -> Option<Vec<u64>> {
     if n == 0 {
@@ -188,6 +191,18 @@ pub fn decode_deltas(buf: &[u8], n: usize) -> Option<Vec<u64>> {
 mod tests {
     use super::*;
 
+    fn uvarints(values: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_uvarints(&mut out, values);
+        out
+    }
+
+    fn deltas(values: &[u64]) -> Result<Vec<u8>, usize> {
+        let mut out = Vec::new();
+        push_deltas(&mut out, values)?;
+        Ok(out)
+    }
+
     #[test]
     fn single_values_round_trip_at_every_width() {
         let mut probes = vec![0u64, 1, 127, 128, 300, u32::MAX as u64];
@@ -206,19 +221,19 @@ mod tests {
     #[test]
     fn slices_round_trip_and_compress_small_values() {
         let values: Vec<u64> = (0..10_000u64).map(|i| i % 7).collect();
-        let block = encode_uvarints(&values);
+        let block = uvarints(&values);
         assert_eq!(block.len(), values.len(), "small values take 1 byte");
         assert_eq!(decode_uvarints(&block, values.len()).unwrap(), values);
         // Mixed widths too.
         let wide = vec![0, u64::MAX, 1, 1 << 40, 127, 128];
-        let block = encode_uvarints(&wide);
+        let block = uvarints(&wide);
         assert_eq!(decode_uvarints(&block, wide.len()).unwrap(), wide);
     }
 
     #[test]
     fn decode_rejects_malformed_blocks() {
         let values = vec![5u64, 300, 7];
-        let block = encode_uvarints(&values);
+        let block = uvarints(&values);
         // Truncation, wrong element count, trailing garbage.
         assert_eq!(decode_uvarints(&block[..block.len() - 1], 3), None);
         assert_eq!(decode_uvarints(&block, 2), None);
@@ -240,20 +255,23 @@ mod tests {
     #[test]
     fn deltas_round_trip_monotone_slices() {
         let thresholds = vec![51u64, 71, 100, 142, 200, 283, 400];
-        let block = encode_deltas(&thresholds).unwrap();
+        let block = deltas(&thresholds).unwrap();
         assert!(block.len() < 8 * thresholds.len());
         assert_eq!(decode_deltas(&block, thresholds.len()).unwrap(), thresholds);
-        // Plateaus are fine (gap 0); decreases are not.
-        assert!(encode_deltas(&[3, 3, 4]).is_some());
-        assert_eq!(encode_deltas(&[3, 2]), None);
+        // Plateaus are fine (gap 0); decreases are not, and name their
+        // index without writing anything.
+        assert!(deltas(&[3, 3, 4]).is_ok());
+        let mut out = vec![0xAB];
+        assert_eq!(push_deltas(&mut out, &[3, 4, 2]), Err(1));
+        assert_eq!(out, [0xAB]);
         // Empty slice.
-        assert_eq!(encode_deltas(&[]).unwrap(), Vec::<u8>::new());
+        assert_eq!(deltas(&[]).unwrap(), Vec::<u8>::new());
         assert_eq!(decode_deltas(&[], 0), Some(Vec::new()));
     }
 
     #[test]
     fn delta_decode_rejects_overflow_and_truncation() {
-        let block = encode_deltas(&[u64::MAX - 1, u64::MAX]).unwrap();
+        let block = deltas(&[u64::MAX - 1, u64::MAX]).unwrap();
         assert_eq!(
             decode_deltas(&block, 2).unwrap(),
             vec![u64::MAX - 1, u64::MAX]

@@ -142,7 +142,7 @@ fn fuzzed_request_frames_never_kill_the_server() {
     }
 
     // (1d) Tag swap: a response body where a request belongs.
-    let swapped = corrupt::swap_tag(&valid, "hh.proto.req.v2", "hh.proto.rsp.v2")
+    let swapped = corrupt::swap_tag(&valid, hh_server::REQUEST_TAG, hh_server::RESPONSE_TAG)
         .expect("request bodies start with the request tag");
     assert!(
         matches!(
