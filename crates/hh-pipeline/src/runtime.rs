@@ -721,6 +721,20 @@ impl<S: MergeableSummary + Send + 'static> ShardRuntime<S> {
         self.capture_checkpoints(&pending)
     }
 
+    /// Arms the recovery slots with bytes the caller already holds,
+    /// one per shard in order, without flushing or re-encoding: the
+    /// snapshot a bank was just restored from, or the encoding a fresh
+    /// bank was just given. The caller vouches that each entry restores
+    /// to its shard's current state; [`ShardRuntime::recover`] rebuilds
+    /// from exactly these bytes until the next checkpoint replaces them.
+    ///
+    /// # Panics
+    /// If `bytes` does not hold exactly one entry per shard.
+    pub fn seed_checkpoints(&mut self, bytes: Vec<Bytes>) {
+        assert_eq!(bytes.len(), self.cells.len(), "one checkpoint per shard");
+        self.checkpoints = bytes.into_iter().map(Some).collect();
+    }
+
     /// Snapshots every shard except poisoned ones and `skip` into the
     /// recovery slots, returning what was captured.
     fn capture_checkpoints(&mut self, skip: &[usize]) -> Vec<(usize, Bytes)> {

@@ -17,6 +17,31 @@
 //!   double-applying. Bounded FIFO (oldest client evicted), and
 //!   persisted inside the checkpoint bundle so exactly-once survives
 //!   recovery.
+//!
+//! # The exactly-once contract
+//!
+//! The table keeps one entry per client, so exactly-once rests on how
+//! clients number their requests:
+//!
+//! * a client's `req_seq` rises with every new request it sends to a
+//!   tenant (gaps are fine; [`crate::Client`] uses one counter for all
+//!   tenants);
+//! * a client sends request `k + 1` only after request `k` is acked
+//!   (retries of `k` reuse `k`).
+//!
+//! Under that contract any `req_seq` *below* the client's latest was
+//! applied before the latest was admitted: it can only be a late copy
+//! of an acked request — say, the original frame of a retry that was
+//! itself acked, reaching the server after the client moved on. The
+//! table answers it as a duplicate and does not apply it: the ack
+//! carries the batch's own length, and its commit wait covers the
+//! client's latest record, which sits after the original's in the log.
+//! A `req_seq` equal to the latest replays that request's own ack.
+//!
+//! A client that FIFO eviction at [`DEDUP_CAP`] has dropped from the
+//! table (more than `DEDUP_CAP` newer clients were admitted since its
+//! last request) loses this protection: its next request, retry or
+//! not, is applied as new.
 //! * [`BankSnapshot`] — the one-file checkpoint bundle: every shard's
 //!   summary bytes, the per-shard WAL high-water marks those bytes
 //!   reflect, and the dedup table. One file because the pieces are
@@ -145,15 +170,18 @@ pub struct DedupTable {
 }
 
 impl DedupTable {
-    /// Looks up a retry: returns the original ack if `(client,
-    /// req_seq)` matches the client's latest request. `client` 0 is
-    /// anonymous and never deduplicated.
+    /// Looks up a duplicate: a `req_seq` at or below the client's
+    /// latest one (see the module docs for why a lower one is already
+    /// applied). Returns the client's latest entry — for an exact retry
+    /// that is the original ack; for an older request its `wal_seq` is
+    /// the record whose commit covers it. `client` 0 is anonymous and
+    /// never deduplicated.
     pub fn check(&mut self, client: u64, req_seq: u64) -> Option<DedupEntry> {
         if client == 0 {
             return None;
         }
         let entry = self.entries.get(&client)?;
-        if entry.req_seq == req_seq {
+        if req_seq <= entry.req_seq {
             self.hits += 1;
             return Some(*entry);
         }
@@ -344,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn dedup_answers_retries_and_forgets_superseded_seqs() {
+    fn dedup_answers_retries_and_late_older_requests() {
         let mut t = DedupTable::default();
         assert!(t.check(7, 1).is_none());
         t.admit(
@@ -358,7 +386,9 @@ mod tests {
         let hit = t.check(7, 1).unwrap();
         assert_eq!((hit.accepted, hit.wal_seq), (100, 5));
         assert_eq!(t.hits(), 1);
-        // A newer request from the same client supersedes the entry.
+        // A newer request from the same client supersedes the entry; a
+        // late copy of the older one is still a duplicate, answered
+        // with the latest entry (whose record covers it).
         t.admit(
             7,
             DedupEntry {
@@ -367,8 +397,9 @@ mod tests {
                 wal_seq: 6,
             },
         );
-        assert!(t.check(7, 1).is_none());
+        assert_eq!(t.check(7, 1).map(|e| e.wal_seq), Some(6));
         assert!(t.check(7, 2).is_some());
+        assert!(t.check(7, 3).is_none(), "a newer request is new");
         // Client 0 is anonymous.
         t.admit(
             0,

@@ -42,7 +42,6 @@
 
 use crate::conn::{ConnLimits, DeadlineConn, Transport};
 use crate::durability::{BankSnapshot, Durability, IngestFrame};
-use crate::facade::TenantSpec;
 use crate::proto::{validate_tenant_name, ProtocolError, Request, Response, ServerHealth};
 use crate::store::{RecoveredTenant, Store};
 use crate::tenant::{Tenant, RETRY_AFTER_MS};
@@ -136,8 +135,11 @@ impl ServerConfig {
 /// broken (its disk state failed to rehydrate).
 enum Slot {
     Live(Box<Tenant>),
-    /// On disk only; rehydrated on next touch.
-    Evicted,
+    /// On disk; rehydrated on next touch. Holds the tenant's open log
+    /// when the eviction save covered every record in it
+    /// ([`Tenant::into_covered_wal`]): rehydration reattaches that
+    /// handle instead of scanning the log. `None` means scan.
+    Evicted(Option<Arc<Wal>>),
     /// Rehydration failed (reason recorded); requests are refused as
     /// quarantined until an operator intervenes on disk.
     Broken(String),
@@ -439,10 +441,17 @@ fn lock_registry(shared: &Shared) -> std::sync::MutexGuard<'_, Registry> {
 }
 
 /// Rebuilds a tenant from its recovered checkpoint bundle and — when
-/// the server runs with a WAL — replays the log tail over it. Shared
-/// by the boot scan and eviction rehydration, so a kill at *any* point
-/// recovers through exactly one code path. Returns the tenant and the
-/// torn-tail bytes its log open cut.
+/// the server runs with a WAL — attaches its log. Shared by the boot
+/// scan and eviction rehydration, so a kill at *any* point recovers
+/// through exactly one code path. Returns the tenant and the torn-tail
+/// bytes its log open cut.
+///
+/// The one branch is where the log comes from. `kept` is the open
+/// handle an eviction left in [`Slot::Evicted`] because the bundle
+/// covers every record in it: it is reattached as is — no directory
+/// scan, no checksum, no frame decode — since replay would skip every
+/// record. Otherwise (boot, and evictions that left records uncovered)
+/// the log is opened and its tail replayed over the bundle.
 ///
 /// Replay streams: each record's payload is decoded straight out of the
 /// scan buffer into one reused frame and applied before the next record
@@ -458,18 +467,22 @@ fn hydrate(
     config: &ServerConfig,
     store: &Store,
     rec: RecoveredTenant,
+    kept: Option<Arc<Wal>>,
 ) -> Result<(Tenant, u64), String> {
     let RecoveredTenant {
         name,
         spec,
         shards,
+        shard_bytes,
         hwms,
         dedup,
     } = rec;
-    let mut tenant = Tenant::from_bank(spec, shards).map_err(|e| e.to_string())?;
+    let mut tenant = Tenant::from_bank(spec, shards, shard_bytes).map_err(|e| e.to_string())?;
     tenant.restore_durability(&hwms, &dedup);
     let mut truncated = 0;
-    if let Some(wal_cfg) = config.wal_config(store.wal_dir(&name)) {
+    if let Some(wal) = kept {
+        tenant.attach_wal(wal);
+    } else if let Some(wal_cfg) = config.wal_config(store.wal_dir(&name)) {
         // A log reopened after a crash must never re-issue a sequence
         // number the bundle's marks already cover — the hint floors
         // the next sequence past them even if the tail itself was
@@ -518,7 +531,7 @@ fn hydrate_all(
                     let mut done = Vec::new();
                     while let Some(t) = next() {
                         let name = t.name.clone();
-                        done.push((name, hydrate(config, store, t)));
+                        done.push((name, hydrate(config, store, t, None)));
                     }
                     done
                 })
@@ -690,8 +703,9 @@ fn dispatch(shared: &Arc<Shared>, req: &Request) -> Result<Response, ProtocolErr
                 t.attach_wal(Arc::new(wal));
             }
             // Persist immediately: a crash before the first periodic
-            // checkpoint must not forget the tenant exists.
-            let bank = t.checkpoint(shared.config.checkpoint_timeout);
+            // checkpoint must not forget the tenant exists. This is the
+            // spec's only write: later saves rewrite the bundle alone.
+            let bank = t.bundle();
             shared.store.save_tenant(tenant, spec, &bank)?;
             touch(&mut reg, &mut t);
             reg.slots.insert(tenant.clone(), Slot::Live(Box::new(t)));
@@ -781,14 +795,15 @@ fn resident_tenant<'a>(
     reg: &'a mut std::sync::MutexGuard<'_, Registry>,
     name: &str,
 ) -> Result<&'a mut Tenant, ProtocolError> {
-    match reg.slots.get(name) {
+    match reg.slots.get_mut(name) {
         None => return Err(ProtocolError::UnknownTenant(name.to_string())),
         Some(Slot::Broken(reason)) => {
             return Err(ProtocolError::Quarantined(format!("{name} ({reason})")))
         }
-        Some(Slot::Evicted) => {
+        Some(Slot::Evicted(kept)) => {
+            let kept = kept.take();
             let slot = match shared.store.load_tenant(name) {
-                Ok(rec) => match hydrate(&shared.config, &shared.store, rec) {
+                Ok(rec) => match hydrate(&shared.config, &shared.store, rec, kept) {
                     Ok((t, truncated)) => {
                         shared
                             .stats
@@ -877,15 +892,15 @@ fn enforce_memory_budget(shared: &Shared, keep: Option<&str>) {
             return;
         };
         let bank = t.checkpoint(shared.config.checkpoint_timeout);
-        let spec = t.spec;
-        if shared.store.save_tenant(&victim, &spec, &bank).is_ok() {
+        if shared.store.save_bank(&victim, &bank).is_ok() {
             // The bundle covers everything up to the marks; retire the
             // sealed WAL segments it makes redundant before the tenant
-            // (and its log handle) leaves memory.
+            // leaves memory.
             if let Some(wal) = t.wal() {
                 let _ = wal.compact(t.covered_seq());
             }
-            reg.slots.insert(victim, Slot::Evicted);
+            reg.slots
+                .insert(victim, Slot::Evicted(t.into_covered_wal()));
             shared.stats.evictions.fetch_add(1, Ordering::Relaxed);
         } else {
             // A failed save keeps the tenant resident (no data loss).
@@ -908,7 +923,7 @@ fn checkpoint_all(shared: &Shared) -> u64 {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     // Collect bundles under the lock, write outside it.
-    type Round = (String, TenantSpec, BankSnapshot, Option<(Arc<Wal>, u64)>);
+    type Round = (String, BankSnapshot, Option<(Arc<Wal>, u64)>);
     let work: Vec<Round> = {
         let mut reg = lock_registry(shared);
         let names: Vec<String> = reg.slots.keys().cloned().collect();
@@ -917,14 +932,14 @@ fn checkpoint_all(shared: &Shared) -> u64 {
             if let Some(Slot::Live(t)) = reg.slots.get_mut(&name) {
                 let bank = t.checkpoint(shared.config.checkpoint_timeout);
                 let wal = t.wal().map(|w| (Arc::clone(w), t.covered_seq()));
-                work.push((name.clone(), t.spec, bank, wal));
+                work.push((name.clone(), bank, wal));
             }
         }
         work
     };
     let mut saved = 0;
-    for (name, spec, bank, wal) in work {
-        if shared.store.save_tenant(&name, &spec, &bank).is_ok() {
+    for (name, bank, wal) in work {
+        if shared.store.save_bank(&name, &bank).is_ok() {
             saved += 1;
             // Only after the bundle durably covers them may the sealed
             // segments below the marks be retired; a failed save keeps
@@ -997,7 +1012,7 @@ fn build_health(shared: &Shared) -> ServerHealth {
                 }
             }
             Slot::Broken(_) => quarantined.push(name.clone()),
-            Slot::Evicted => {}
+            Slot::Evicted(_) => {}
         }
     }
     quarantined.sort();
@@ -1028,7 +1043,7 @@ fn build_health(shared: &Shared) -> ServerHealth {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::facade::SummaryKind;
+    use crate::facade::{SummaryKind, TenantSpec};
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hh-server-srv-{tag}-{}", std::process::id()));
@@ -1423,6 +1438,206 @@ mod tests {
                 "tenant {name}: acked ingests lost in eviction churn"
             );
         }
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The log handle `name` holds: its live tenant's, or the one its
+    /// `Evicted` slot keeps. The second value says whether it is live.
+    fn log_of(server: &Server, name: &str) -> (Option<Arc<Wal>>, bool) {
+        let reg = lock_registry(&server.shared);
+        match reg.slots.get(name) {
+            Some(Slot::Live(t)) => (t.wal().cloned(), true),
+            Some(Slot::Evicted(kept)) => (kept.clone(), false),
+            _ => panic!("tenant {name} is neither live nor evicted"),
+        }
+    }
+
+    /// A config where nothing fits: touching one tenant evicts the
+    /// other, and only explicit rounds checkpoint.
+    fn churn_config(root: &std::path::Path) -> ServerConfig {
+        ServerConfig {
+            memory_budget_bytes: 1,
+            checkpoint_every: Duration::from_secs(3600),
+            ..ServerConfig::fast(root)
+        }
+    }
+
+    /// A one-shard Algorithm-2 tenant over a small universe: an item
+    /// outside it trips the summary's debug assertion, which panics the
+    /// shard mid-ingest — a deterministic way to poison a served shard
+    /// (the runtime quarantines it, and checkpoints skip it).
+    #[cfg(debug_assertions)]
+    fn algo2_spec() -> TenantSpec {
+        TenantSpec {
+            kind: SummaryKind::Algo2,
+            universe: 1 << 16,
+            m: 1 << 16,
+            ..spec()
+        }
+    }
+
+    #[test]
+    fn covered_eviction_keeps_the_log_open_and_rehydration_reattaches_it() {
+        use hh_core::{MergeableSummary as _, StreamSummary as _};
+        let root = tmp_root("keep-log");
+        let cfg = churn_config(&root);
+        let server =
+            Server::start(cfg.clone(), Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+        let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+        let names = ["a", "b"];
+        let mut oracles: Vec<_> = names
+            .iter()
+            .map(|&n| {
+                client.create(n, spec()).unwrap();
+                spec().build_bank().unwrap().remove(0)
+            })
+            .collect();
+        for cycle in 0..4u64 {
+            for (k, &name) in names.iter().enumerate() {
+                let other = names[1 - k];
+                let (kept, live) = log_of(&server, name);
+                assert!(!live, "cycle {cycle}: {name} should be evicted");
+                let kept = kept.expect("a covered eviction keeps the log");
+                let last = kept.stats().appended_seq;
+                let items = vec![cycle * 10 + k as u64; 40 + cycle as usize];
+                client.ingest(name, 0, &items).unwrap();
+                oracles[k].insert_batch(&items);
+                let (now, live) = log_of(&server, name);
+                assert!(live);
+                assert!(
+                    Arc::ptr_eq(&kept, &now.unwrap()),
+                    "cycle {cycle}: rehydrating {name} reopened its log"
+                );
+                assert_eq!(
+                    kept.stats().appended_seq,
+                    last + 1,
+                    "the sequence continues"
+                );
+                assert!(matches!(log_of(&server, other), (Some(_), false)));
+            }
+        }
+        assert!(client.health().unwrap().evictions >= 8);
+        server.kill();
+
+        let server = Server::start(cfg, Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+        let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+        assert!(client.health().unwrap().quarantined.is_empty());
+        for (name, oracle) in names.iter().zip(&oracles) {
+            assert_eq!(
+                client.snapshot(name).unwrap(),
+                oracle.to_bytes().as_ref(),
+                "tenant {name}: an acked batch was lost or doubled"
+            );
+        }
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn eviction_with_a_skipped_shard_rescans_the_log_and_loses_nothing() {
+        use hh_core::{MergeableSummary as _, StreamSummary as _};
+        let root = tmp_root("skip-scan");
+        let server = Server::start(
+            churn_config(&root),
+            Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
+        )
+        .unwrap();
+        let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+        client.create("t", algo2_spec()).unwrap();
+        let mut oracle = algo2_spec().build_bank().unwrap().remove(0);
+        let acked: Vec<u64> = (0..500).map(|i| i % 37).collect();
+        client.ingest("t", 0, &acked).unwrap();
+        oracle.insert_batch(&acked);
+        // Poison the shard: the batch is refused and never logged, and
+        // the acked one above sits in the log past the shard's mark.
+        assert!(matches!(
+            client.ingest("t", 0, &[1 << 20]).unwrap_err(),
+            ProtocolError::Quarantined(_)
+        ));
+        let (open, _) = log_of(&server, "t");
+        // Creating a second tenant evicts "t".
+        client.create("other", spec()).unwrap();
+        assert!(
+            matches!(log_of(&server, "t"), (None, false)),
+            "a skipped shard leaves the log uncovered: nothing may be kept"
+        );
+        assert_eq!(
+            client.snapshot("t").unwrap(),
+            oracle.to_bytes().as_ref(),
+            "the scan must replay the acked batch over the last-good bytes"
+        );
+        let (reopened, _) = log_of(&server, "t");
+        assert!(!Arc::ptr_eq(&open.unwrap(), &reopened.unwrap()));
+        assert!(client.health().unwrap().wal_replayed >= 1);
+        // The rehydrated shard is whole again and keeps ingesting.
+        client.ingest("t", 0, &acked).unwrap();
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn recover_after_rehydration_rebuilds_the_shard_from_the_loaded_bytes() {
+        let root = tmp_root("recover-rehydrated");
+        let server = Server::start(
+            churn_config(&root),
+            Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
+        )
+        .unwrap();
+        let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+        client.create("t", algo2_spec()).unwrap();
+        let items: Vec<u64> = (0..800).map(|i| (i * 7) % 113).collect();
+        client.ingest("t", 0, &items).unwrap();
+        // Creating a second tenant evicts "t".
+        client.create("other", spec()).unwrap();
+        // Rehydrate with a read: no checkpoint runs, so the recovery
+        // slot holds exactly the bytes the bundle was loaded from.
+        let loaded = client.snapshot("t").unwrap();
+        assert!(matches!(log_of(&server, "t"), (Some(_), true)));
+        assert!(matches!(
+            client.ingest("t", 0, &[1 << 20]).unwrap_err(),
+            ProtocolError::Quarantined(_)
+        ));
+        assert_eq!(client.health().unwrap().quarantined, vec!["t".to_string()]);
+        assert_eq!(client.recover("t").unwrap(), 1, "one shard rebuilt");
+        assert!(client.health().unwrap().quarantined.is_empty());
+        assert_eq!(client.snapshot("t").unwrap(), loaded);
+        client.ingest("t", 0, &items).unwrap();
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn checkpoints_and_evictions_never_rewrite_the_spec() {
+        use std::os::unix::fs::MetadataExt as _;
+        let root = tmp_root("spec-once");
+        let cfg = churn_config(&root);
+        let server =
+            Server::start(cfg.clone(), Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+        let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+        client.create("t", spec()).unwrap();
+        let spec_file = root.join("t").join("spec.hhs");
+        let bank_file = root.join("t").join("bank.hhs");
+        let inode = |path: &std::path::Path| std::fs::metadata(path).unwrap().ino();
+        let (spec_ino, bank_ino) = (inode(&spec_file), inode(&bank_file));
+        client.ingest("t", 0, &[5; 300]).unwrap();
+        assert_eq!(client.checkpoint().unwrap(), 1);
+        // Creating a second tenant evicts "t".
+        client.create("other", spec()).unwrap();
+        client.ingest("t", 0, &[6; 200]).unwrap();
+        assert!(client.health().unwrap().evictions >= 2);
+        assert_ne!(inode(&bank_file), bank_ino, "the bundle was rewritten");
+        assert_eq!(inode(&spec_file), spec_ino, "the spec was rewritten");
+        server.kill();
+
+        let server = Server::start(cfg, Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+        let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+        assert_eq!(client.health().unwrap().recovered_tenants, 2);
+        let (entries, _) = client.query("t").unwrap();
+        let count = |item| entries.iter().find(|e| e.0 == item).map_or(0.0, |e| e.1);
+        assert_eq!((count(5), count(6)), (300.0, 200.0));
         server.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }

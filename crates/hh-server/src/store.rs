@@ -19,11 +19,18 @@
 //! marks (records replayed twice) or old bytes with new marks (acked
 //! records never replayed — silent loss).
 //!
+//! The spec never changes after `Create`, so it is written once, by
+//! [`Store::save_tenant`] when the tenant is created. Checkpoint rounds
+//! and eviction saves rewrite only the bundle ([`Store::save_bank`]).
+//!
 //! Every file is written `tmp → fsync → rename → fsync(dir)`, so a
 //! crash — or a power cut — mid-write leaves either the old file or
 //! the new one, durably, and never a torn one. Every
 //! file is a tagged, checksummed snapshot-codec buffer, so the boot
 //! scan can verify integrity before trusting a byte of payload.
+//! Loading keeps each shard's verified snapshot bytes next to the
+//! summary decoded from them ([`RecoveredTenant::shard_bytes`]), so a
+//! restored tenant never re-encodes what it just read.
 //!
 //! The scan itself is *quarantine, don't refuse*: a tenant whose spec
 //! or bundle fails verification is moved aside into `.quarantine/`
@@ -34,6 +41,7 @@
 use crate::durability::{BankSnapshot, DedupEntry};
 use crate::facade::{DynSummary, TenantSpec};
 use crate::proto::{validate_tenant_name, ProtocolError};
+use bytes::Bytes;
 use hh_core::mergeable::snapshot;
 use hh_core::MergeableSummary;
 use std::fs;
@@ -62,6 +70,10 @@ pub struct RecoveredTenant {
     pub spec: TenantSpec,
     /// The restored shard bank, in shard order.
     pub shards: Vec<DynSummary>,
+    /// The verified snapshot bytes each shard was decoded from, in
+    /// shard order. Restore then snapshot is bit-identical for every
+    /// kind, so these are the shard's current encoding.
+    pub shard_bytes: Vec<Bytes>,
     /// Per-shard WAL high-water marks from the bundle.
     pub hwms: Vec<u64>,
     /// The dedup table from the bundle.
@@ -126,10 +138,10 @@ impl Store {
         self.tenant_dir(name).join(WAL_DIR)
     }
 
-    /// Persists one tenant: its spec plus the checkpoint bundle, each
-    /// file written atomically. The tenant name must already have
-    /// passed [`validate_tenant_name`] (enforced again here — the name
-    /// becomes a path component).
+    /// Persists a new tenant: creates its directory and writes its
+    /// spec, then its first checkpoint bundle, each file atomically.
+    /// The tenant name must already have passed [`validate_tenant_name`]
+    /// (enforced again here — the name becomes a path component).
     pub fn save_tenant(
         &self,
         name: &str,
@@ -140,7 +152,15 @@ impl Store {
         let dir = self.tenant_dir(name);
         fs::create_dir_all(&dir).map_err(ProtocolError::from)?;
         write_atomic(&dir.join("spec.hhs"), &snapshot::encode(SPEC_TAG, spec))?;
-        write_atomic(&dir.join("bank.hhs"), &snapshot::encode(BANK_TAG, bank))?;
+        self.save_bank(name, bank)
+    }
+
+    /// Rewrites an existing tenant's checkpoint bundle atomically,
+    /// leaving its spec alone. Fails if the tenant directory is gone.
+    pub fn save_bank(&self, name: &str, bank: &BankSnapshot) -> Result<(), ProtocolError> {
+        validate_tenant_name(name)?;
+        let path = self.tenant_dir(name).join("bank.hhs");
+        write_atomic(&path, &snapshot::encode(BANK_TAG, bank))?;
         Ok(())
     }
 
@@ -167,9 +187,10 @@ impl Store {
             ));
         }
         let mut shards = Vec::with_capacity(spec.shards as usize);
-        for (j, bytes) in bank.shards.iter().enumerate() {
+        let mut shard_bytes = Vec::with_capacity(spec.shards as usize);
+        for (j, bytes) in bank.shards.into_iter().enumerate() {
             let summary =
-                DynSummary::from_bytes(bytes).map_err(|e| format!("shard {j} rejected: {e}"))?;
+                DynSummary::from_bytes(&bytes).map_err(|e| format!("shard {j} rejected: {e}"))?;
             if summary.kind() != spec.kind {
                 return Err(format!(
                     "shard {j} restored as {:?} but the spec says {:?}",
@@ -178,11 +199,13 @@ impl Store {
                 ));
             }
             shards.push(summary);
+            shard_bytes.push(Bytes::from(bytes));
         }
         Ok(RecoveredTenant {
             name: name.to_string(),
             spec,
             shards,
+            shard_bytes,
             hwms: bank.hwms,
             dedup: bank.dedup,
         })
@@ -297,6 +320,30 @@ mod tests {
         for (restored, original) in back.shards.iter().zip(&shards) {
             assert_eq!(restored.to_bytes(), original.to_bytes());
         }
+        // The verified bytes come back too, equal to a fresh encode.
+        for (bytes, restored) in back.shard_bytes.iter().zip(&back.shards) {
+            assert_eq!(*bytes, restored.to_bytes());
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn save_bank_rewrites_the_bundle_and_leaves_the_spec_alone() {
+        use std::os::unix::fs::MetadataExt as _;
+        let root = tmpdir("bank-only");
+        let store = Store::open(&root).unwrap();
+        let spec = spec();
+        let (_, first) = bank(&spec, 1);
+        store.save_tenant("t", &spec, &first).unwrap();
+        let spec_file = root.join("t").join("spec.hhs");
+        let ino = fs::metadata(&spec_file).unwrap().ino();
+        let (_, second) = bank(&spec, 2);
+        store.save_bank("t", &second).unwrap();
+        assert_eq!(fs::metadata(&spec_file).unwrap().ino(), ino);
+        let report = store.load_all().unwrap();
+        assert_eq!(report.recovered[0].hwms, second.hwms);
+        // A bundle for a tenant that was never created has nowhere to go.
+        assert!(store.save_bank("ghost", &second).is_err());
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -121,26 +121,36 @@ impl std::fmt::Debug for Tenant {
 }
 
 impl Tenant {
-    /// Builds a fresh tenant from its spec.
+    /// Builds a fresh tenant from its spec. Each new shard is encoded
+    /// once; those bytes serve as both its last-good bytes and its
+    /// in-memory recovery checkpoint.
     pub fn create(spec: TenantSpec) -> Result<Self, ProtocolError> {
         let bank = spec.build_bank()?;
-        Self::from_bank(spec, bank)
+        let bytes = bank.iter().map(MergeableSummary::to_bytes).collect();
+        Self::from_bank(spec, bank, bytes)
     }
 
-    /// Rehydrates a tenant around an existing bank (boot recovery).
+    /// Rehydrates a tenant around an existing bank (boot recovery and
+    /// eviction rehydration). `bytes[j]` must restore to `bank[j]` —
+    /// the verified snapshot it was just decoded from
+    /// ([`crate::store::RecoveredTenant::shard_bytes`]). They become the
+    /// tenant's last-good bytes and arm the runtime's in-memory
+    /// recovery, so a shard that dies before the first periodic
+    /// checkpoint can still be rebuilt, with no re-encode.
     ///
     /// # Errors
     /// A merge error if an N-shard bank's shards do not merge (the
     /// merged copy is built here, so a bad bank fails closed at boot).
-    pub fn from_bank(spec: TenantSpec, bank: Vec<DynSummary>) -> Result<Self, ProtocolError> {
+    pub fn from_bank(
+        spec: TenantSpec,
+        bank: Vec<DynSummary>,
+        bytes: Vec<Bytes>,
+    ) -> Result<Self, ProtocolError> {
         debug_assert_eq!(bank.len(), spec.shards as usize);
-        let disk_bytes = bank.iter().map(MergeableSummary::to_bytes).collect();
         let mut runtime = ShardRuntime::new(bank, IngestMode::Auto);
         runtime.set_failure_policy(FailurePolicy::Quarantine);
         runtime.set_backpressure(Backpressure::Shed);
-        // Arm in-memory recovery immediately: a shard that dies before
-        // the first periodic checkpoint can still be rebuilt.
-        runtime.checkpoint();
+        runtime.seed_checkpoints(bytes.clone());
         let shards = spec.shards as usize;
         let mut tenant = Self {
             spec,
@@ -150,7 +160,7 @@ impl Tenant {
             stale_items: 0,
             total_items: 0,
             last_touch: 0,
-            disk_bytes,
+            disk_bytes: bytes,
             forced_fault: None,
             wal: None,
             dedup: DedupTable::default(),
@@ -224,16 +234,23 @@ impl Tenant {
                 shards: self.spec.shards,
             });
         }
-        if let Some(hit) = self.dedup.check(client, req_seq) {
-            // Replay the original ack — but only after the log entry it
-            // stands on is durable (the first attempt may have died
-            // between append and commit).
-            let commit = match (&self.wal, hit.wal_seq) {
+        if let Some(latest) = self.dedup.check(client, req_seq) {
+            // A duplicate (see `durability`'s contract): an exact retry
+            // replays its original ack; a late older request was applied
+            // in full before the latest was admitted. Either way the ack
+            // waits until the client's latest record is durable (the
+            // first attempt may have died between append and commit).
+            let accepted = if latest.req_seq == req_seq {
+                latest.accepted
+            } else {
+                items.len() as u64
+            };
+            let commit = match (&self.wal, latest.wal_seq) {
                 (Some(wal), seq) if seq > 0 => Some((Arc::clone(wal), seq)),
                 _ => None,
             };
             return Ok(IngestOutcome {
-                accepted: hit.accepted,
+                accepted,
                 commit,
                 deduplicated: true,
             });
@@ -453,6 +470,13 @@ impl Tenant {
             self.forced_fault
                 .get_or_insert_with(|| "wal sync failed at checkpoint".to_string());
         }
+        self.bundle()
+    }
+
+    /// The bundle of what the last checkpoint captured — last-good
+    /// bytes, marks and the dedup table — without capturing anew. A
+    /// fresh tenant's bundle is its creation-time encoding.
+    pub fn bundle(&self) -> BankSnapshot {
         BankSnapshot {
             shards: self.disk_bytes.iter().map(|b| b.to_vec()).collect(),
             hwms: self.disk_hwm.clone(),
@@ -470,6 +494,19 @@ impl Tenant {
     /// The attached WAL, if any.
     pub fn wal(&self) -> Option<&Arc<Wal>> {
         self.wal.as_ref()
+    }
+
+    /// Gives the tenant up for eviction, keeping only its log handle —
+    /// and only when the last [`Tenant::checkpoint`] covers every record
+    /// ever appended to the log: each shard's persisted mark reaches the
+    /// last record dispatched to that shard, and the log has not
+    /// fail-stopped. A rehydration from that bundle may then reattach
+    /// the handle instead of scanning the log, since replay would skip
+    /// every record. `None` when a shard was skipped or poisoned at the
+    /// checkpoint, when the log has failed, or without a WAL.
+    pub fn into_covered_wal(self) -> Option<Arc<Wal>> {
+        let wal = self.wal?;
+        (self.disk_hwm == self.applied && !wal.is_failed()).then_some(wal)
     }
 
     /// The attached WAL's counters (zeroed defaults without one).
@@ -702,6 +739,91 @@ mod tests {
         let retry = fresh.ingest_logged("t", 0, 42, 1, &[7, 7, 9]).unwrap();
         assert!(retry.deduplicated);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_late_older_request_is_answered_as_a_duplicate_not_applied() {
+        // The stale-duplicate interleaving, forced in order: request 1's
+        // retry is acked, request 2 is acked, then request 1's original
+        // frame arrives. It must not reach the shards a second time.
+        let dir = std::env::temp_dir().join(format!("hh-tenant-late-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (wal, _) = hh_wal::Wal::open(hh_wal::WalConfig::new(&dir), 1).unwrap();
+        let wal = Arc::new(wal);
+        let mut t = Tenant::create(spec()).unwrap();
+        t.attach_wal(Arc::clone(&wal));
+        let first = t.ingest_logged("t", 0, 42, 1, &[7; 30]).unwrap();
+        let second = t.ingest_logged("t", 1, 42, 2, &[9; 20]).unwrap();
+        let (_, latest_seq) = second.commit.expect("logged ingest owes a commit");
+        assert!(!first.deduplicated && !second.deduplicated);
+        let bytes = t.snapshot_merged().unwrap();
+        let total = t.total_items;
+
+        let late = t.ingest_logged("t", 0, 42, 1, &[7; 30]).unwrap();
+        assert_eq!(t.total_items, total, "the late request was applied twice");
+        assert_eq!(t.snapshot_merged().unwrap(), bytes);
+        assert_eq!(wal.stats().appended_records, 2, "nothing new was logged");
+        assert!(late.deduplicated);
+        assert_eq!(late.accepted, 30, "the late request acks its own batch");
+        let (_, seq) = late.commit.expect("the ack waits on the log");
+        assert_eq!(
+            seq, latest_seq,
+            "the wait covers the client's latest record"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn eviction_keeps_the_log_only_when_the_bundle_covers_it() {
+        let dir = std::env::temp_dir().join(format!("hh-tenant-cover-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (wal, _) = hh_wal::Wal::open(hh_wal::WalConfig::new(&dir), 1).unwrap();
+        let wal = Arc::new(wal);
+        let logged = |shard: u32| {
+            let mut t = Tenant::create(spec()).unwrap();
+            t.attach_wal(Arc::clone(&wal));
+            t.ingest("t", shard, &[3; 10]).unwrap();
+            t
+        };
+        assert!(
+            logged(0).into_covered_wal().is_none(),
+            "no checkpoint covers the record"
+        );
+        // Shard 1 never saw a record, so its mark may stay behind the
+        // log's end: coverage is per shard, not the minimum mark.
+        let mut t = logged(0);
+        t.checkpoint(Duration::from_secs(2));
+        assert!(t.covered_seq() < wal.stats().appended_seq);
+        let kept = t.into_covered_wal().expect("every record is covered");
+        assert!(Arc::ptr_eq(&kept, &wal));
+        // A shard left behind by the checkpoint (as a skipped one is)
+        // leaves its tail uncovered.
+        let mut t = logged(1);
+        t.checkpoint(Duration::from_secs(2));
+        t.disk_hwm[1] -= 1;
+        assert!(t.into_covered_wal().is_none());
+        // Without a log there is nothing to keep.
+        let mut bare = Tenant::create(spec()).unwrap();
+        bare.checkpoint(Duration::from_secs(2));
+        assert!(bare.into_covered_wal().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restored_bytes_arm_recovery_and_become_the_bundle() {
+        let mut t = Tenant::create(spec()).unwrap();
+        t.ingest("t", 0, &[4; 300]).unwrap();
+        t.ingest("t", 1, &[8; 200]).unwrap();
+        let bank = t.checkpoint(Duration::from_secs(2));
+        let shards = bank
+            .shards
+            .iter()
+            .map(|b| DynSummary::from_bytes(b).unwrap())
+            .collect();
+        let bytes: Vec<Bytes> = bank.shards.iter().cloned().map(Bytes::from).collect();
+        let back = Tenant::from_bank(spec(), shards, bytes).unwrap();
+        assert_eq!(back.runtime.health().checkpointed, 2, "recovery is armed");
+        assert_eq!(back.bundle().shards, bank.shards);
     }
 
     #[test]

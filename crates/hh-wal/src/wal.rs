@@ -446,6 +446,12 @@ impl Wal {
         }
     }
 
+    /// Whether the log has fail-stopped: every later append, commit
+    /// and sync fails until the log is reopened.
+    pub fn is_failed(&self) -> bool {
+        self.lock().failed.is_some()
+    }
+
     /// The sequence number the next append will receive.
     pub fn next_seq(&self) -> u64 {
         self.lock().next_seq
@@ -902,6 +908,28 @@ mod tests {
             matches!(&err, WalError::Structural(why) if why.contains("frame refused")),
             "{err}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_rotation_latches_the_fail_stop_flag() {
+        let dir = tmpdir("latch");
+        let (wal, _) = Wal::open(cfg(&dir), 1).unwrap();
+        assert!(!wal.is_failed());
+        // Squat on every name the next rotations could pick, so the
+        // first one fails to create its segment.
+        let next = wal.next_seq();
+        for seq in next..next + 64 {
+            std::fs::write(dir.join(segment_file_name(seq)), b"squatter").unwrap();
+        }
+        let failure = (0..64)
+            .map(|_| wal.append(&[7; 40]))
+            .find_map(Result::err)
+            .expect("a tiny segment must rotate within 64 appends");
+        assert!(matches!(failure, WalError::Failed(_)), "{failure}");
+        assert!(wal.is_failed());
+        assert!(wal.sync().is_err(), "the latch holds for every later call");
+        drop(wal);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

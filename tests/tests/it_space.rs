@@ -112,7 +112,7 @@ fn space_saving_and_mg_price_ids_by_universe() {
 }
 
 #[test]
-fn reports_serde_round_trip() {
+fn reports_codec_round_trip() {
     let stream = planted(M, &HEAVY, 7);
     let params = HhParams::with_delta(0.05, 0.2, 0.1).unwrap();
     let mut a = SimpleListHh::new(params, 1 << 40, M, 8).unwrap();

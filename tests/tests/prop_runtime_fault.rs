@@ -181,6 +181,44 @@ fn sequential_mode_quarantines_inline_panics() {
 }
 
 #[test]
+fn seeded_checkpoints_arm_recovery_without_a_flush_or_an_encode() {
+    use hh_core::{MergeableSummary as _, StreamSummary as _};
+    // A bank restored from bytes the caller already holds: the runtime
+    // is handed those bytes instead of re-encoding its fresh shards.
+    let switches: Vec<_> = (0..2).map(|_| FaultSwitch::new()).collect();
+    let mut summaries: Vec<_> = switches
+        .iter()
+        .map(|sw| FaultySummary::new(MisraGries::new(64, 40), Arc::clone(sw)))
+        .collect();
+    for (j, s) in summaries.iter_mut().enumerate() {
+        s.insert_batch(&vec![j as u64 + 1; 70]);
+    }
+    let bytes: Vec<_> = summaries.iter().map(|s| s.to_bytes()).collect();
+    let mut rt = ShardRuntime::new(summaries, IngestMode::Parallel);
+    rt.set_failure_policy(FailurePolicy::Quarantine);
+    assert_eq!(rt.health().checkpointed, 0);
+    rt.seed_checkpoints(bytes.clone());
+    assert_eq!(rt.health().checkpointed, 2, "seeding arms every slot");
+
+    rt.dispatch_ref(1, &[5; 30]);
+    switches[1].arm_panic_after(0);
+    rt.dispatch_ref(1, &[5; 30]);
+    rt.flush();
+    assert_eq!(rt.health().poisoned.len(), 1);
+    rt.recover(1).expect("recover from the seeded bytes");
+    assert_eq!(processed(&rt, 1), 70, "rebuilt as seeded");
+    assert_eq!(rt.with_summary(1, |s| s.to_bytes()), bytes[1]);
+    assert_eq!(processed(&rt, 0), 70, "the sibling never moved");
+}
+
+#[test]
+#[should_panic(expected = "one checkpoint per shard")]
+fn seeding_the_wrong_number_of_checkpoints_is_refused() {
+    let (mut rt, _switches) = faulty_runtime(3, IngestMode::Sequential);
+    rt.seed_checkpoints(Vec::new());
+}
+
+#[test]
 fn pipeline_surface_reports_health_and_supports_recovery() {
     let switches: Vec<_> = (0..4).map(|_| FaultSwitch::new()).collect();
     let shards: Vec<_> = switches
