@@ -12,30 +12,35 @@
 //!
 //! # Exactly-once retries
 //!
-//! Every client carries a process-unique identity and numbers its
-//! ingest requests. A transport failure after the request left is
-//! ambiguous — the server may or may not have applied the batch — so
-//! [`Client::ingest_reliable`] reconnects and resends under the **same**
-//! request number: the server's dedup table replays the original ack if
-//! the batch landed, applies it if it did not, and either way the batch
-//! counts exactly once. Overload is honored too (the server's
+//! Every client carries an identity unique across processes and their
+//! restarts (drawn from a per-process random seed, not the pid alone:
+//! the server's dedup contract requires that no two client lifetimes
+//! share an id) and numbers its ingest requests. A transport failure
+//! after the request left is ambiguous — the server may or may not
+//! have applied the batch — so [`Client::ingest_reliable`] reconnects
+//! and resends under the **same** request number: the server's dedup
+//! table replays the original ack if the batch landed, applies it if
+//! it did not, and either way the batch counts exactly once. Overload is honored too (the server's
 //! `RetryAfter` hint), with jittered exponential backoff between
 //! attempts so a thundering herd of retriers spreads out.
 
 use crate::conn::{ConnLimits, DeadlineConn, Transport};
 use crate::facade::TenantSpec;
 use crate::proto::{ProtocolError, RangeEntry, Request, Response, ServerHealth};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::OnceLock;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-/// Per-process client counter; mixed with the pid into client ids.
+/// Per-process client counter; mixed with the process seed into ids.
 static NEXT_CLIENT: AtomicU64 = AtomicU64::new(1);
 
-/// SplitMix64 finalizer: one invertible shuffle, so distinct
-/// `(pid, counter)` pairs become well-spread nonzero ids.
+/// SplitMix64 finalizer: one invertible shuffle, so distinct inputs
+/// become distinct, well-spread ids.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -43,11 +48,37 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A fresh seed for one process lifetime: OS randomness (through
+/// `RandomState`'s keys), the pid and the wall clock, hashed together.
+/// A restarted process draws a new one even under the same pid — which
+/// containers reuse routinely — so it never inherits the old process's
+/// client ids, and with them its dedup entries on the server.
+pub(crate) fn draw_process_seed() -> u64 {
+    let mut h = RandomState::new().build_hasher();
+    h.write_u32(std::process::id());
+    if let Ok(t) = SystemTime::now().duration_since(UNIX_EPOCH) {
+        h.write_u128(t.as_nanos());
+    }
+    h.finish()
+}
+
+/// The `n`-th client id of the process lifetime seeded with `seed`.
+/// Within one lifetime, distinct `n` give distinct ids (`mix64` is a
+/// bijection).
+pub(crate) fn client_id_for(seed: u64, n: u64) -> u64 {
+    mix64(seed.wrapping_add(n))
+}
+
 fn fresh_client_id() -> u64 {
-    let n = NEXT_CLIENT.fetch_add(1, Ordering::Relaxed);
-    let id = mix64((u64::from(std::process::id()) << 32) | n);
-    // Id 0 is the anonymous (never-deduplicated) client on the wire.
-    id.max(1)
+    static SEED: OnceLock<u64> = OnceLock::new();
+    let seed = *SEED.get_or_init(draw_process_seed);
+    loop {
+        let id = client_id_for(seed, NEXT_CLIENT.fetch_add(1, Ordering::Relaxed));
+        // Id 0 is the anonymous (never-deduplicated) client on the wire.
+        if id != 0 {
+            return id;
+        }
+    }
 }
 
 /// How [`Client::ingest_reliable`] paces itself.
@@ -84,7 +115,7 @@ pub struct Client {
     conn: DeadlineConn<Box<dyn Transport>>,
     limits: ConnLimits,
     remote: Remote,
-    /// Process-unique identity for server-side exactly-once dedup.
+    /// Unique identity for server-side exactly-once dedup.
     client_id: u64,
     /// Next ingest request number (fresh per logical batch, reused
     /// across retries of the same batch).

@@ -1,7 +1,7 @@
 //! The durability contract: what gets logged, what gets deduplicated,
 //! and what a checkpoint bundle carries.
 //!
-//! Three pieces, all consumed by [`crate::tenant`] and
+//! Four pieces, all consumed by [`crate::tenant`] and
 //! [`crate::store`]:
 //!
 //! * [`Durability`] — the server-level knob: checkpoint-only (PR 8's
@@ -17,12 +17,21 @@
 //!   double-applying. Bounded FIFO (oldest client evicted), and
 //!   persisted inside the checkpoint bundle so exactly-once survives
 //!   recovery.
+//! * [`BankSnapshot`] — the one-file checkpoint bundle: every shard's
+//!   summary bytes, the per-shard WAL high-water marks those bytes
+//!   reflect, and the dedup table. One file because the pieces are
+//!   meaningless apart: shard bytes without their high-water marks
+//!   either double-apply or drop the replay tail.
 //!
 //! # The exactly-once contract
 //!
 //! The table keeps one entry per client, so exactly-once rests on how
-//! clients number their requests:
+//! clients identify and number their requests:
 //!
+//! * a client id belongs to one client lifetime: a process that
+//!   restarts takes a fresh id and never reuses an old one
+//!   ([`crate::Client`] draws its ids from a per-process random seed,
+//!   so this holds even when a restart gets the same pid);
 //! * a client's `req_seq` rises with every new request it sends to a
 //!   tenant (gaps are fine; [`crate::Client`] uses one counter for all
 //!   tenants);
@@ -38,15 +47,16 @@
 //! client's latest record, which sits after the original's in the log.
 //! A `req_seq` equal to the latest replays that request's own ack.
 //!
+//! Breaking the first rule loses data silently: a new lifetime that
+//! reuses an id and starts its numbering over has every request up to
+//! the old lifetime's latest `req_seq` answered as a duplicate — acked,
+//! never applied — and the table outlives server restarts inside the
+//! bundle.
+//!
 //! A client that FIFO eviction at [`DEDUP_CAP`] has dropped from the
 //! table (more than `DEDUP_CAP` newer clients were admitted since its
 //! last request) loses this protection: its next request, retry or
 //! not, is applied as new.
-//! * [`BankSnapshot`] — the one-file checkpoint bundle: every shard's
-//!   summary bytes, the per-shard WAL high-water marks those bytes
-//!   reflect, and the dedup table. One file because the pieces are
-//!   meaningless apart: shard bytes without their high-water marks
-//!   either double-apply or drop the replay tail.
 
 use crate::proto::MAX_BATCH;
 use hh_space::codec::{Codec, CodecError, Reader, Writer};

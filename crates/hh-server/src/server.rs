@@ -135,10 +135,11 @@ impl ServerConfig {
 /// broken (its disk state failed to rehydrate).
 enum Slot {
     Live(Box<Tenant>),
-    /// On disk; rehydrated on next touch. Holds the tenant's open log
-    /// when the eviction save covered every record in it
-    /// ([`Tenant::into_covered_wal`]): rehydration reattaches that
-    /// handle instead of scanning the log. `None` means scan.
+    /// On disk; rehydrated on next touch. Holds the tenant's log when
+    /// the eviction save covered every record in it
+    /// ([`Tenant::into_covered_wal`]), released so it keeps no file
+    /// descriptor: rehydration reattaches that handle instead of
+    /// scanning the log. `None` means scan.
     Evicted(Option<Arc<Wal>>),
     /// Rehydration failed (reason recorded); requests are refused as
     /// quarantined until an operator intervenes on disk.
@@ -446,11 +447,11 @@ fn lock_registry(shared: &Shared) -> std::sync::MutexGuard<'_, Registry> {
 /// through exactly one code path. Returns the tenant and the torn-tail
 /// bytes its log open cut.
 ///
-/// The one branch is where the log comes from. `kept` is the open
-/// handle an eviction left in [`Slot::Evicted`] because the bundle
-/// covers every record in it: it is reattached as is — no directory
-/// scan, no checksum, no frame decode — since replay would skip every
-/// record. Otherwise (boot, and evictions that left records uncovered)
+/// The one branch is where the log comes from. `kept` is the handle
+/// an eviction left in [`Slot::Evicted`] because the bundle covers
+/// every record in it: it is reattached as is — no directory scan, no
+/// checksum, no frame decode — since replay would skip every record.
+/// Its next append reopens the active segment it released. Otherwise (boot, and evictions that left records uncovered)
 /// the log is opened and its tail replayed over the bundle.
 ///
 /// Replay streams: each record's payload is decoded straight out of the
@@ -1477,8 +1478,17 @@ mod tests {
         }
     }
 
+    /// File descriptors this process holds on files under `dir`.
+    fn fds_under(dir: &std::path::Path) -> usize {
+        std::fs::read_dir("/proc/self/fd")
+            .unwrap()
+            .filter_map(|e| std::fs::read_link(e.ok()?.path()).ok())
+            .filter(|target| target.starts_with(dir))
+            .count()
+    }
+
     #[test]
-    fn covered_eviction_keeps_the_log_open_and_rehydration_reattaches_it() {
+    fn covered_eviction_parks_the_log_and_rehydration_reattaches_it() {
         use hh_core::{MergeableSummary as _, StreamSummary as _};
         let root = tmp_root("keep-log");
         let cfg = churn_config(&root);
@@ -1499,6 +1509,12 @@ mod tests {
                 let (kept, live) = log_of(&server, name);
                 assert!(!live, "cycle {cycle}: {name} should be evicted");
                 let kept = kept.expect("a covered eviction keeps the log");
+                assert!(!kept.holds_file());
+                assert_eq!(
+                    fds_under(&server.shared.store.wal_dir(name)),
+                    0,
+                    "cycle {cycle}: evicted {name} holds a descriptor"
+                );
                 let last = kept.stats().appended_seq;
                 let items = vec![cycle * 10 + k as u64; 40 + cycle as usize];
                 client.ingest(name, 0, &items).unwrap();
@@ -1509,6 +1525,7 @@ mod tests {
                     Arc::ptr_eq(&kept, &now.unwrap()),
                     "cycle {cycle}: rehydrating {name} reopened its log"
                 );
+                assert!(kept.holds_file(), "the append reopened the segment");
                 assert_eq!(
                     kept.stats().appended_seq,
                     last + 1,
@@ -1530,6 +1547,47 @@ mod tests {
                 "tenant {name}: an acked batch was lost or doubled"
             );
         }
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_client_restarted_under_its_old_pid_keeps_every_batch() {
+        use crate::client::{client_id_for, draw_process_seed};
+        use hh_core::{MergeableSummary as _, StreamSummary as _};
+        // Two lifetimes of one client process under the same pid, each
+        // numbering its first client 1 and its requests from 1 — what a
+        // restarted container's client does. A pid-and-counter id
+        // would be the same for both, and the second lifetime's first
+        // batches would be answered as duplicates of the first's.
+        let first = client_id_for(draw_process_seed(), 1);
+        let second = client_id_for(draw_process_seed(), 1);
+        assert_ne!(first, second);
+        let (server, mut client, root) = start_tcp("restarted-client");
+        client.create("t", spec()).unwrap();
+        let mut oracle = spec().build_bank().unwrap().remove(0);
+        for (id, batches) in [(first, 5u64), (second, 3)] {
+            for req_seq in 1..=batches {
+                let items = vec![req_seq * 3 + id % 7; 20];
+                let rsp = client
+                    .call(&Request::Ingest {
+                        tenant: "t".into(),
+                        shard: 0,
+                        client: id,
+                        req_seq,
+                        items: items.clone(),
+                    })
+                    .unwrap();
+                assert_eq!(rsp, Response::Ingested { accepted: 20 });
+                oracle.insert_batch(&items);
+            }
+        }
+        assert_eq!(
+            client.snapshot("t").unwrap(),
+            oracle.to_bytes().as_ref(),
+            "a batch of the restarted client was dropped"
+        );
+        assert_eq!(client.health().unwrap().dedup_hits, 0);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }

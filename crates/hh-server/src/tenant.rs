@@ -504,9 +504,15 @@ impl Tenant {
     /// the handle instead of scanning the log, since replay would skip
     /// every record. `None` when a shard was skipped or poisoned at the
     /// checkpoint, when the log has failed, or without a WAL.
+    ///
+    /// A kept log is released ([`Wal::release_file`]): it holds no file
+    /// descriptor while its tenant is evicted, so descriptors stay
+    /// bounded by the resident tenants however many are evicted. The
+    /// next append reopens the active segment by path.
     pub fn into_covered_wal(self) -> Option<Arc<Wal>> {
         let wal = self.wal?;
-        (self.disk_hwm == self.applied && !wal.is_failed()).then_some(wal)
+        let covered = self.disk_hwm == self.applied && !wal.is_failed();
+        (covered && wal.release_file().is_ok()).then_some(wal)
     }
 
     /// The attached WAL's counters (zeroed defaults without one).
@@ -796,9 +802,11 @@ mod tests {
         assert!(t.covered_seq() < wal.stats().appended_seq);
         let kept = t.into_covered_wal().expect("every record is covered");
         assert!(Arc::ptr_eq(&kept, &wal));
+        assert!(!kept.holds_file(), "a kept log is parked without its fd");
         // A shard left behind by the checkpoint (as a skipped one is)
         // leaves its tail uncovered.
         let mut t = logged(1);
+        assert!(wal.holds_file(), "the next append reopened the segment");
         t.checkpoint(Duration::from_secs(2));
         t.disk_hwm[1] -= 1;
         assert!(t.into_covered_wal().is_none());

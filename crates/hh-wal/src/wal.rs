@@ -21,7 +21,9 @@
 //! what the next reader finds. Replay damage policy lives in
 //! [`crate::segment`]: torn active tails truncate, anything else is
 //! structural and surfaces as [`WalError::Structural`] for the caller
-//! to quarantine.
+//! to quarantine. The one exception is reopening a released active
+//! segment ([`Wal::release_file`]): that writes nothing, so its failure
+//! fails the one call and does not latch.
 //!
 //! # Replay
 //!
@@ -161,8 +163,9 @@ struct SealedSeg {
 }
 
 struct WalState {
-    /// Active segment file, opened for append.
-    file: File,
+    /// Active segment file, opened for append; `None` while released
+    /// ([`Wal::release_file`]) until the next write reopens it.
+    file: Option<File>,
     active_path: PathBuf,
     active_first_seq: u64,
     active_len: u64,
@@ -302,7 +305,7 @@ impl Wal {
             .saturating_sub(1);
         let wal = Self {
             state: Mutex::new(WalState {
-                file,
+                file: Some(file),
                 active_path,
                 active_first_seq,
                 active_len,
@@ -343,6 +346,10 @@ impl Wal {
         if let Some(why) = &st.failed {
             return Err(WalError::Failed(why.clone()));
         }
+        // Reopening a released file changes nothing on disk, so its
+        // failure (say, out of descriptors) fails this append alone and
+        // does not latch.
+        active_file(&mut st)?;
         // Rotate first so a record never straddles the size threshold
         // by more than one record.
         if st.active_len >= self.config.segment_bytes {
@@ -356,14 +363,17 @@ impl Wal {
         let mut scratch = std::mem::take(&mut st.scratch);
         scratch.clear();
         encode_record(seq, payload, &mut scratch);
-        let wrote = st.file.write_all(&scratch);
+        let wrote = st.file.as_mut().expect("opened above").write_all(&scratch);
         let rec_len = scratch.len() as u64;
         st.scratch = scratch;
         if let Err(e) = wrote {
             // Roll the file back to the last record boundary; if even
             // that fails the latch still protects correctness (replay
             // truncates the torn tail).
-            let _ = st.file.set_len(st.active_len);
+            let len = st.active_len;
+            if let Some(file) = st.file.as_mut() {
+                let _ = file.set_len(len);
+            }
             let why = format!("append of seq {seq} failed: {e}");
             st.failed = Some(why.clone());
             return Err(WalError::Failed(why));
@@ -429,6 +439,28 @@ impl Wal {
         Ok(removed)
     }
 
+    /// Fsyncs and closes the active segment's file handle, keeping all
+    /// in-memory state: numbering, coverage, the sealed-segment list.
+    /// The next append (or fsync) reopens the segment by path in append
+    /// mode — no scan, no checksum pass. For a log parked while its
+    /// owner is evicted, so an idle log holds no file descriptor.
+    ///
+    /// # Errors
+    /// As [`Wal::sync`]; the handle stays open on error.
+    pub fn release_file(&self) -> Result<(), WalError> {
+        let mut st = self.lock();
+        let up_to = st.appended_seq;
+        sync_active(&mut st, up_to)?;
+        st.file = None;
+        Ok(())
+    }
+
+    /// Whether the active segment's file handle is open (see
+    /// [`Wal::release_file`]).
+    pub fn holds_file(&self) -> bool {
+        self.lock().file.is_some()
+    }
+
     /// Point-in-time counters.
     pub fn stats(&self) -> WalStats {
         let st = self.lock();
@@ -473,6 +505,14 @@ impl Wal {
     }
 }
 
+/// The active segment's handle, reopened for append if released.
+fn active_file(st: &mut WalState) -> std::io::Result<&mut File> {
+    if st.file.is_none() {
+        st.file = Some(OpenOptions::new().append(true).open(&st.active_path)?);
+    }
+    Ok(st.file.as_mut().expect("just opened"))
+}
+
 /// Fsyncs the active segment and advances `durable_seq`; latches
 /// fail-stop on error. `seq` is only used to short-circuit when the
 /// work is already done.
@@ -483,7 +523,7 @@ fn sync_active(st: &mut WalState, seq: u64) -> Result<(), WalError> {
     if st.durable_seq >= seq.min(st.appended_seq) {
         return Ok(());
     }
-    match st.file.sync_data() {
+    match active_file(st)?.sync_data() {
         Ok(()) => {
             st.durable_seq = st.appended_seq;
             st.fsyncs += 1;
@@ -500,7 +540,7 @@ fn sync_active(st: &mut WalState, seq: u64) -> Result<(), WalError> {
 /// Seals the active segment (fsynced whole — the invariant replay's
 /// damage policy rests on) and starts a new one.
 fn rotate(st: &mut WalState, config: &WalConfig) -> std::io::Result<()> {
-    st.file.sync_all()?;
+    active_file(st)?.sync_all()?;
     st.durable_seq = st.appended_seq;
     st.fsyncs += 1;
     let (file, path) = create_segment(&config.dir, st.next_seq)?;
@@ -510,7 +550,7 @@ fn rotate(st: &mut WalState, config: &WalConfig) -> std::io::Result<()> {
         path: old_path,
         bytes: st.active_len,
     });
-    st.file = file;
+    st.file = Some(file);
     st.active_first_seq = st.next_seq;
     st.active_len = SEGMENT_HEADER_LEN as u64;
     Ok(())
@@ -930,6 +970,63 @@ mod tests {
         assert!(wal.is_failed());
         assert!(wal.sync().is_err(), "the latch holds for every later call");
         drop(wal);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// File descriptors this process holds on files under `dir`.
+    fn fds_under(dir: &Path) -> usize {
+        std::fs::read_dir("/proc/self/fd")
+            .unwrap()
+            .filter_map(|e| std::fs::read_link(e.ok()?.path()).ok())
+            .filter(|target| target.starts_with(dir))
+            .count()
+    }
+
+    #[test]
+    fn a_released_log_holds_no_fd_and_reopens_where_it_stopped() {
+        let dir = tmpdir("release");
+        let (wal, _) = Wal::open(cfg(&dir), 1).unwrap();
+        for _ in 0..10 {
+            wal.append(&[1; 30]).unwrap();
+        }
+        let before = wal.stats();
+        assert!(before.durable_seq < before.appended_seq);
+        wal.release_file().unwrap();
+        assert!(!wal.holds_file());
+        assert_eq!(fds_under(&dir), 0, "a released log keeps no fd open");
+        let after = wal.stats();
+        assert_eq!(after.appended_seq, before.appended_seq);
+        assert_eq!(after.durable_seq, after.appended_seq, "released synced");
+        assert_eq!(after.segments, before.segments);
+        // Appends reopen the segment and continue the sequence, across
+        // rotations too.
+        for k in 1..=10 {
+            let seq = wal.append(&[2; 30]).unwrap();
+            assert_eq!(seq, before.appended_seq + k);
+        }
+        assert!(wal.holds_file());
+        wal.sync().unwrap();
+        drop(wal);
+        let (_, replay) = Wal::open(cfg(&dir), 1).unwrap();
+        let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (1..=20).collect::<Vec<u64>>());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_reopen_fails_one_append_without_latching() {
+        let dir = tmpdir("reopen");
+        let (wal, _) = Wal::open(cfg(&dir), 1).unwrap();
+        assert_eq!(wal.append(b"a").unwrap(), 1);
+        wal.release_file().unwrap();
+        // Take the active segment away so the reopen fails.
+        let active = dir.join(segment_file_name(1));
+        let aside = dir.join("aside");
+        std::fs::rename(&active, &aside).unwrap();
+        assert!(matches!(wal.append(b"b").unwrap_err(), WalError::Io(..)));
+        assert!(!wal.is_failed(), "nothing on disk changed: no latch");
+        std::fs::rename(&aside, &active).unwrap();
+        assert_eq!(wal.append(b"b").unwrap(), 2, "no sequence number lost");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
