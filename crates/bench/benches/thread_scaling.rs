@@ -1,11 +1,12 @@
 //! Thread scaling of the persistent shard runtime: whole-stream
-//! ingestion through `ShardedPipeline` at 1, 2, and 4 shards, with the
-//! ingest mode **forced** both ways so the two execution paths are
-//! measured on every host:
+//! ingestion through `ShardRuntime` over a seed-aligned Algorithm 2 bank
+//! at 1, 2, and 4 shards (batches dispatched round-robin, merged on
+//! read), with the ingest mode **forced** both ways so the two execution
+//! paths are measured on every host:
 //!
-//! * `seq_*` — `IngestMode::Sequential`: the key-partition pass plus
-//!   inline per-shard `insert_batch` on the calling thread. This is the
-//!   single-core baseline and what `Auto` picks on a 1-vCPU box.
+//! * `seq_*` — `IngestMode::Sequential`: inline per-shard
+//!   `insert_batch` on the calling thread. This is the single-core
+//!   baseline and what `Auto` picks on a 1-vCPU box.
 //! * `par_*` — `IngestMode::Parallel`: persistent workers behind
 //!   bounded queues. On a multi-core host this is where shard scaling
 //!   shows up; on a single core it isolates the queue hand-off tax the
@@ -22,8 +23,8 @@
 //! ratios measured on different hardware are not comparable.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hh_core::{HhParams, OptimalListHh};
-use hh_pipeline::{IngestMode, ShardedPipeline};
+use hh_core::{HeavyHitters, HhParams, MergeableSummary, OptimalListHh, Report};
+use hh_pipeline::{seed_aligned_algo2, IngestMode, ShardRuntime};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -34,12 +35,23 @@ const PHI: f64 = 0.2;
 const DELTA: f64 = 0.1;
 const BATCH: usize = 1 << 16;
 
-fn pipeline(shards: usize, mode: IngestMode) -> ShardedPipeline<OptimalListHh> {
+/// Dispatches `data` round-robin in `BATCH`-item batches over a fresh
+/// `shards`-part bank in `mode`, then merges on read and reports.
+fn ingest_and_report(data: &[u64], shards: usize, mode: IngestMode) -> Report {
     let params = HhParams::with_delta(EPS, PHI, DELTA).unwrap();
-    let summaries = (0..shards)
-        .map(|j| OptimalListHh::new(params, N, M as u64, 0x5CA1E ^ j as u64).unwrap())
-        .collect();
-    ShardedPipeline::with_mode(summaries, 2, PHI - EPS / 2.0, mode)
+    let bank = seed_aligned_algo2(params, N, M as u64, shards, 0x5CA1E).unwrap();
+    let mut rt = ShardRuntime::new(bank, mode);
+    for (i, chunk) in data.chunks(BATCH).enumerate() {
+        rt.dispatch_ref(i % shards, chunk);
+    }
+    // Total time includes the drain: scaling claims must count
+    // queued-but-unprocessed work.
+    rt.flush();
+    let mut merged = rt.with_summary(0, OptimalListHh::clone);
+    for j in 1..shards {
+        rt.with_summary(j, |part| merged.merge_from(part)).unwrap();
+    }
+    merged.report()
 }
 
 fn bench_thread_scaling(c: &mut Criterion) {
@@ -57,15 +69,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
     ] {
         for shards in [1usize, 2, 4] {
             g.bench_function(format!("algo2_{tag}_shards{shards}"), |b| {
-                b.iter(|| {
-                    let mut pipe = pipeline(shards, mode);
-                    for chunk in black_box(&data).chunks(BATCH) {
-                        pipe.ingest(chunk);
-                    }
-                    // Total time includes the drain: scaling claims must
-                    // count queued-but-unprocessed work.
-                    pipe.report()
-                })
+                b.iter(|| ingest_and_report(black_box(&data), shards, mode))
             });
         }
     }

@@ -15,17 +15,18 @@
 //!    O(1)-amortized analysis describes, so the old "optimal space costs
 //!    80× in update time" artifact is gone: the remaining gap is the
 //!    constant factor of the R-repetition counting machinery.
-//! 4. **Shard-and-merge throughput** — the mergeable-summaries extension
-//!    (S19): wall-clock speedup of sharded Misra–Gries over 1..8 threads.
+//! 4. **Partition-and-merge throughput** — the mergeable-summaries
+//!    extension (S19): wall-clock speedup of sharded Misra–Gries over
+//!    1..8 parts.
 //!
 //! Usage: `cargo run --release -p hh-bench --bin crossover`
 
 use hh_baselines::{
-    shard_and_merge, CountMin, CountSketch, LossyCounting, MisraGriesBaseline, SpaceSaving,
-    StickySampling,
+    CountMin, CountSketch, LossyCounting, MisraGriesBaseline, SpaceSaving, StickySampling,
 };
 use hh_bench::{zipf_stream, Table};
 use hh_core::{HeavyHitters, HhParams, OptimalListHh, SimpleListHh, StreamSummary};
+use hh_pipeline::partition_and_merge;
 use hh_space::SpaceUsage;
 use hh_streams::ExactCounts;
 use std::time::Instant;
@@ -252,7 +253,7 @@ fn update_time_tradeoff() {
     );
 }
 
-fn shard_and_merge_correctness() {
+fn partition_and_merge_correctness() {
     // With Zipf(1.5) the rank-1 item holds ~38% of the stream - a clear
     // heavy hitter at phi = 0.2.
     let m = 1usize << 22;
@@ -260,7 +261,7 @@ fn shard_and_merge_correctness() {
     let stream = zipf_stream(m, n, 1.5, 31);
     let top = hh_bench::workloads::zipf_top_item(n, 1.5, 31);
     let mut t = Table::new(
-        "E7d - shard-and-merge Misra-Gries (mergeable-summaries extension; single-CPU box, so the claim is correctness, not speedup)",
+        "E7d - partition-and-merge Misra-Gries (mergeable-summaries extension; single-CPU box, so the claim is correctness, not speedup)",
         &["shards", "wall ms", "heavy item found", "estimate gap vs sequential"],
     );
     let mut seq = MisraGriesBaseline::new(EPS, PHI, n);
@@ -269,7 +270,11 @@ fn shard_and_merge_correctness() {
     let seq_est = seq.estimate(top);
     for shards in [1usize, 2, 4, 8] {
         let start = Instant::now();
-        let merged = shard_and_merge(&stream, shards, || MisraGriesBaseline::new(EPS, PHI, n));
+        let parts = (0..shards)
+            .map(|_| MisraGriesBaseline::new(EPS, PHI, n))
+            .collect();
+        let merged =
+            partition_and_merge(parts, &stream).expect("Misra-Gries summaries always merge");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let found = merged.report().contains(top);
         let gap = (merged.estimate(top) - seq_est).abs() / m as f64;
@@ -293,5 +298,5 @@ fn main() {
     space_vs_log_n();
     accuracy_on_zipf();
     update_time_tradeoff();
-    shard_and_merge_correctness();
+    partition_and_merge_correctness();
 }

@@ -22,10 +22,9 @@
 //!
 //! The mergeable baselines (Misra–Gries, Space-Saving, Lossy Counting,
 //! Count-Min, CountSketch) implement [`hh_core::MergeableSummary`] —
-//! merge plus binary snapshot/restore — next to their definitions;
-//! [`merge`] keeps the [`shard_and_merge`] convenience runner built on
-//! that trait, now a shim over the persistent shard runtime in
-//! `hh-pipeline` (DESIGN.md §7, §10).
+//! merge plus binary snapshot/restore — next to their definitions
+//! (DESIGN.md §7); `hh_pipeline::partition_and_merge` runs them in
+//! parallel over a split stream.
 //!
 //! # Example
 //!
@@ -47,7 +46,8 @@
 pub mod count_min;
 pub mod count_sketch;
 pub mod lossy;
-pub mod merge;
+#[cfg(test)]
+mod merge;
 pub mod misra_gries;
 pub mod sample_hold;
 pub mod space_saving;
@@ -56,7 +56,6 @@ pub mod sticky;
 pub use count_min::CountMin;
 pub use count_sketch::CountSketch;
 pub use lossy::LossyCounting;
-pub use merge::shard_and_merge;
 pub use misra_gries::MisraGriesBaseline;
 pub use sample_hold::SampleAndHold;
 pub use space_saving::SpaceSaving;

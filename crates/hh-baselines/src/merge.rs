@@ -1,62 +1,45 @@
-//! The shard-and-merge parallel runner over [`MergeableSummary`].
+//! Merge-semantics tests for the mergeable baselines.
 //!
 //! Misra–Gries and Space-Saving summaries are *mergeable* (Agarwal,
 //! Cormode, Huang, Phillips, Wei, Yi 2012): two summaries of capacity `k`
 //! built on streams `A` and `B` combine into one capacity-`k` summary of
-//! `A ⊎ B` with the same `(|A|+|B|)/(k+1)` error bound. That turns a
-//! single-pass algorithm into a data-parallel one: shard the stream,
-//! summarize shards on persistent worker threads, merge.
-//!
-//! The merge implementations themselves live with their summaries —
-//! [`crate::SpaceSaving`], [`crate::MisraGriesBaseline`],
-//! [`crate::CountMin`], [`crate::CountSketch`], and
-//! [`crate::LossyCounting`] all implement
-//! [`hh_core::MergeableSummary`], as do the paper algorithms in
-//! `hh-core`. `hh-pipeline` builds the general partition-and-merge and
-//! windowed runners on the same trait; this module keeps the
-//! factory-closure convenience runner the `crossover` experiment and
-//! the property suites drive. Since the `ShardRuntime` port it is a
-//! thin shim over [`hh_pipeline::partition_and_merge`], so it inherits
-//! the runtime's single-core sequential fallback instead of spawning
-//! threads a 1-vCPU host cannot use.
-
-use hh_core::{MergeableSummary, StreamSummary};
-
-/// Summarizes `stream` with `shards` parallel workers, each building an
-/// independent summary with `make()`, then merges left to right.
-///
-/// The merged summary has the union stream's guarantee (see
-/// [`MergeableSummary`]); the test suite verifies estimates against a
-/// single-summary run.
-///
-/// # Panics
-/// If `shards` is zero, or if `make()` produces summaries that are not
-/// merge-compatible (a factory closure that seeds randomized summaries
-/// differently per call — build seed-aligned instances instead, e.g.
-/// via `with_seeds`).
-pub fn shard_and_merge<S, F>(stream: &[u64], shards: usize, make: F) -> S
-where
-    S: StreamSummary + MergeableSummary + Send + 'static,
-    F: Fn() -> S,
-{
-    assert!(shards >= 1, "need at least one shard");
-    // The factory runs on the caller's thread (it need not be `Sync`);
-    // the runtime behind `partition_and_merge` owns the summaries from
-    // there on, picking persistent workers or the sequential fallback
-    // by core count.
-    let summaries: Vec<S> = (0..shards).map(|_| make()).collect();
-    hh_pipeline::partition_and_merge(summaries, stream)
-        .expect("factory summaries must be merge-compatible")
-}
+//! `A ⊎ B` with the same `(|A|+|B|)/(k+1)` error bound. The merge
+//! implementations live with their summaries — [`crate::SpaceSaving`],
+//! [`crate::MisraGriesBaseline`], [`crate::CountMin`],
+//! [`crate::CountSketch`], and [`crate::LossyCounting`] all implement
+//! [`hh_core::MergeableSummary`]. These tests summarize positional
+//! chunks of one stream and check each merged result against the
+//! union stream's guarantee. The parallel runner over the same contract
+//! is `hh_pipeline::partition_and_merge`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::misra_gries::MisraGriesBaseline;
     use crate::space_saving::SpaceSaving;
-    use hh_core::FrequencyEstimator;
+    use hh_core::{FrequencyEstimator, MergeableSummary, StreamSummary};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Summarizes `stream` in `parts` positional chunks, a fresh summary
+    /// from `make()` per chunk, and folds `merge_from` over them left to
+    /// right.
+    fn merge_chunks<S, F>(stream: &[u64], parts: usize, make: F) -> S
+    where
+        S: StreamSummary + MergeableSummary,
+        F: Fn() -> S,
+    {
+        let chunk = stream.len().div_ceil(parts).max(1);
+        let mut summaries = stream.chunks(chunk).map(|c| {
+            let mut s = make();
+            s.insert_batch(c);
+            s
+        });
+        let mut acc = summaries.next().expect("a non-empty stream");
+        for s in summaries {
+            acc.merge_from(&s).expect("parts must be merge-compatible");
+        }
+        acc
+    }
 
     fn random_stream(m: usize, universe: u64, seed: u64) -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -74,7 +57,7 @@ mod tests {
     #[test]
     fn merged_misra_gries_keeps_error_bound() {
         let stream = random_stream(40_000, 500, 1);
-        let merged = shard_and_merge(&stream, 4, || MisraGriesBaseline::new(0.05, 0.2, 1 << 20));
+        let merged = merge_chunks(&stream, 4, || MisraGriesBaseline::new(0.05, 0.2, 1 << 20));
         let bound = stream.len() as f64 * 0.05 / 2.0 + 1.0; // k = 2/ε
         for probe in [7u64, 0, 100, 499] {
             let truth = stream.iter().filter(|&&x| x == probe).count() as f64;
@@ -87,7 +70,7 @@ mod tests {
     #[test]
     fn merged_space_saving_keeps_bounds() {
         let stream = random_stream(40_000, 500, 2);
-        let merged = shard_and_merge(&stream, 4, || SpaceSaving::with_capacity(64, 0.2, 1 << 20));
+        let merged = merge_chunks(&stream, 4, || SpaceSaving::with_capacity(64, 0.2, 1 << 20));
         let bound = 2.0 * stream.len() as f64 / 64.0;
         for (item, count, err) in merged.entries() {
             let truth = stream.iter().filter(|&&x| x == item).count() as f64;
@@ -107,7 +90,7 @@ mod tests {
     #[test]
     fn single_shard_equals_sequential() {
         let stream = random_stream(10_000, 100, 3);
-        let merged = shard_and_merge(&stream, 1, || MisraGriesBaseline::new(0.1, 0.3, 1 << 10));
+        let merged = merge_chunks(&stream, 1, || MisraGriesBaseline::new(0.1, 0.3, 1 << 10));
         let mut seq = MisraGriesBaseline::new(0.1, 0.3, 1 << 10);
         seq.insert_all(&stream);
         for probe in 0..100u64 {
@@ -118,7 +101,7 @@ mod tests {
     #[test]
     fn many_shards_still_find_heavy_item() {
         let stream = random_stream(60_000, 2000, 4);
-        let merged = shard_and_merge(&stream, 8, || SpaceSaving::with_capacity(40, 0.2, 1 << 20));
+        let merged = merge_chunks(&stream, 8, || SpaceSaving::with_capacity(40, 0.2, 1 << 20));
         use hh_core::HeavyHitters;
         assert!(merged.report().contains(7));
     }
@@ -128,7 +111,7 @@ mod tests {
         use crate::lossy::LossyCounting;
         let stream = random_stream(50_000, 3000, 5);
         let eps = 0.02;
-        let merged = shard_and_merge(&stream, 4, || LossyCounting::new(eps, 0.1, 1 << 20));
+        let merged = merge_chunks(&stream, 4, || LossyCounting::new(eps, 0.1, 1 << 20));
         let m = stream.len() as f64;
         let truth = stream.iter().filter(|&&x| x == 7).count() as f64;
         let est = merged.estimate(7);
@@ -147,7 +130,7 @@ mod tests {
         use crate::count_min::CountMin;
         let stream = random_stream(40_000, 2000, 6);
         // Seed-aligned: every shard summary draws the same row hashes.
-        let merged = shard_and_merge(&stream, 4, || CountMin::new(0.02, 0.1, 0.05, 1 << 20, 77));
+        let merged = merge_chunks(&stream, 4, || CountMin::new(0.02, 0.1, 0.05, 1 << 20, 77));
         let m = stream.len() as f64;
         for probe in [7u64, 0, 1000, 1999] {
             let truth = stream.iter().filter(|&&x| x == probe).count() as f64;
@@ -163,7 +146,7 @@ mod tests {
     fn merged_count_sketch_stays_accurate() {
         use crate::count_sketch::CountSketch;
         let stream = random_stream(40_000, 2000, 8);
-        let merged = shard_and_merge(&stream, 4, || CountSketch::new(0.1, 0.2, 0.1, 1 << 20, 88));
+        let merged = merge_chunks(&stream, 4, || CountSketch::new(0.1, 0.2, 0.1, 1 << 20, 88));
         let truth = stream.iter().filter(|&&x| x == 7).count() as f64;
         let est = merged.estimate(7);
         assert!(
@@ -182,7 +165,7 @@ mod tests {
         let stream = random_stream(10_000, 200, 9);
         let seed = AtomicU64::new(0);
         // A factory that (incorrectly) reseeds per shard.
-        let _ = shard_and_merge(&stream, 2, || {
+        let _ = merge_chunks(&stream, 2, || {
             CountMin::new(0.05, 0.2, 0.1, 1 << 20, seed.fetch_add(1, Ordering::SeqCst))
         });
     }

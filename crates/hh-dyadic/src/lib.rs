@@ -61,6 +61,7 @@ use hh_core::{
     FrequencyEstimator, HeavyHitters, HhParams, ItemEstimate, MergeError, MergeableSummary,
     OptimalListHh, ParamError, QueryCache, Report, SnapshotError, StreamSummary,
 };
+use hh_hash::mix64;
 use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::{gamma_bits, SpaceUsage};
 
@@ -69,15 +70,6 @@ use hh_space::{gamma_bits, SpaceUsage};
 /// bank of Algorithm-2 summaries cannot be confused). v2 is signed with
 /// the checksum's folded lane step.
 pub const TAG: &str = "hh.dyadic.v2";
-
-/// SplitMix64 finalizer: decorrelates the per-level seeds derived from
-/// one bank seed (same convention as the hh-pipeline presets).
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn check_compatible<T: PartialEq>(a: &T, b: &T, what: &'static str) -> Result<(), MergeError> {
     if a == b {

@@ -1,70 +1,56 @@
-//! Parallel ingestion pipelines: key-sharded (union-of-reports),
-//! merge-based (arbitrary partitioning), and windowed (time decay).
+//! Scaling the workspace's summaries out: a persistent shard runtime,
+//! partition-and-merge over seed-aligned banks, and windowed (time
+//! decay) heavy hitters.
 //!
 //! The workspace's summaries are single-threaded by construction (the
 //! paper's model is one pass, one machine word at a time). This crate
-//! offers two complementary ways to scale them out, plus a windowing
-//! layer:
+//! scales them out one way: split the stream **by position** — any
+//! chunking whatsoever — ingest each part into its own summary, and
+//! combine the parts through [`MergeableSummary`]. This is the shape
+//! distributed aggregation actually has (each ingest node summarizes
+//! whatever traffic reached it, a combiner merges), and the shape
+//! hh-server's N-shard tenants serve (DESIGN.md §7.2). Randomized
+//! summaries must be **seed-aligned** for the merge: build them with
+//! the [`seed_aligned_algo1`] / [`seed_aligned_algo2`] presets, which
+//! share one *structure seed* (hash draws) across parts while giving
+//! every part its own *stream seed* (sampling coins). See DESIGN.md
+//! §"Mergeable summaries".
 //!
-//! * [`ShardedPipeline`] shards the stream **by key** and unions
-//!   per-shard reports — no merge semantics needed, works for any
-//!   summary, but requires a router in front of every summary (one
-//!   process, or one routing tier).
-//! * [`partition_and_merge`] / [`PartitionedPipeline`] split the stream
-//!   **by position** — any chunking whatsoever — and combine the
-//!   per-part summaries through [`MergeableSummary`]. This is the shape
-//!   distributed aggregation actually has (each ingest node summarizes
-//!   whatever traffic reached it, a combiner merges), at the price that
-//!   randomized summaries must be **seed-aligned**: build them with the
-//!   [`seed_aligned_algo1`] / [`seed_aligned_algo2`] presets, which
-//!   share one *structure seed* (hash draws) across parts while giving
-//!   every part its own *stream seed* (sampling coins). See DESIGN.md
-//!   §"Mergeable summaries".
+//! * [`ShardRuntime`] drives a bank of summaries from persistent
+//!   worker threads: threads are spawned once at construction, batches
+//!   travel through bounded queues via [`ShardRuntime::dispatch_ref`],
+//!   reads synchronize via a flush barrier, and worker panics
+//!   propagate (or quarantine the shard; see [`FailurePolicy`]).
+//!   Single-core hosts fall back to inline sequential ingestion — same
+//!   state, no threads.
+//! * [`partition_and_merge`] runs a whole stream through a runtime in
+//!   one positional chunk per summary and merges the results.
 //! * [`WindowedHh`] rotates per-window summaries and merges the live
 //!   ones at query time — tumbling or sliding heavy hitters from the
 //!   same merge contract.
-//!
-//! # Key-sharded mode
-//!
-//! A shared universal hash routes every occurrence of an item
-//! to the same shard, so each shard's summary sees a complete substream
-//! — every key's entire count lands on exactly one summary. That choice
-//! buys two things a position-sharded split (summarize chunks, merge)
-//! cannot:
-//!
-//! * **No merge semantics.** The global report is the union of per-shard
-//!   reports re-thresholded against the *global* stream length. Nothing
-//!   is ever combined across summaries, so summaries without a sound
-//!   merge (Algorithm 2's sampled, hashed, epoch-coupled tables) shard
-//!   as-is.
-//! * **Per-shard analyses survive verbatim.** Each shard runs the
-//!   unmodified algorithm on the substream of its keys; sampling,
-//!   collision, and Misra–Gries error arguments apply per shard with the
-//!   shard's (smaller) sample and stream counts, which only tightens
-//!   them. See DESIGN.md §"Key-sharded parallel pipeline" for the full
-//!   (φ, ε) argument.
-//!
-//! Ingestion is batch-oriented: [`ShardedPipeline::ingest`] partitions a
-//! batch into per-shard scratch buffers with a fast-range over the shared
-//! hash, then hands each buffer to that shard's **persistent worker**
-//! ([`runtime::ShardRuntime`]): threads are spawned once at
-//! construction, batches travel through bounded queues, reads
-//! synchronize via a flush barrier, and worker panics propagate on
-//! join. Single-core hosts fall back to inline sequential ingestion —
-//! same state, no threads.
+//! * [`Frozen`] is the read-only serving view of any merged result.
 //!
 //! # Example
 //!
 //! ```
-//! use hh_core::{HeavyHitters, HhParams};
-//! use hh_pipeline::sharded_algo2;
+//! use hh_core::{HeavyHitters, HhParams, MergeableSummary};
+//! use hh_pipeline::{seed_aligned_algo2, IngestMode, ShardRuntime};
 //!
 //! let params = HhParams::new(0.05, 0.2).unwrap();
 //! let m = 200_000u64;
-//! let mut pipe = sharded_algo2(params, 1 << 30, m, 4, 42).unwrap();
-//! let batch: Vec<u64> = (0..m).map(|i| if i % 2 == 0 { 7 } else { i }).collect();
-//! pipe.ingest(&batch);
-//! assert!(pipe.report().contains(7)); // 50% item at phi = 20%
+//! let bank = seed_aligned_algo2(params, 1 << 30, m, 4, 42).unwrap();
+//! let mut rt = ShardRuntime::new(bank, IngestMode::Auto);
+//! let stream: Vec<u64> = (0..m).map(|i| if i % 2 == 0 { 7 } else { i }).collect();
+//! for (i, batch) in stream.chunks(8192).enumerate() {
+//!     rt.dispatch_ref(i % rt.len(), batch); // any split works
+//! }
+//! // Merge on read: flush, then fold every part into a copy of the first.
+//! rt.flush();
+//! let mut merged = rt.with_summary(0, Clone::clone);
+//! for j in 1..rt.len() {
+//!     rt.with_summary(j, |part| merged.merge_from(part)).unwrap();
+//! }
+//! assert!(merged.report().contains(7)); // 50% item at phi = 20%
 //! ```
 
 #![forbid(unsafe_code)]
@@ -76,253 +62,11 @@ pub use runtime::{
     Backpressure, FailurePolicy, FlushError, IngestMode, RecoverError, RuntimeHealth, ShardRuntime,
 };
 
-use hh_core::{FrequencyEstimator, HeavyHitters, HhParams, ItemEstimate, OptimalListHh};
+use hh_core::{FrequencyEstimator, HeavyHitters, HhParams, OptimalListHh};
 use hh_core::{MergeError, MergeableSummary, ParamError, QueryCache, Report};
 use hh_core::{SimpleListHh, StreamSummary};
+use hh_hash::mix64;
 use std::collections::VecDeque;
-
-/// SplitMix64 finalizer: turns any seed (including 0) into a well-mixed
-/// word for the router multiplier and per-shard summary seeds.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A key-sharded bank of summaries behind a batch ingestion front end.
-///
-/// `S` is any [`StreamSummary`]; reporting additionally needs
-/// [`HeavyHitters`]. Construction takes a factory so each shard gets its
-/// own (independently seeded) summary.
-#[derive(Debug)]
-pub struct ShardedPipeline<S> {
-    /// The persistent worker bank (or its inline sequential fallback);
-    /// see [`runtime::ShardRuntime`].
-    runtime: ShardRuntime<S>,
-    /// Per-shard partition buffers. In parallel mode each `dispatch`
-    /// swaps the filled buffer for a recycled one from the runtime's
-    /// free list, so the same few allocations circulate forever.
-    scratch: Vec<Vec<u64>>,
-    /// Odd multiplier of the shared routing hash (Dietzfelbinger's
-    /// plain-universal multiply: `h(x) = a·x mod 2⁶⁴`, then a fast-range
-    /// of the full word onto the shard count).
-    multiplier: u64,
-    /// Union-report threshold as a fraction of the total ingested stream
-    /// (callers pass the `φ − ε/2` of their summary's reporting rule).
-    threshold: f64,
-    total: u64,
-}
-
-impl<S: StreamSummary + Send + 'static> ShardedPipeline<S> {
-    /// A pipeline of `num_shards ≥ 1` summaries built by `make(shard)`,
-    /// routing keys with a universal hash drawn from `seed`. The final
-    /// report keeps union entries with at least `threshold · total`
-    /// estimated occurrences.
-    pub fn new(
-        num_shards: usize,
-        seed: u64,
-        threshold: f64,
-        mut make: impl FnMut(usize) -> S,
-    ) -> Self {
-        assert!(num_shards >= 1, "need at least one shard");
-        Self::from_summaries((0..num_shards).map(&mut make).collect(), seed, threshold)
-    }
-
-    /// A pipeline over prebuilt shard summaries (one per shard, in shard
-    /// order); see [`ShardedPipeline::new`] for the routing and
-    /// threshold conventions. Workers (or the sequential fallback) are
-    /// chosen by [`IngestMode::Auto`]; use
-    /// [`ShardedPipeline::with_mode`] to force a mode.
-    pub fn from_summaries(shards: Vec<S>, seed: u64, threshold: f64) -> Self {
-        Self::with_mode(shards, seed, threshold, IngestMode::Auto)
-    }
-
-    /// [`ShardedPipeline::from_summaries`] with an explicit ingest mode
-    /// (the equivalence suite pins [`IngestMode::Parallel`] against
-    /// [`IngestMode::Sequential`] on one host; everything else should
-    /// use [`IngestMode::Auto`]).
-    pub fn with_mode(shards: Vec<S>, seed: u64, threshold: f64, mode: IngestMode) -> Self {
-        assert!(!shards.is_empty(), "need at least one shard");
-        assert!(threshold >= 0.0, "threshold is a fraction of the stream");
-        let scratch = vec![Vec::new(); shards.len()];
-        Self {
-            runtime: ShardRuntime::new(shards, mode),
-            scratch,
-            multiplier: mix64(seed) | 1,
-            threshold,
-            total: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.runtime.len()
-    }
-
-    /// Items ingested so far (across all shards).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Whether ingestion runs on persistent shard workers (false on the
-    /// single-core / single-shard sequential fallback).
-    pub fn is_parallel(&self) -> bool {
-        self.runtime.is_parallel()
-    }
-
-    /// A point-in-time health snapshot of the underlying shard runtime:
-    /// quarantined shards, shed items, available checkpoints. See
-    /// [`RuntimeHealth`] and [`FailurePolicy`].
-    pub fn health(&self) -> RuntimeHealth {
-        self.runtime.health()
-    }
-
-    /// Sets the runtime's worker-failure policy; see [`FailurePolicy`].
-    pub fn set_failure_policy(&mut self, policy: FailurePolicy) {
-        self.runtime.set_failure_policy(policy);
-    }
-
-    /// Direct access to the shard runtime, for failure-handling
-    /// operations ([`ShardRuntime::checkpoint`],
-    /// [`ShardRuntime::recover`], [`ShardRuntime::flush_timeout`])
-    /// beyond the pipeline's own surface.
-    pub fn runtime_mut(&mut self) -> &mut ShardRuntime<S> {
-        &mut self.runtime
-    }
-
-    /// The shard that owns `item` — every occurrence routes here.
-    #[inline]
-    pub fn shard_of(&self, item: u64) -> usize {
-        let h = self.multiplier.wrapping_mul(item);
-        // Lemire fast-range of the full hashed word onto the shard count:
-        // the same near-equal preimage classes as `h % shards` without
-        // the division, and universality is inherited from the multiply.
-        ((h as u128 * self.runtime.len() as u128) >> 64) as usize
-    }
-
-    /// Read access to shard `j`'s summary (shard `j` holds exactly the
-    /// keys with `shard_of(key) == j`). Waits for all dispatched batches
-    /// first, so the view is current.
-    pub fn with_summary<T>(&self, j: usize, f: impl FnOnce(&S) -> T) -> T {
-        self.runtime.flush();
-        self.runtime.with_summary(j, f)
-    }
-
-    /// Maps a read over every shard's summary, in shard order, after a
-    /// flush barrier.
-    pub fn map_summaries<T>(&self, f: impl FnMut(&S) -> T) -> Vec<T> {
-        self.runtime.flush();
-        self.runtime.map_summaries(f)
-    }
-
-    /// Ingests one batch: a partition pass scatters the batch into
-    /// per-shard buffers, then each non-empty buffer is dispatched to
-    /// its shard's persistent worker (ingested inline on the sequential
-    /// fallback). Calls may be any size; summaries see their keys in
-    /// stream order across calls — per-shard queues are FIFO and a key
-    /// always routes to the same shard.
-    ///
-    /// Dispatch is asynchronous in parallel mode: the call returns once
-    /// the batch is *enqueued* (blocking only on a full shard queue for
-    /// back-pressure), and reads synchronize via the flush barrier every
-    /// read-side method takes.
-    pub fn ingest(&mut self, batch: &[u64]) {
-        self.total += batch.len() as u64;
-        if self.runtime.len() == 1 {
-            // Single shard: the partition pass would be a copy.
-            self.runtime.dispatch_ref(0, batch);
-            return;
-        }
-        let k = self.runtime.len();
-        for buf in &mut self.scratch {
-            buf.clear();
-            buf.reserve(batch.len() / k + batch.len() / (4 * k) + 16);
-        }
-        let mul = self.multiplier;
-        for &x in batch {
-            let s = ((mul.wrapping_mul(x) as u128 * k as u128) >> 64) as usize;
-            self.scratch[s].push(x);
-        }
-        for (j, buf) in self.scratch.iter_mut().enumerate() {
-            self.runtime.dispatch(j, buf);
-        }
-    }
-}
-
-impl<S: StreamSummary + HeavyHitters + Send + 'static> ShardedPipeline<S> {
-    /// The global report: the union of per-shard reports, re-thresholded
-    /// against the global stream length. Shard reports threshold against
-    /// their *own* (shorter) substreams, so they may include keys that
-    /// are shard-heavy but globally light; the global cut removes them.
-    /// Keys are disjoint across shards, so the union needs no combining.
-    ///
-    /// Waits for all dispatched batches (flush barrier) before reading.
-    pub fn report(&self) -> Report {
-        self.runtime.flush();
-        let bar = self.threshold * self.total as f64;
-        self.runtime
-            .map_summaries(HeavyHitters::report)
-            .iter()
-            .flat_map(|r| r.entries().to_vec())
-            .filter(|e| e.count >= bar)
-            .collect::<Vec<ItemEstimate>>()
-            .into_iter()
-            .collect()
-    }
-
-    /// The raw per-shard reports (before the global threshold), for
-    /// diagnostics and tests. Flushes first.
-    pub fn shard_reports(&self) -> Vec<Report> {
-        self.runtime.flush();
-        self.runtime.map_summaries(HeavyHitters::report)
-    }
-}
-
-/// A key-sharded bank of Algorithm 1 instances ([`SimpleListHh`]).
-///
-/// Every shard advertises the **full** stream length `m`, so each keeps
-/// the unsharded sampling rate `p = Θ(ℓ/m)`: the sampled work of the
-/// whole pipeline equals one unsharded run, split across shards. The
-/// union report thresholds at the algorithm's own `(φ − ε/2)` rule
-/// against the global stream.
-pub fn sharded_algo1(
-    params: HhParams,
-    universe: u64,
-    m: u64,
-    shards: usize,
-    seed: u64,
-) -> Result<ShardedPipeline<SimpleListHh>, ParamError> {
-    let summaries = (0..shards)
-        .map(|j| SimpleListHh::new(params, universe, m, mix64(seed).wrapping_add(j as u64)))
-        .collect::<Result<Vec<_>, _>>()?;
-    let threshold = params.phi() - params.eps() / 2.0;
-    Ok(ShardedPipeline::from_summaries(
-        summaries,
-        mix64(seed ^ 0xA1),
-        threshold,
-    ))
-}
-
-/// A key-sharded bank of Algorithm 2 instances ([`OptimalListHh`]); see
-/// [`sharded_algo1`] for the advertised-length and threshold conventions.
-pub fn sharded_algo2(
-    params: HhParams,
-    universe: u64,
-    m: u64,
-    shards: usize,
-    seed: u64,
-) -> Result<ShardedPipeline<OptimalListHh>, ParamError> {
-    let summaries = (0..shards)
-        .map(|j| OptimalListHh::new(params, universe, m, mix64(seed).wrapping_add(j as u64)))
-        .collect::<Result<Vec<_>, _>>()?;
-    let threshold = params.phi() - params.eps() / 2.0;
-    Ok(ShardedPipeline::from_summaries(
-        summaries,
-        mix64(seed ^ 0xA2),
-        threshold,
-    ))
-}
 
 /// SplitMix64-derived stream seed for part `j` of a seed-aligned bank.
 fn stream_seed(seed: u64, j: usize) -> u64 {
@@ -365,10 +109,12 @@ pub fn seed_aligned_algo2(
 /// Splits `stream` into one positional chunk per summary, ingests the
 /// chunks concurrently on a [`ShardRuntime`] worker bank (inline on the
 /// single-core fallback — no thread is ever spawned that the host
-/// cannot use), and merges the results left to right. This is the
-/// merge-based counterpart of [`ShardedPipeline`]: the partition is
-/// arbitrary (chunks here; any split works), so it models distributed
-/// ingestion where each node summarizes whatever reached it.
+/// cannot use), and merges the results left to right. Trailing
+/// summaries get no chunk when the stream is shorter than the bank.
+/// This is the whole-stream form of the served path (dispatch per
+/// part, merge on read): the partition is arbitrary (chunks here; any
+/// split works), so it models distributed ingestion where each node
+/// summarizes whatever reached it.
 ///
 /// # Errors
 /// [`MergeError`] if the summaries are not merge-compatible (randomized
@@ -418,8 +164,8 @@ where
 /// `Frozen` is the read-mostly serving shape: build one per window
 /// rotation or checkpoint, share it behind an `Arc` across however many
 /// query threads the service runs, and drop it when the next one is
-/// ready. Obtained from [`WindowedHh::frozen`] /
-/// [`PartitionedPipeline::frozen`], or [`Frozen::new`] for any summary.
+/// ready. Obtained from [`WindowedHh::frozen`], or [`Frozen::new`] for
+/// any summary (a [`partition_and_merge`] result, a merged bank).
 #[derive(Debug, Clone)]
 pub struct Frozen<S> {
     summary: S,
@@ -454,150 +200,6 @@ impl<S: FrequencyEstimator> Frozen<S> {
     /// Point query against the frozen summary.
     pub fn estimate(&self, item: u64) -> f64 {
         self.summary.estimate(item)
-    }
-}
-
-/// An incremental merge-based pipeline: a fixed bank of seed-aligned
-/// summaries that ingests batches round-robin (each call lands on the
-/// next part, simulating independent ingest nodes) and merges on
-/// demand. Unlike [`partition_and_merge`] the stream does not need to
-/// be materialized up front.
-///
-/// Queries run on the **cached path**: the merged summary is
-/// materialized once after a quiescent period and shared by every
-/// `merged`/`report` call until the next `ingest` invalidates it, so a
-/// query burst between batches pays one merge, not one per query.
-#[derive(Debug)]
-pub struct PartitionedPipeline<S> {
-    /// The part bank behind persistent workers (or the inline fallback);
-    /// round-robin ingestion means each part has its own worker and
-    /// consecutive batches pipeline across them.
-    runtime: ShardRuntime<S>,
-    next: usize,
-    total: u64,
-    /// Materialized merge of the bank; dropped by every `ingest`.
-    merged_cache: QueryCache<S>,
-}
-
-impl<S: StreamSummary + MergeableSummary + Clone + Send + 'static> PartitionedPipeline<S> {
-    /// A pipeline over a prebuilt bank of merge-compatible summaries,
-    /// with workers (or the sequential fallback) chosen by
-    /// [`IngestMode::Auto`].
-    ///
-    /// # Panics
-    /// If `parts` is empty.
-    pub fn new(parts: Vec<S>) -> Self {
-        Self::with_mode(parts, IngestMode::Auto)
-    }
-
-    /// [`PartitionedPipeline::new`] with an explicit ingest mode (for
-    /// the mode-equivalence suite; everything else should use
-    /// [`IngestMode::Auto`]).
-    pub fn with_mode(parts: Vec<S>, mode: IngestMode) -> Self {
-        assert!(!parts.is_empty(), "need at least one part");
-        Self {
-            runtime: ShardRuntime::new(parts, mode),
-            next: 0,
-            total: 0,
-            merged_cache: QueryCache::new(),
-        }
-    }
-
-    /// Number of parts in the bank.
-    pub fn num_parts(&self) -> usize {
-        self.runtime.len()
-    }
-
-    /// Items ingested so far across all parts.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// A point-in-time health snapshot of the underlying shard runtime;
-    /// see [`RuntimeHealth`] and [`FailurePolicy`].
-    pub fn health(&self) -> RuntimeHealth {
-        self.runtime.health()
-    }
-
-    /// Sets the runtime's worker-failure policy; see [`FailurePolicy`].
-    pub fn set_failure_policy(&mut self, policy: FailurePolicy) {
-        self.runtime.set_failure_policy(policy);
-    }
-
-    /// Direct access to the part runtime, for failure-handling
-    /// operations ([`ShardRuntime::checkpoint`],
-    /// [`ShardRuntime::recover`], [`ShardRuntime::flush_timeout`])
-    /// beyond the pipeline's own surface.
-    pub fn runtime_mut(&mut self) -> &mut ShardRuntime<S> {
-        self.merged_cache.invalidate();
-        &mut self.runtime
-    }
-
-    /// Ingests one batch into the next part (round-robin). In parallel
-    /// mode the batch is handed to that part's persistent worker and the
-    /// call returns immediately — consecutive calls land on *different*
-    /// parts, so a stream of batches genuinely pipelines across the
-    /// bank; reads synchronize through the flush barrier.
-    pub fn ingest(&mut self, batch: &[u64]) {
-        self.merged_cache.invalidate();
-        self.total += batch.len() as u64;
-        self.runtime.dispatch_ref(self.next, batch);
-        self.next = (self.next + 1) % self.runtime.len();
-    }
-
-    /// Read access to part `j`'s summary, after a flush barrier.
-    pub fn with_part<T>(&self, j: usize, f: impl FnOnce(&S) -> T) -> T {
-        self.runtime.flush();
-        self.runtime.with_summary(j, f)
-    }
-
-    /// The cached merged summary, building it if an ingest left the
-    /// cache cold.
-    fn merged_ref(&self) -> Result<&S, MergeError> {
-        if let Some(s) = self.merged_cache.get() {
-            return Ok(s);
-        }
-        self.runtime.flush();
-        let mut acc = self.runtime.with_summary(0, S::clone);
-        for j in 1..self.runtime.len() {
-            self.runtime.with_summary(j, |s| acc.merge_from(s))?;
-        }
-        Ok(self.merged_cache.get_or_build(|| acc))
-    }
-
-    /// Merges the bank into one summary of everything ingested so far
-    /// (the parts are left untouched, so ingestion can continue). A
-    /// clone of the cached merge on the quiescent path.
-    pub fn merged(&self) -> Result<S, MergeError> {
-        Ok(self.merged_ref()?.clone())
-    }
-
-    /// The merged report (see [`PartitionedPipeline::merged`]). Repeated
-    /// calls between ingests reuse both the cached merge *and* its own
-    /// materialized report.
-    pub fn report(&self) -> Result<Report, MergeError>
-    where
-        S: HeavyHitters,
-    {
-        Ok(self.merged_ref()?.report())
-    }
-
-    /// A [`Frozen`] serving view of everything ingested so far. Reuses
-    /// both cached artifacts: the materialized merge and (when a prior
-    /// query warmed it) its materialized report.
-    pub fn frozen(&self) -> Result<Frozen<S>, MergeError>
-    where
-        S: HeavyHitters,
-    {
-        let merged = self.merged_ref()?;
-        // Reporting through the cached instance warms (or hits) its
-        // report cache; the clone itself starts cold, but the view
-        // carries the finished report alongside it.
-        let report = merged.report();
-        Ok(Frozen {
-            summary: merged.clone(),
-            report,
-        })
     }
 }
 
@@ -848,8 +450,7 @@ pub fn windowed_algo2(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hh_baselines::{MisraGriesBaseline, SpaceSaving};
-    use hh_core::FrequencyEstimator;
+    use hh_baselines::MisraGriesBaseline;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -868,108 +469,41 @@ mod tests {
     }
 
     #[test]
-    fn keys_route_to_exactly_one_shard() {
-        let pipe = ShardedPipeline::new(4, 7, 0.0, |_| MisraGriesBaseline::new(0.1, 0.3, 1 << 20));
-        for x in 0..10_000u64 {
-            let s = pipe.shard_of(x);
-            assert!(s < 4);
-            assert_eq!(s, pipe.shard_of(x), "routing must be stable");
-        }
-    }
-
-    #[test]
-    fn routing_spreads_keys_roughly_evenly() {
-        let pipe = ShardedPipeline::new(4, 3, 0.0, |_| MisraGriesBaseline::new(0.1, 0.3, 1 << 20));
-        let mut loads = [0usize; 4];
-        for x in 0..40_000u64 {
-            loads[pipe.shard_of(x)] += 1;
-        }
-        for (s, &l) in loads.iter().enumerate() {
-            assert!((6_000..14_000).contains(&l), "shard {s} load {l}");
-        }
-    }
-
-    #[test]
     fn single_shard_pipeline_equals_direct_summary() {
         let stream = planted(50_000, &[(7, 0.4)], 1);
-        let mut pipe =
-            ShardedPipeline::new(1, 9, 0.0, |_| MisraGriesBaseline::new(0.05, 0.2, 1 << 21));
+        let mut rt = ShardRuntime::new(
+            vec![MisraGriesBaseline::new(0.05, 0.2, 1 << 21)],
+            IngestMode::Auto,
+        );
         for chunk in stream.chunks(4096) {
-            pipe.ingest(chunk);
+            rt.dispatch_ref(0, chunk);
         }
         let mut direct = MisraGriesBaseline::new(0.05, 0.2, 1 << 21);
         direct.insert_all(&stream);
+        let shard = rt.into_summaries().remove(0);
         for probe in [7u64, 1_000_001, 1_002_222] {
-            assert_eq!(
-                pipe.with_summary(0, |s| s.estimate(probe)),
-                direct.estimate(probe)
-            );
-        }
-        assert_eq!(pipe.total(), 50_000);
-    }
-
-    #[test]
-    fn shards_see_complete_per_key_substreams() {
-        // Deterministic summaries: a key's count in its shard must be its
-        // full stream count (never split), so the exact MG guarantee
-        // applies to the shard substream.
-        let stream = planted(60_000, &[(7, 0.3), (8, 0.2)], 2);
-        let mut pipe = ShardedPipeline::new(4, 11, 0.15, |_| {
-            SpaceSaving::with_capacity(64, 0.2, 1 << 21)
-        });
-        for chunk in stream.chunks(8192) {
-            pipe.ingest(chunk);
-        }
-        for item in [7u64, 8] {
-            let shard = pipe.shard_of(item);
-            let truth = stream.iter().filter(|&&x| x == item).count() as f64;
-            let est = pipe.with_summary(shard, |s| s.estimate(item));
-            // Space-Saving never undercounts and its overshoot is bounded
-            // by the SHARD substream length over capacity.
-            assert!(est >= truth, "item {item}: {est} < {truth}");
-            assert!(est <= truth + 60_000.0 / 64.0, "item {item}: {est}");
-            // Other shards know nothing about the key.
-            for (j, est) in pipe.map_summaries(|s| s.estimate(item)).iter().enumerate() {
-                if j != shard {
-                    assert_eq!(*est, 0.0, "key leaked to shard {j}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn union_report_finds_heavy_and_drops_shard_local_noise() {
-        let m = 120_000u64;
-        let stream = planted(m, &[(7, 0.35), (8, 0.22)], 3);
-        for shards in [1usize, 2, 4] {
-            let mut pipe = ShardedPipeline::new(shards, 13, 0.15, |_| {
-                SpaceSaving::with_capacity(64, 0.2, 1 << 21)
-            });
-            for chunk in stream.chunks(4096) {
-                pipe.ingest(chunk);
-            }
-            let r = pipe.report();
-            assert!(r.contains(7), "{shards} shards: missing 35% item");
-            assert!(r.contains(8), "{shards} shards: missing 22% item");
-            // Background ids are ~0.03% each: nothing below the global
-            // threshold survives the union cut.
-            for e in r.entries() {
-                assert!(e.count >= 0.15 * m as f64);
-                assert!([7, 8].contains(&e.item), "spurious item {}", e.item);
-            }
+            assert_eq!(shard.estimate(probe), direct.estimate(probe));
         }
     }
 
     #[test]
     fn algo2_preset_reports_planted_heavy_hitters() {
+        // The served shape: batches dispatched round-robin over a
+        // seed-aligned bank, merged on read while the runtime stays live.
         let m = 400_000u64;
         let stream = planted(m, &[(7, 0.30), (8, 0.16)], 4);
         let params = HhParams::with_delta(0.05, 0.1, 0.1).unwrap();
-        let mut pipe = sharded_algo2(params, 1 << 40, m, 4, 99).unwrap();
-        for chunk in stream.chunks(16 * 1024) {
-            pipe.ingest(chunk);
+        let bank = seed_aligned_algo2(params, 1 << 40, m, 4, 99).unwrap();
+        let mut rt = ShardRuntime::new(bank, IngestMode::Auto);
+        for (i, chunk) in stream.chunks(16 * 1024).enumerate() {
+            rt.dispatch_ref(i % rt.len(), chunk);
         }
-        let r = pipe.report();
+        rt.flush();
+        let mut merged = rt.with_summary(0, OptimalListHh::clone);
+        for j in 1..rt.len() {
+            rt.with_summary(j, |part| merged.merge_from(part)).unwrap();
+        }
+        let r = merged.report();
         for (item, frac) in [(7u64, 0.30), (8, 0.16)] {
             assert!(r.contains(item), "missing heavy item {item}");
             let est = r.estimate(item).unwrap();
@@ -985,17 +519,15 @@ mod tests {
         let m = 300_000u64;
         let stream = planted(m, &[(7, 0.30)], 5);
         let params = HhParams::with_delta(0.04, 0.12, 0.1).unwrap();
-        let mut pipe = sharded_algo1(params, 1 << 40, m, 2, 17).unwrap();
-        for chunk in stream.chunks(16 * 1024) {
-            pipe.ingest(chunk);
-        }
-        assert!(pipe.report().contains(7));
+        let bank = seed_aligned_algo1(params, 1 << 40, m, 2, 17).unwrap();
+        let merged = partition_and_merge(bank, &stream).unwrap();
+        assert!(merged.report().contains(7));
     }
 
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let _ = ShardedPipeline::new(0, 1, 0.1, |_| MisraGriesBaseline::new(0.1, 0.3, 16));
+        let _ = ShardRuntime::new(Vec::<MisraGriesBaseline>::new(), IngestMode::Auto);
     }
 
     #[test]
@@ -1019,21 +551,20 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_pipeline_accumulates_across_batches() {
-        let m = 300_000u64;
-        let stream = planted(m, &[(7, 0.35)], 12);
-        let params = HhParams::with_delta(0.04, 0.12, 0.1).unwrap();
-        let bank = seed_aligned_algo1(params, 1 << 40, m, 3, 5).unwrap();
-        let mut pipe = PartitionedPipeline::new(bank);
-        for chunk in stream.chunks(8192) {
-            pipe.ingest(chunk);
+    fn partition_and_merge_handles_empty_and_short_streams() {
+        // An empty stream leaves every part empty; a stream shorter than
+        // the part count gives the trailing parts no chunk at all. Either
+        // way the merge must equal one summary over the same stream.
+        let make = || MisraGriesBaseline::new(0.05, 0.2, 1 << 20);
+        for stream in [&[][..], &[5, 9, 5][..]] {
+            let merged = partition_and_merge((0..5).map(|_| make()).collect(), stream).unwrap();
+            let mut single = make();
+            single.insert_all(stream);
+            assert_eq!(merged.report(), single.report(), "stream {stream:?}");
+            for probe in [5u64, 9, 11] {
+                assert_eq!(merged.estimate(probe), single.estimate(probe));
+            }
         }
-        assert_eq!(pipe.total(), m);
-        assert_eq!(pipe.num_parts(), 3);
-        let r = pipe.report().unwrap();
-        assert!(r.contains(7));
-        // Parts are untouched by reporting: a second merge agrees.
-        assert_eq!(pipe.report().unwrap().entries(), r.entries());
     }
 
     #[test]
@@ -1048,62 +579,24 @@ mod tests {
     #[test]
     fn sequential_fallback_matches_direct_shard_state() {
         // Whatever ingestion mode the host picks (this CI box may have
-        // any core count), the per-shard state must equal routing the
-        // keys by hand and driving each shard's insert_batch directly.
+        // any core count), the per-shard state must equal driving each
+        // shard's insert_batch directly with the batches it was sent.
         let stream = planted(40_000, &[(7, 0.4)], 8);
-        let mut pipe =
-            ShardedPipeline::new(4, 21, 0.0, |_| MisraGriesBaseline::new(0.05, 0.2, 1 << 21));
-        let mut by_hand: Vec<Vec<u64>> = vec![Vec::new(); 4];
-        for chunk in stream.chunks(4096) {
-            pipe.ingest(chunk);
+        let make = || MisraGriesBaseline::new(0.05, 0.2, 1 << 21);
+        let mut rt = ShardRuntime::new((0..4).map(|_| make()).collect(), IngestMode::Auto);
+        let mut direct: Vec<MisraGriesBaseline> = (0..4).map(|_| make()).collect();
+        for (i, chunk) in stream.chunks(4096).enumerate() {
+            rt.dispatch_ref(i % 4, chunk);
+            direct[i % 4].insert_batch(chunk);
         }
-        for &x in &stream {
-            by_hand[pipe.shard_of(x)].push(x);
-        }
-        for (j, keys) in by_hand.iter().enumerate() {
-            let mut direct = MisraGriesBaseline::new(0.05, 0.2, 1 << 21);
-            // Reproduce the per-batch chunking the pipeline saw.
-            let mut scratch: Vec<u64> = Vec::new();
-            for chunk in stream.chunks(4096) {
-                scratch.clear();
-                scratch.extend(chunk.iter().filter(|&&x| pipe.shard_of(x) == j));
-                direct.insert_batch(&scratch);
-            }
+        rt.flush();
+        for (j, direct) in direct.iter().enumerate() {
             assert_eq!(
-                pipe.with_summary(j, |s| s.report().entries().to_vec()),
-                direct.report().entries(),
-                "shard {j} diverged (keys {})",
-                keys.len()
+                rt.with_summary(j, |s| s.report()),
+                direct.report(),
+                "shard {j} diverged"
             );
         }
-    }
-
-    #[test]
-    fn partitioned_queries_ride_the_cached_merge() {
-        let m = 200_000u64;
-        let stream = planted(m, &[(7, 0.35)], 14);
-        let params = HhParams::with_delta(0.05, 0.15, 0.1).unwrap();
-        let bank = seed_aligned_algo2(params, 1 << 40, m, 3, 6).unwrap();
-        let mut pipe = PartitionedPipeline::new(bank);
-        for chunk in stream.chunks(8192) {
-            pipe.ingest(chunk);
-        }
-        // Quiescent burst: identical answers, and identical to a fresh
-        // (cache-cold, clone-based) merge.
-        let first = pipe.report().unwrap();
-        let burst = pipe.report().unwrap();
-        assert_eq!(first.entries(), burst.entries());
-        assert_eq!(first.entries(), pipe.merged().unwrap().report().entries());
-        // Ingest invalidates: the next report reflects the new batch.
-        let before_total = pipe.total();
-        pipe.ingest(&[7; 1000]);
-        assert_eq!(pipe.total(), before_total + 1000);
-        let after = pipe.report().unwrap();
-        assert_eq!(
-            after.entries(),
-            pipe.merged().unwrap().report().entries(),
-            "cached report went stale after ingest"
-        );
     }
 
     #[test]
@@ -1112,16 +605,12 @@ mod tests {
         let stream = planted(m, &[(7, 0.4), (8, 0.2)], 15);
         let params = HhParams::with_delta(0.05, 0.15, 0.1).unwrap();
         let bank = seed_aligned_algo2(params, 1 << 40, m, 2, 9).unwrap();
-        let mut pipe = PartitionedPipeline::new(bank);
-        for chunk in stream.chunks(4096) {
-            pipe.ingest(chunk);
-        }
-        let frozen = pipe.frozen().unwrap();
-        // Borrowed report, identical to the pipeline's.
-        assert_eq!(frozen.report().entries(), pipe.report().unwrap().entries());
+        let merged = partition_and_merge(bank, &stream).unwrap();
+        let frozen = Frozen::new(merged.clone());
+        // Borrowed report, identical to the summary's own.
+        assert_eq!(frozen.report().entries(), merged.report().entries());
         assert!(frozen.report().contains(7));
         // Point queries agree with the underlying summary.
-        let merged = pipe.merged().unwrap();
         for probe in [7u64, 8, 999_999] {
             assert_eq!(frozen.estimate(probe), merged.estimate(probe));
         }

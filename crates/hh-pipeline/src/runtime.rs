@@ -1,15 +1,11 @@
-//! Persistent shard workers: the ingestion substrate behind
-//! [`crate::ShardedPipeline`], [`crate::PartitionedPipeline`], and
-//! [`crate::partition_and_merge`].
+//! Persistent shard workers: the one sharding entry point, behind
+//! hh-server's N-shard tenants and [`crate::partition_and_merge`].
 //!
-//! The previous generation of these pipelines spawned scoped threads
-//! *per ingest call*. One spawn per shard per batch is invisible for
-//! whole-stream calls but dominates batch-oriented ingestion — BENCH_4
-//! measured the key-sharded pipeline *losing* to its own sequential
-//! fallback on exactly that overhead. [`ShardRuntime`] makes the
-//! regression structurally impossible: worker threads are spawned
-//! **once**, at construction, and batches travel through bounded
-//! per-worker queues for the runtime's whole life.
+//! Worker threads are spawned **once**, at construction, and batches
+//! travel through bounded per-worker queues for the runtime's whole
+//! life: one spawn per shard per batch dominates batch-oriented
+//! ingestion (BENCH_4 measured a per-call scoped-thread pipeline
+//! *losing* to its own sequential fallback on exactly that overhead).
 //!
 //! # Shape
 //!
@@ -26,7 +22,7 @@
 //! The queue bound is deliberate back-pressure: a dispatcher that runs
 //! ahead of a slow shard blocks on that shard's queue instead of
 //! buffering the overflow, which caps in-flight memory at
-//! `shards × QUEUE_DEPTH` batches and keeps the partition pass from
+//! `shards × QUEUE_DEPTH` batches and keeps the dispatcher from
 //! racing unboundedly ahead of ingestion. [`Backpressure::Shed`] trades
 //! that completeness for bounded latency: a full queue drops the batch
 //! and counts it in [`RuntimeHealth::shed_items`] instead of blocking.
@@ -73,7 +69,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Batch slots per worker queue. Two slots give double-buffering — the
-/// dispatcher partitions batch `n + 1` while the worker drains batch
+/// dispatcher prepares batch `n + 1` while the worker drains batch
 /// `n` — and anything deeper only adds in-flight memory: the dispatcher
 /// and worker advance in lockstep once the pipe is full, so extra slots
 /// never fill except ahead of a stall they merely postpone.
@@ -107,7 +103,7 @@ pub enum FailurePolicy {
     Quarantine,
 }
 
-/// What [`ShardRuntime::dispatch`] does when a shard's queue is full.
+/// What [`ShardRuntime::dispatch_ref`] does when a shard's queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backpressure {
     /// Block the dispatcher until a slot frees (the default: bounded
@@ -237,7 +233,7 @@ struct HealthState {
 
 /// A fixed bank of summaries, each driven by its own persistent worker
 /// thread (or inline, in sequential mode). See the module docs for the
-/// design; see [`crate::ShardedPipeline`] for the primary consumer.
+/// design.
 pub struct ShardRuntime<S> {
     cells: Vec<Arc<Mutex<S>>>,
     /// Empty in sequential mode.
@@ -393,36 +389,15 @@ impl<S: StreamSummary + Send + 'static> ShardRuntime<S> {
         buf
     }
 
-    /// Enqueues `batch` on shard `j`'s worker, leaving a recycled empty
-    /// buffer (with warm capacity) in its place — the caller's scratch
-    /// vector and the runtime's free list form one circulating pool. In
-    /// sequential mode the batch is ingested inline and left untouched.
+    /// Hands `items` to shard `j`: copies them into a recycled buffer
+    /// and enqueues it on the shard's worker in parallel mode, ingests
+    /// inline (zero-copy) in sequential mode.
     ///
     /// Under [`Backpressure::Block`] (default) this blocks while shard
     /// `j`'s queue is full; under [`Backpressure::Shed`] it drops the
     /// batch instead and counts the items. A dead worker follows the
     /// failure policy: [`FailurePolicy::Propagate`] re-raises its panic
     /// here, [`FailurePolicy::Quarantine`] poisons the shard and sheds.
-    pub fn dispatch(&mut self, j: usize, batch: &mut Vec<u64>) {
-        if batch.is_empty() {
-            return;
-        }
-        if self.shed_if_poisoned(j, batch.len() as u64) {
-            batch.clear();
-            return;
-        }
-        if self.workers.is_empty() {
-            self.ingest_inline(j, batch);
-            return;
-        }
-        let mut owned = self.recycled();
-        std::mem::swap(batch, &mut owned);
-        self.send_batch(j, owned);
-    }
-
-    /// Like [`ShardRuntime::dispatch`] for borrowed batches: copies
-    /// `items` into a recycled buffer in parallel mode, ingests inline
-    /// (zero-copy) in sequential mode.
     pub fn dispatch_ref(&mut self, j: usize, items: &[u64]) {
         if items.is_empty() {
             return;

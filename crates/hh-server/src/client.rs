@@ -27,6 +27,7 @@
 use crate::conn::{ConnLimits, DeadlineConn, Transport};
 use crate::facade::TenantSpec;
 use crate::proto::{ProtocolError, RangeEntry, Request, Response, ServerHealth};
+use hh_hash::mix64;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
 use std::net::{SocketAddr, TcpStream};
@@ -38,15 +39,6 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Per-process client counter; mixed with the process seed into ids.
 static NEXT_CLIENT: AtomicU64 = AtomicU64::new(1);
-
-/// SplitMix64 finalizer: one invertible shuffle, so distinct inputs
-/// become distinct, well-spread ids.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// A fresh seed for one process lifetime: OS randomness (through
 /// `RandomState`'s keys), the pid and the wall clock, hashed together.

@@ -38,6 +38,7 @@ use hh_core::{
     Report, SimpleListHh, SnapshotError, StreamSummary,
 };
 use hh_dyadic::{DyadicHh, HeavyRange};
+use hh_hash::mix64;
 use hh_space::SpaceUsage;
 use std::any::Any;
 
@@ -153,14 +154,6 @@ impl Default for TenantSpec {
             shards: 1,
         }
     }
-}
-
-/// SplitMix64 finalizer (the same mix the pipeline presets use).
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl TenantSpec {

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Scenario: four ingest nodes each see an arbitrary slice of a
-//! two-million-event stream (position-partitioned — no router in front,
-//! unlike `hh-pipeline`'s key-sharded mode). Each node runs Algorithm 2
+//! two-million-event stream (position-partitioned — no router in
+//! front). Each node runs Algorithm 2
 //! built from the *same structure seed* (so all four drew identical
 //! repetition hashes) and its *own stream seed* (so sampling stays
 //! independent). Every node checkpoints its summary to bytes; a

@@ -5,9 +5,9 @@
 #
 #   update_time         E6: scalar per-item insertion (all summaries)
 #   batch_update_time   insert_batch on the same workload
-#   sharded_throughput  hh-pipeline key-sharded ingestion, 1/2/4 shards
-#   thread_scaling      shard-runtime ingest, forced seq vs parallel,
-#                       1/2/4 shards (records _meta/host_cores)
+#   sharded_throughput  hh-pipeline partition_and_merge ingestion, 1/2/4 shards
+#   thread_scaling      shard-runtime dispatch + merge, forced seq vs
+#                       parallel, 1/2/4 shards (records _meta/host_cores)
 #   query_time          report() extraction at three universe sizes
 #   merge_serialize     summary merging, snapshot round trips, and the
 #                       decode-only restore path (snapshot_decode)

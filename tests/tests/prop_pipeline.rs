@@ -1,16 +1,18 @@
-//! Property suite for the key-sharded pipeline: the union-of-shards
-//! report must satisfy the (φ, ε) recall and suppression guarantees of
-//! Definition 1 on planted-heavy-hitter and Zipf streams at 1, 2, and 4
-//! shards — the shard count is an executor knob, not a semantics knob.
+//! Property suite for the served merge path: a seed-aligned bank split
+//! by position over the shard runtime and merged
+//! (`partition_and_merge`) must satisfy the (φ, ε) recall and
+//! suppression guarantees of Definition 1 on planted-heavy-hitter and
+//! Zipf streams at 1, 2, and 4 parts — the part count is an executor
+//! knob, not a semantics knob.
 
-use hh_core::{HhParams, StreamSummary};
-use hh_pipeline::{sharded_algo1, sharded_algo2, ShardedPipeline};
+use hh_core::{HeavyHitters, HhParams, MergeableSummary};
+use hh_pipeline::{partition_and_merge, seed_aligned_algo1, seed_aligned_algo2};
 use hh_streams::{arrange, collect_stream, ExactCounts, OrderPolicy, ZipfGenerator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+const PART_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Planted workload: a 30% item, an item just over φ, an item pinned
 /// just under (φ−ε), and a light-id tail.
@@ -34,42 +36,27 @@ fn planted_with_boundary(m: u64, phi: f64, eps: f64, seed: u64) -> Vec<u64> {
     arrange(&counts, OrderPolicy::Shuffled, &mut rng)
 }
 
-fn ingest_chunked<S: StreamSummary + Send + 'static>(
-    pipe: &mut ShardedPipeline<S>,
-    stream: &[u64],
-    chunk: usize,
-) {
-    for part in stream.chunks(chunk.max(1)) {
-        pipe.ingest(part);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn planted_guarantees_hold_at_every_shard_count(
-        seed in 0u64..1 << 32,
-        chunk in 1024usize..65_536,
-    ) {
+    fn planted_guarantees_hold_at_every_shard_count(seed in 0u64..1 << 32) {
         let (m, phi, eps) = (400_000u64, 0.15, 0.05);
         let stream = planted_with_boundary(m, phi, eps, seed);
         let params = HhParams::with_delta(eps, phi, 0.1).unwrap();
-        for shards in SHARD_COUNTS {
-            let mut pipe =
-                sharded_algo2(params, 1 << 40, m, shards, seed ^ 0xD1CE).unwrap();
-            ingest_chunked(&mut pipe, &stream, chunk);
-            let r = pipe.report();
-            prop_assert!(r.contains(1), "{shards} shards: missing 30% item");
-            prop_assert!(r.contains(2), "{shards} shards: missing phi-heavy item");
+        for parts in PART_COUNTS {
+            let bank = seed_aligned_algo2(params, 1 << 40, m, parts, seed ^ 0xD1CE).unwrap();
+            let r = partition_and_merge(bank, &stream).unwrap().report();
+            prop_assert!(r.contains(1), "{parts} parts: missing 30% item");
+            prop_assert!(r.contains(2), "{parts} parts: missing phi-heavy item");
             prop_assert!(
                 !r.contains(3),
-                "{shards} shards: (phi-eps)-light item reported"
+                "{parts} parts: (phi-eps)-light item reported"
             );
             let est = r.estimate(1).unwrap();
             prop_assert!(
                 (est - 0.30 * m as f64).abs() <= eps * m as f64,
-                "{shards} shards: estimate {est} off by more than eps*m"
+                "{parts} parts: estimate {est} off by more than eps*m"
             );
         }
     }
@@ -82,21 +69,20 @@ proptest! {
         let stream = collect_stream(&mut gen, m, &mut rng);
         let oracle = ExactCounts::from_stream(&stream);
         let params = HhParams::with_delta(eps, phi, 0.1).unwrap();
-        for shards in SHARD_COUNTS {
-            let mut pipe =
-                sharded_algo2(params, 1 << 30, m as u64, shards, seed ^ 0xBEEF).unwrap();
-            ingest_chunked(&mut pipe, &stream, 16 * 1024);
-            let r = pipe.report();
+        for parts in PART_COUNTS {
+            let bank =
+                seed_aligned_algo2(params, 1 << 30, m as u64, parts, seed ^ 0xBEEF).unwrap();
+            let r = partition_and_merge(bank, &stream).unwrap().report();
             for (item, f) in oracle.heavy_hitters(phi) {
                 prop_assert!(
                     r.contains(item),
-                    "{shards} shards: missing zipf HH {item} (f = {f})"
+                    "{parts} parts: missing zipf HH {item} (f = {f})"
                 );
             }
             for item in oracle.forbidden(phi, eps) {
                 prop_assert!(
                     !r.contains(item),
-                    "{shards} shards: forbidden zipf item {item} reported"
+                    "{parts} parts: forbidden zipf item {item} reported"
                 );
             }
         }
@@ -107,16 +93,14 @@ proptest! {
         let (m, phi, eps) = (300_000u64, 0.15, 0.05);
         let stream = planted_with_boundary(m, phi, eps, seed);
         let params = HhParams::with_delta(eps, phi, 0.1).unwrap();
-        for shards in SHARD_COUNTS {
-            let mut pipe =
-                sharded_algo1(params, 1 << 40, m, shards, seed ^ 0xFA11).unwrap();
-            ingest_chunked(&mut pipe, &stream, 32 * 1024);
-            let r = pipe.report();
-            prop_assert!(r.contains(1), "{shards} shards: missing 30% item");
-            prop_assert!(r.contains(2), "{shards} shards: missing phi-heavy item");
+        for parts in PART_COUNTS {
+            let bank = seed_aligned_algo1(params, 1 << 40, m, parts, seed ^ 0xFA11).unwrap();
+            let r = partition_and_merge(bank, &stream).unwrap().report();
+            prop_assert!(r.contains(1), "{parts} parts: missing 30% item");
+            prop_assert!(r.contains(2), "{parts} parts: missing phi-heavy item");
             prop_assert!(
                 !r.contains(3),
-                "{shards} shards: (phi-eps)-light item reported"
+                "{parts} parts: (phi-eps)-light item reported"
             );
         }
     }
@@ -127,15 +111,15 @@ proptest! {
         let stream = planted_with_boundary(m, phi, eps, seed);
         let params = HhParams::with_delta(eps, phi, 0.1).unwrap();
         let run = || {
-            let mut pipe = sharded_algo2(params, 1 << 40, m, 4, seed).unwrap();
-            ingest_chunked(&mut pipe, &stream, 8192);
-            pipe
+            let bank = seed_aligned_algo2(params, 1 << 40, m, 4, seed).unwrap();
+            partition_and_merge(bank, &stream).unwrap()
         };
         let (a, b) = (run(), run());
-        // Thread scheduling must not leak into results: shards are
-        // independent, so the union report is schedule-free.
+        // Thread scheduling must not leak into results: parts are
+        // independent and merge in a fixed order, so the merged summary
+        // is schedule-free down to its snapshot bytes.
         let (ra, rb) = (a.report(), b.report());
         prop_assert_eq!(ra.entries(), rb.entries());
-        prop_assert_eq!(a.total(), b.total());
+        prop_assert_eq!(a.to_bytes(), b.to_bytes());
     }
 }

@@ -10,11 +10,10 @@
 //! `prop_shard_runtime.rs`.
 
 use hh_baselines::MisraGriesBaseline;
-use hh_core::MisraGries;
+use hh_core::{HeavyHitters, MergeableSummary, MisraGries};
 use hh_faults::{FaultSwitch, FaultySummary};
 use hh_pipeline::{
     Backpressure, FailurePolicy, FlushError, IngestMode, RecoverError, ShardRuntime,
-    ShardedPipeline,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -218,6 +217,22 @@ fn seeding_the_wrong_number_of_checkpoints_is_refused() {
     rt.seed_checkpoints(Vec::new());
 }
 
+/// The served read: a flush barrier, then the merge of every shard the
+/// health snapshot does not name as quarantined.
+fn merged_live(rt: &ShardRuntime<FaultySummary<MisraGriesBaseline>>) -> MisraGriesBaseline {
+    rt.flush();
+    let poisoned: Vec<usize> = rt.health().poisoned.iter().map(|&(j, _)| j).collect();
+    let mut live = (0..rt.len())
+        .filter(|j| !poisoned.contains(j))
+        .map(|j| rt.with_summary(j, |s| s.inner().clone()));
+    let mut acc = live.next().expect("at least one live shard");
+    for part in live {
+        acc.merge_from(&part)
+            .expect("same-parameter summaries merge");
+    }
+    acc
+}
+
 #[test]
 fn pipeline_surface_reports_health_and_supports_recovery() {
     let switches: Vec<_> = (0..4).map(|_| FaultSwitch::new()).collect();
@@ -225,34 +240,35 @@ fn pipeline_surface_reports_health_and_supports_recovery() {
         .iter()
         .map(|sw| FaultySummary::new(MisraGriesBaseline::new(0.05, 0.15, 1 << 40), Arc::clone(sw)))
         .collect();
-    let mut pipe = ShardedPipeline::with_mode(shards, 0xFEED, 0.05, IngestMode::Parallel);
-    pipe.set_failure_policy(FailurePolicy::Quarantine);
-    assert!(pipe.health().all_healthy());
+    let mut rt = ShardRuntime::new(shards, IngestMode::Parallel);
+    rt.set_failure_policy(FailurePolicy::Quarantine);
+    assert!(rt.health().all_healthy());
 
     let warmup: Vec<u64> = (0..2_000).map(|i| i % 50).collect();
-    pipe.ingest(&warmup);
-    assert_eq!(pipe.runtime_mut().checkpoint(), 4);
+    for (j, part) in warmup.chunks(500).enumerate() {
+        rt.dispatch_ref(j, part);
+    }
+    assert_eq!(rt.checkpoint(), 4);
 
-    // Panic whichever shard owns a known hot key, through the pipeline's
-    // own routing.
+    // Panic the shard a batch of a hot key is sent to.
     let hot = 7u64;
-    let victim = pipe.shard_of(hot);
+    let victim = 2;
     switches[victim].arm_panic_after(0);
-    pipe.ingest(&vec![hot; 100]);
+    rt.dispatch_ref(victim, &[hot; 100]);
 
-    // The surviving shards still produce a report, and health names the
-    // quarantined shard.
-    let report = pipe.report();
-    let health = pipe.health();
+    // The surviving shards still produce a merged report, and health
+    // names the quarantined shard.
+    let report = merged_live(&rt).report();
+    let health = rt.health();
     assert_eq!(health.poisoned.len(), 1);
     assert_eq!(health.poisoned[0].0, victim);
     drop(report);
 
-    // Recover through the exposed runtime and keep streaming.
-    pipe.runtime_mut().recover(victim).expect("recover");
-    assert!(pipe.health().poisoned.is_empty());
-    pipe.ingest(&vec![hot; 500]);
-    let report = pipe.report();
+    // Recover from the checkpoint and keep streaming.
+    rt.recover(victim).expect("recover");
+    assert!(rt.health().poisoned.is_empty());
+    rt.dispatch_ref(victim, &[hot; 500]);
+    let report = merged_live(&rt).report();
     assert!(
         report.contains(hot),
         "recovered shard reports its heavy hitter again"

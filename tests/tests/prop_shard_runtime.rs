@@ -55,10 +55,6 @@ fn workload(seed: u64) -> (Vec<u64>, Vec<u64>) {
 /// flushing (and reading every shard) every `flush_every` dispatches,
 /// then shuts the runtime down and returns the summaries plus the
 /// mid-stream reports in order.
-///
-/// Chunks alternate between the two dispatch entry points —
-/// `dispatch_ref` (copy into a recycled buffer) and `dispatch` (swap the
-/// caller's buffer in) — so both hand-off paths are covered.
 fn drive<S>(
     summaries: Vec<S>,
     mode: IngestMode,
@@ -71,16 +67,9 @@ where
 {
     let shards = summaries.len();
     let mut rt = ShardRuntime::new(summaries, mode);
-    let mut scratch: Vec<u64> = Vec::new();
     let mut mid = Vec::new();
     for (i, part) in stream.chunks(batch.max(1)).enumerate() {
-        if i % 2 == 0 {
-            rt.dispatch_ref(i % shards, part);
-        } else {
-            scratch.clear();
-            scratch.extend_from_slice(part);
-            rt.dispatch(i % shards, &mut scratch);
-        }
+        rt.dispatch_ref(i % shards, part);
         if flush_every > 0 && (i + 1) % flush_every == 0 {
             // Read-under-ingest: a flush barrier then a full sweep of
             // per-shard reports, which must match across modes too.
