@@ -68,7 +68,8 @@ use crate::traits::{HeavyHitters, StreamSummary};
 use hh_hash::{HashFamily, HashFunction, MultiplyShift64Family, MultiplyShift64Hash};
 use hh_sampling::{BitBudget, BitSkipSampler};
 use hh_space::codec::{Codec, CodecError, Reader, Writer};
-use hh_space::{gamma_sum_bits, sparse_slice_bits, SpaceUsage};
+use hh_space::varint::{push_uvarint, read_uvarint};
+use hh_space::{gamma_sum_bits, push_uvarints, sparse_slice_bits, SpaceUsage};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -467,6 +468,54 @@ impl OptimalListHh {
     /// selectively instead.
     fn epochs_from_t2(t2: &[u64], thresholds: &[u64]) -> Vec<u8> {
         t2.iter().map(|&v| Self::epoch_of(v, thresholds)).collect()
+    }
+
+    /// The cells whose cached epoch is live, ascending — the only T3
+    /// rows that can carry mass: a trial records into `T3[cell, ·]`
+    /// only while the cell's epoch is live, and epochs never regress,
+    /// so a dead cell's `(k+1)`-slot row is identically zero.
+    ///
+    /// The epoch bytes are scanned 8 at a time: an all-dead group is one
+    /// `u64 == MAX` test (the sentinel is `0xFF`), the same SWAR shape
+    /// as the sampler's zero-chunk scan, and on realistic workloads
+    /// nearly every group is all-dead.
+    fn live_cells(epochs: &[u8]) -> impl Iterator<Item = usize> + '_ {
+        let groups = epochs.chunks_exact(8);
+        let tail = (epochs.len() - groups.remainder().len(), groups.remainder());
+        groups
+            .enumerate()
+            .filter(|(_, group)| {
+                u64::from_ne_bytes((*group).try_into().expect("8-byte group")) != u64::MAX
+            })
+            .map(|(g, group)| (g * 8, group))
+            .chain(std::iter::once(tail))
+            .flat_map(|(base, group)| {
+                group
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &e)| e != EPOCH_NONE)
+                    .map(move |(i, _)| base + i)
+            })
+    }
+
+    /// The dense T3 table of `len` cells rebuilt in one sequential pass
+    /// from a v5 row block: `k+1` varints per live cell of `epochs`, in
+    /// cell order, then one per trailing sink cell. The table starts as
+    /// one zeroed allocation and only the live rows and sinks are
+    /// written, so the pages of dead rows are left untouched. `None` if
+    /// the block runs out early or has bytes left over.
+    fn t3_from_live_rows(block: &[u8], epochs: &[u8], kp1: usize, len: usize) -> Option<Vec<u64>> {
+        let mut t3 = vec![0u64; len];
+        let mut pos = 0usize;
+        for cell in Self::live_cells(epochs) {
+            for c in &mut t3[cell * kp1..(cell + 1) * kp1] {
+                *c = read_uvarint(block, &mut pos)?;
+            }
+        }
+        for c in &mut t3[epochs.len() * kp1..] {
+            *c = read_uvarint(block, &mut pos)?;
+        }
+        (pos == block.len()).then_some(t3)
     }
 
     /// Refreshes a cached epoch after its T2 counter reached `v`. The old
@@ -960,38 +1009,67 @@ impl SpaceUsage for OptimalListHh {
     }
 }
 
-/// Snapshot format version tag. v4 signs with the checksum's folded
-/// lane step; v3 appended the trailing integrity checksum; v2 re-encoded the big arrays through the
-/// codec's bulk byte channel: T2/T3 as varint blocks, the epoch cache
-/// as raw bytes, the (monotone) threshold table delta-coded.
-const A2_TAG: &str = "hh.algo2.v4";
+/// Snapshot format version tag. v5 writes only the live T3 rows; v4
+/// signs with the checksum's folded lane step; v3 appended the
+/// trailing integrity checksum; v2 re-encoded the big arrays through
+/// the codec's bulk byte channel: T2/T3 as varint blocks, the epoch
+/// cache as raw bytes, the (monotone) threshold table delta-coded.
+const A2_TAG: &str = "hh.algo2.v5";
 
-/// Full-state snapshot: parameters, every hash seed, the T1/T2/T3
-/// tables with their epoch caches, and the three randomness sources
-/// (front-end sampler, T2 skip, T3 bit budget, backing RNG). The
-/// branchless trial tables and the Lemire constants are derived from
-/// `ε̂` at restore time, not stored — and neither is the read cache,
-/// which a restored instance rebuilds on first query.
+/// Full-state snapshot: parameters, every hash seed, the T1/T2 tables,
+/// the live T3 rows, and the three randomness sources (front-end
+/// sampler, T2 skip, T3 bit budget, backing RNG). The epoch cache, the
+/// branchless trial tables and the Lemire constants are derived at
+/// restore time, not stored — and neither is the read cache, which a
+/// restored instance rebuilds on first query.
 ///
 /// The counter tables dominate the payload, so they go through the
 /// varint/delta slice helpers ([`snapshot::write_u64_slice`] and
 /// friends) as preallocated byte blocks instead of one codec call per
-/// cell; the `reserve` hint up front sizes the output buffer once so
-/// the whole snapshot is written into a single allocation.
+/// cell. T3 is sent sparse (§3.1.2: "not all the allowed cells will
+/// actually be used"): T2 and the threshold table come first, so the
+/// reader knows every cell's epoch before the T3 block, and the block
+/// holds only the rows of live cells (`OptimalListHh::live_cells`),
+/// in cell order, then the `R` sink cells. A dead row is provably zero,
+/// so nothing is lost — and a buffer cannot express mass in a dead
+/// row, which the merge fast path relies on.
 impl Codec for OptimalListHh {
     fn write_to(&self, w: &mut Writer) {
-        // Preallocate: ~1 varint byte per counter cell plus a
-        // fixed-field allowance (the epoch cache is not on the wire).
-        w.reserve(self.t2.len() + self.t3.len() + 512);
+        let kp1 = self.k_eps as usize + 1;
+        let live = self.epochs.iter().filter(|&&e| e != EPOCH_NONE).count();
+        debug_assert!(
+            self.epochs
+                .iter()
+                .enumerate()
+                .filter(|&(_, &e)| e == EPOCH_NONE)
+                .all(|(cell, _)| self.t3[cell * kp1..(cell + 1) * kp1]
+                    .iter()
+                    .all(|&c| c == 0)),
+            "a dead T3 row carries mass"
+        );
+        let sink = self.t3.len() - self.hashes.len();
+        let t3_values = live * kp1 + self.hashes.len();
+        // Preallocate: ~1 varint byte per T2 cell and per live T3 value
+        // plus a fixed-field allowance (the epoch cache is not on the
+        // wire).
+        w.reserve(self.t2.len() + t3_values + 512);
         self.params.write_to(w);
         w.write_u64(self.universe);
         self.sampler.write_to(w);
         self.t1.write_to(w);
         self.hashes.write_to(w);
         snapshot::write_u64_slice(&self.t2, w);
-        snapshot::write_u64_slice(&self.t3, w);
         snapshot::write_u64_slice_delta(&self.epoch_thresholds, w);
         w.write_u64(self.k_eps as u64);
+        w.write_seq_len(t3_values);
+        w.write_byte_seq_with(|out| {
+            for cell in Self::live_cells(&self.epochs) {
+                for &v in &self.t3[cell * kp1..(cell + 1) * kp1] {
+                    push_uvarint(out, v);
+                }
+            }
+            push_uvarints(out, &self.t3[sink..]);
+        });
         self.t2_skip.write_to(w);
         self.bits.write_to(w);
         w.write_bool(self.mode == EpochMode::Accelerated);
@@ -1008,22 +1086,8 @@ impl Codec for OptimalListHh {
         let sampler = BitSkipSampler::read_from(r)?;
         let t1 = MisraGries::read_from(r)?;
         let hashes: Vec<MultiplyShift64Hash> = Vec::read_from(r)?;
-        let t2: Vec<u64> = snapshot::read_u64_slice(r)?;
-        let t3: Vec<u64> = snapshot::read_u64_slice(r)?;
-        let epoch_thresholds: Vec<u64> = snapshot::read_u64_slice_delta(r)?;
-        let k_eps = r.read_u64()?;
-        if k_eps > 64 {
-            return Err(CodecError::invariant("epsilon exponent above 64"));
-        }
-        let k_eps = k_eps as u32;
-        let t2_skip = BitSkipSampler::read_from(r)?;
-        let bits = BitBudget::read_from(r)?;
-        let accelerated = r.read_bool()?;
-        let samples = r.read_u64()?;
-        let rng = StdRng::from_state(snapshot::read_rng_state(r)?);
-
-        let r = hashes.len();
-        if r == 0 {
+        let reps = hashes.len();
+        if reps == 0 {
             return Err(CodecError::invariant("no repetitions"));
         }
         let buckets = hashes[0].range();
@@ -1037,26 +1101,53 @@ impl Codec for OptimalListHh {
         let shape_err = || CodecError::invariant("table shapes inconsistent");
         let cells = usize::try_from(buckets)
             .ok()
-            .and_then(|b| r.checked_mul(b))
+            .and_then(|b| reps.checked_mul(b))
             .ok_or_else(shape_err)?;
-        let t3_cells = cells
-            .checked_mul(k_eps as usize + 1)
-            .and_then(|c| c.checked_add(r))
-            .ok_or_else(shape_err)?;
-        if t2.len() != cells || t3.len() != t3_cells {
+        let t2: Vec<u64> = snapshot::read_u64_slice(r)?;
+        if t2.len() != cells {
             return Err(shape_err());
         }
-        if epoch_thresholds.len() != k_eps as usize + 1 {
+        let epoch_thresholds: Vec<u64> = snapshot::read_u64_slice_delta(r)?;
+        let k_eps = r.read_u64()?;
+        if k_eps > 64 {
+            return Err(CodecError::invariant("epsilon exponent above 64"));
+        }
+        let k_eps = k_eps as u32;
+        let kp1 = k_eps as usize + 1;
+        if epoch_thresholds.len() != kp1 {
             return Err(CodecError::invariant("epoch table shape inconsistent"));
         }
         // The epoch cache is derived state (the threshold-table lookup
-        // of each T2 value, which `advance_epoch` maintains exactly):
-        // recomputing it here instead of trusting the wire keeps the
-        // snapshot smaller and guarantees the T3-row invariant the
-        // merge fast path relies on even for hand-crafted buffers.
+        // of each T2 value, which `advance_epoch` maintains exactly), and
+        // it decides which T3 rows the block carries: recomputing it
+        // from T2 before reading T3 keeps the snapshot smaller and
+        // leaves every dead row zero by construction, the invariant
+        // the merge fast path relies on.
         let epochs = Self::epochs_from_t2(&t2, &epoch_thresholds);
+        let live = epochs.iter().filter(|&&e| e != EPOCH_NONE).count();
+        let t3_values = live
+            .checked_mul(kp1)
+            .and_then(|n| n.checked_add(reps))
+            .ok_or_else(shape_err)?;
+        if r.read_seq_len()? != t3_values {
+            return Err(shape_err());
+        }
+        // Every T2 cell took at least one wire byte, so the dense table
+        // costs at most 8·(k+1) ≤ 520 bytes per byte of the buffer.
+        let t3_cells = cells
+            .checked_mul(kp1)
+            .and_then(|c| c.checked_add(reps))
+            .ok_or_else(shape_err)?;
+        let t3 = Self::t3_from_live_rows(r.read_byte_slice()?, &epochs, kp1, t3_cells)
+            .ok_or_else(|| CodecError::invariant("malformed T3 row block"))?;
+        let t2_skip = BitSkipSampler::read_from(r)?;
+        let bits = BitBudget::read_from(r)?;
+        let accelerated = r.read_bool()?;
+        let samples = r.read_u64()?;
+        let rng = StdRng::from_state(snapshot::read_rng_state(r)?);
+
         let (t3_mask, t3_add, t3_slot) = trial_tables(k_eps);
-        let (slice_words, layout_ok) = coin_layout(k_eps, r);
+        let (slice_words, layout_ok) = coin_layout(k_eps, reps);
         Ok(Self {
             params,
             universe,
@@ -1179,43 +1270,15 @@ impl MergeableSummary for OptimalListHh {
             self.t2[cell] = self.t2[cell].saturating_add(other.t2[cell]);
             self.epochs[cell] = Self::epoch_of(self.t2[cell], thresholds);
         }
-        // T3 adds cell-wise, but only for rows that can carry mass: a
-        // trial records into `T3[cell, ·]` only while the cell's cached
-        // epoch is live, and epochs never regress, so
-        // `other.epochs[cell] == EPOCH_NONE` proves other's whole
-        // `(k+1)`-slot row is zero. Other's epoch bytes are scanned 8
-        // at a time — an all-dead group is one `u64 == MAX` test (the
-        // sentinel is `0xFF`), the same SWAR shape as the sampler's
-        // zero-chunk scan — so the sweep costs 1/(8(k+1)) of the row
-        // table plus the touched rows, instead of an element-by-element
-        // pass over both full tables.
+        // T3 adds cell-wise, but only for the rows of other's live
+        // cells: a dead row is identically zero (see
+        // [`OptimalListHh::live_cells`]), so the sweep costs 1/(8(k+1))
+        // of the row table plus the touched rows, instead of an
+        // element-by-element pass over both full tables.
         let kp1 = self.k_eps as usize + 1;
-        let groups = other.epochs.len() / 8 * 8;
-        for (g, chunk) in other.epochs[..groups].chunks_exact(8).enumerate() {
-            let packed = u64::from_le_bytes(chunk.try_into().expect("group width"));
-            if packed == u64::MAX {
-                continue;
-            }
-            for (i, _) in chunk.iter().enumerate().filter(|&(_, &e)| e != EPOCH_NONE) {
-                let base = (g * 8 + i) * kp1;
-                for (c, &o) in self.t3[base..base + kp1]
-                    .iter_mut()
-                    .zip(&other.t3[base..base + kp1])
-                {
-                    *c = c.saturating_add(o);
-                }
-            }
-        }
-        for (cell, _) in other.epochs[groups..]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &e)| e != EPOCH_NONE)
-        {
-            let base = (groups + cell) * kp1;
-            for (c, &o) in self.t3[base..base + kp1]
-                .iter_mut()
-                .zip(&other.t3[base..base + kp1])
-            {
+        for cell in Self::live_cells(&other.epochs) {
+            let row = cell * kp1..(cell + 1) * kp1;
+            for (c, &o) in self.t3[row.clone()].iter_mut().zip(&other.t3[row]) {
                 *c = c.saturating_add(o);
             }
         }
@@ -1675,6 +1738,18 @@ mod tests {
     }
 
     #[test]
+    fn live_cells_visits_every_live_cell_including_a_partial_last_group() {
+        let mut epochs = vec![EPOCH_NONE; 19];
+        for cell in [0, 7, 8, 15, 17, 18] {
+            epochs[cell] = 0;
+        }
+        epochs[9] = 3;
+        let cells: Vec<usize> = OptimalListHh::live_cells(&epochs).collect();
+        assert_eq!(cells, [0, 7, 8, 9, 15, 17, 18]);
+        assert_eq!(OptimalListHh::live_cells(&[]).count(), 0);
+    }
+
+    #[test]
     fn merge_rejects_differently_seeded_instances() {
         use crate::error::MergeError;
         let params = HhParams::new(0.05, 0.2).unwrap();
@@ -1705,6 +1780,127 @@ mod tests {
         assert_eq!(a.samples(), restored.samples());
         assert_eq!(a.t2, restored.t2);
         assert_eq!(a.t3, restored.t3);
+    }
+
+    /// A seed-aligned instance at the served `tenant_churn` shape
+    /// (ε 0.05, φ 0.15, δ 0.1, 32-bit universe, m = 200 000) after
+    /// `batches` Zipf(1.2) batches of 1024 items.
+    fn churn_shaped(batches: usize) -> OptimalListHh {
+        let params = HhParams::with_delta(0.05, 0.15, 0.1).unwrap();
+        let mut a = OptimalListHh::with_seeds(params, 1 << 32, 200_000, 42, 7).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut zipf = hh_streams::ZipfGenerator::new(1 << 32, 1.2).scrambled(&mut rng);
+        for _ in 0..batches {
+            a.insert_batch(&hh_streams::collect_stream(&mut zipf, 1024, &mut rng));
+        }
+        a
+    }
+
+    #[test]
+    fn churn_shaped_snapshots_stay_under_32_kib() {
+        // The dense v4 layout encoded both of these to ~142 KB: one
+        // varint per T3 cell, R·B·(k+1) of them.
+        for batches in [0, 32] {
+            let a = churn_shaped(batches);
+            let bytes = a.to_bytes();
+            assert!(
+                bytes.len() <= 32 << 10,
+                "{batches} batches: {} bytes",
+                bytes.len()
+            );
+            let back = OptimalListHh::from_bytes(&bytes).unwrap();
+            assert_eq!(back.t2, a.t2);
+            assert_eq!(back.t3, a.t3);
+            assert_eq!(back.epochs, a.epochs);
+        }
+    }
+
+    /// `body` with a freshly computed trailer: the checksum no longer
+    /// protects anything, so the decoder's own bounds must.
+    fn forge(body: &[u8]) -> Vec<u8> {
+        let mut buf = body.to_vec();
+        buf.extend_from_slice(&hh_space::fnv1a64x4(body).to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn forged_t3_blocks_one_value_short_or_long_are_refused() {
+        let a = churn_shaped(32);
+        let kp1 = a.k_eps as usize + 1;
+        let sink = a.t3.len() - a.hashes.len();
+        let mut values: Vec<u64> = OptimalListHh::live_cells(&a.epochs)
+            .flat_map(|cell| a.t3[cell * kp1..(cell + 1) * kp1].iter().copied())
+            .collect();
+        values.extend_from_slice(&a.t3[sink..]);
+        let block = |values: &[u64]| {
+            let mut out = Vec::new();
+            hh_space::push_uvarints(&mut out, values);
+            out
+        };
+        // Locate the block on the wire: count, byte length, varints.
+        let buf = a.to_bytes();
+        let body = &buf[..buf.len() - 8];
+        let honest = block(&values);
+        let mut header = (values.len() as u64).to_le_bytes().to_vec();
+        header.extend_from_slice(&(honest.len() as u64).to_le_bytes());
+        header.extend_from_slice(&honest);
+        let at = body
+            .windows(header.len())
+            .position(|w| w == header.as_slice())
+            .expect("T3 block on the wire");
+        let (head, tail) = (&body[..at], &body[at + header.len()..]);
+        let splice = |count: usize, values: &[u64]| {
+            let bytes = block(values);
+            let mut out = head.to_vec();
+            out.extend_from_slice(&(count as u64).to_le_bytes());
+            out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+            out.extend_from_slice(&bytes);
+            out.extend_from_slice(tail);
+            forge(&out)
+        };
+        // The splice itself is faithful.
+        assert_eq!(splice(values.len(), &values), buf.to_vec());
+        let short = &values[..values.len() - 1];
+        let mut long = values.clone();
+        long.push(1);
+        for (what, edited) in [("short", short), ("long", long.as_slice())] {
+            // The count tells the truth about the edited block (the
+            // shape check refuses it), or keeps the expected count (the
+            // row decoder runs out or has bytes left over).
+            for count in [edited.len(), values.len()] {
+                let err = OptimalListHh::from_bytes(&splice(count, edited));
+                assert!(
+                    matches!(err, Err(SnapshotError::InvariantViolated(_))),
+                    "{what} block, count {count}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn t2_edits_that_move_a_cell_across_epoch_0_are_refused() {
+        // Editing T2 while the epoch cache keeps its old bytes makes the
+        // encoder write exactly the buffer a wire edit of that T2 value
+        // would leave: the row block still follows the old liveness,
+        // signed with a valid trailer.
+        let a = churn_shaped(32);
+        let live = OptimalListHh::live_cells(&a.epochs)
+            .next()
+            .expect("the workload reaches epoch 0");
+        let dead = (0..a.epochs.len())
+            .find(|&c| a.epochs[c] == EPOCH_NONE)
+            .expect("some cell stays below epoch 0");
+        let mut killed = a.clone();
+        killed.t2[live] = 0;
+        let mut revived = a.clone();
+        revived.t2[dead] = a.epoch_thresholds[0];
+        for (what, s) in [("live -> dead", killed), ("dead -> live", revived)] {
+            let err = OptimalListHh::from_bytes(&s.to_bytes());
+            assert!(
+                matches!(err, Err(SnapshotError::InvariantViolated(_))),
+                "{what}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -412,6 +412,45 @@ mod tests {
     }
 
     #[test]
+    fn algo2_shard_under_the_retired_dense_tag_quarantines_only_its_tenant() {
+        // What the build before sparse T3 rows left on disk: an Algo2
+        // shard behind `hh.algo2.v4`, signed with a valid trailer. No
+        // reader for it remains, so its tenant is penned by tag.
+        let root = tmpdir("algo2-v4");
+        let store = Store::open(&root).unwrap();
+        let a2 = TenantSpec {
+            kind: SummaryKind::Algo2,
+            ..spec()
+        };
+        let (_, healthy) = bank(&a2, 3);
+        let (_, mut retired) = bank(&a2, 4);
+        let shard = &mut retired.shards[1];
+        let (new, old) = (b"hh.algo2.v5", b"hh.algo2.v4");
+        assert_eq!(&shard[8..8 + new.len()], new);
+        shard[8..8 + old.len()].copy_from_slice(old);
+        let body = shard.len() - 8;
+        let digest = hh_space::fnv1a64x4(&shard[..body]);
+        shard[body..].copy_from_slice(&digest.to_le_bytes());
+        let (_, plain) = bank(&spec(), 5);
+        store.save_tenant("old", &a2, &retired).unwrap();
+        store.save_tenant("fresh", &a2, &healthy).unwrap();
+        store.save_tenant("plain", &spec(), &plain).unwrap();
+
+        let report = store.load_all().unwrap();
+        let names: Vec<&str> = report.recovered.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["fresh", "plain"]);
+        assert_eq!(report.lost.len(), 1);
+        let (name, reason) = &report.lost[0];
+        assert_eq!(name, "old");
+        assert!(
+            reason.contains("shard 1") && reason.contains("hh.algo2.v4"),
+            "{reason}"
+        );
+        assert!(root.join(QUARANTINE_DIR).join("old").exists());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn truncated_spec_and_missing_bundle_are_both_fatal_for_the_tenant() {
         let root = tmpdir("partial");
         let store = Store::open(&root).unwrap();

@@ -161,17 +161,17 @@ fn algo1_snapshot_survives_the_assault() {
 #[test]
 fn algo2_snapshot_survives_the_assault() {
     // Algorithm 2's snapshot is dominated by its level structures, not
-    // the stream: coarser (ε, φ) keep the buffer ~20 KB so the
+    // the stream: coarser (ε, φ) keep the buffer ~6 KB so the
     // every-offset truncation sweep stays affordable.
     let params = HhParams::new(0.2, 0.3).unwrap();
     let mut s = OptimalListHh::new(params, 1 << 40, 2_000, 12).unwrap();
     s.insert_batch(&planted(2_000, &[(7, 0.40), (8, 0.32)], 2));
     assault(
         &s,
+        "hh.algo2.v5",
         "hh.algo2.v4",
-        "hh.algo2.v3",
         "hh.algo1.v4",
-        0xDD60_7C6E_8F2E_D907,
+        0xEE42_C947_A07F_D4B2,
     );
 }
 
