@@ -43,9 +43,11 @@
 //!   an integer **threshold table** (`epoch_thresholds`) plus a per-bucket
 //!   cached epoch byte make it a table lookup refreshed only when T2
 //!   increments;
-//! * tables are **flat arrays** (`t2`, `t3`, `epochs` indexed by
-//!   `rep · buckets + bucket`) and the per-repetition hash is the
-//!   single-multiply plain-universal multiply-shift
+//! * tables are **flat arrays** (`t2`, `epochs`, `row_of` indexed by
+//!   `rep · buckets + bucket`), T3 is a **row pool** holding a
+//!   `(k+1)`-slot row only for each cell that has reached epoch 0
+//!   (a dead cell's row is identically zero), and the per-repetition
+//!   hash is the single-multiply plain-universal multiply-shift
 //!   ([`MultiplyShift64Family`], one `u64` multiply and a shift), drawn
 //!   over a doubled power-of-two range so the Definition-2 collision
 //!   bound of the bucket analysis is preserved;
@@ -69,7 +71,7 @@ use hh_hash::{HashFamily, HashFunction, MultiplyShift64Family, MultiplyShift64Ha
 use hh_sampling::{BitBudget, BitSkipSampler};
 use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::varint::{push_uvarint, read_uvarint};
-use hh_space::{gamma_sum_bits, push_uvarints, sparse_slice_bits, SpaceUsage};
+use hh_space::{gamma_sum_bits, push_uvarints, sparse_bits, SpaceUsage};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -166,11 +168,40 @@ fn coin_layout(k_eps: u32, r: usize) -> (u32, bool) {
     (words as u32, true)
 }
 
+/// Whether a T3 pool of `cells` rows of `kp1` slots plus `reps` sinks
+/// can be addressed by `u32` offsets. Checked at construction and at
+/// restore, so every row a later update or merge opens fits.
+fn pool_fits(cells: usize, kp1: usize, reps: usize) -> bool {
+    cells
+        .checked_mul(kp1)
+        .and_then(|n| n.checked_add(reps))
+        .is_some_and(|n| n <= u32::MAX as usize)
+}
+
+/// Stores a cell's new epoch byte over its cached one, appending a
+/// zeroed `kp1`-slot T3 row to the pool for the cell the moment its
+/// epoch leaves `EPOCH_NONE`. Epochs never regress, so a cell opens at
+/// most one row in its lifetime. The pool grows by about an eighth of
+/// its length per step rather than doubling: [`SpaceUsage::heap_bytes`]
+/// meters capacity, so the growth slack stays below 1/8 of the rows.
+#[inline(always)]
+fn set_epoch(epoch: &mut u8, row: &mut u32, pool: &mut Vec<u64>, kp1: usize, new: u8) {
+    if *epoch == EPOCH_NONE && new != EPOCH_NONE {
+        let at = pool.len();
+        if pool.capacity() - at < kp1 {
+            pool.reserve_exact(kp1.max(at / 8));
+        }
+        pool.resize(at + kp1, 0);
+        *row = u32::try_from(at).expect("pool_fits bounds every row offset");
+    }
+    *epoch = new;
+}
+
 /// Algorithm 2 of the paper (Theorem 2).
 ///
-/// Per-repetition state lives in flat rep-major arrays (`t2`, `t3`,
-/// `epochs`) rather than per-repetition structs; see the module docs for
-/// the hot-path layout.
+/// Per-repetition state lives in flat rep-major arrays (`t2`,
+/// `epochs`, `row_of`) and one T3 row pool rather than per-repetition
+/// structs; see the module docs for the hot-path layout.
 #[derive(Debug, Clone)]
 pub struct OptimalListHh {
     params: HhParams,
@@ -188,13 +219,21 @@ pub struct OptimalListHh {
     hashes: Vec<MultiplyShift64Hash>,
     /// `T2[j, i]` at `j · buckets + i`.
     t2: Vec<u64>,
-    /// `T3[j, i, t]` at `(j · buckets + i) · (k+1) + t`, plus `R` trailing
-    /// *sink* cells (one per repetition) that absorb the unconditional
-    /// increment of failed trials (see `insert`); the sinks are excluded
-    /// from estimates and accounting. Per-repetition sinks keep
-    /// consecutive failed trials from forming a store-forward dependency
-    /// chain on a single cell.
-    t3: Vec<u64>,
+    /// The T3 row pool. Slots `0..R` are the per-repetition *sink*
+    /// cells that absorb the unconditional increment of failed trials
+    /// (see `apply_sample`); they are excluded from estimates and
+    /// accounting, and one per repetition keeps consecutive failed
+    /// trials from forming a store-forward dependency chain on a single
+    /// cell. After them sits one `(k+1)`-slot row `T3[j, i, ·]` per live
+    /// cell, in the order the cells reached epoch 0 (§3.1.2: "not all
+    /// the allowed cells will actually be used"). A cell below epoch 0
+    /// has no row: its row would be identically zero, since trials
+    /// record only at a live epoch and epochs never regress.
+    pool: Vec<u64>,
+    /// Pool offset of cell `j · buckets + i`'s T3 row, read only while
+    /// the cell's cached epoch is live (0 — a sink offset, never a row —
+    /// for dead cells).
+    row_of: Vec<u32>,
     /// Cached epoch of `T2[j, i]` (`EPOCH_NONE` below epoch 0),
     /// refreshed only when T2 increments.
     epochs: Vec<u8>,
@@ -325,6 +364,9 @@ impl OptimalListHh {
         let hashes: Vec<MultiplyShift64Hash> = (0..r).map(|_| family.sample(&mut rng)).collect();
         let buckets = hashes[0].range();
         let cells = r * buckets as usize;
+        if !pool_fits(cells, k_eps as usize + 1, r) {
+            return Err(ParamError::BadConstants("algorithm-2 table shape"));
+        }
 
         let (t3_mask, t3_add, t3_slot) = trial_tables(k_eps);
         let (slice_words, layout_ok) = coin_layout(k_eps, r);
@@ -337,8 +379,9 @@ impl OptimalListHh {
             t1,
             hashes,
             t2: vec![0; cells],
-            // R extra trailing cells: the per-repetition failed-trial sinks.
-            t3: vec![0; cells * (k_eps as usize + 1) + r],
+            // Only the per-repetition failed-trial sinks: no cell is live.
+            pool: vec![0; r],
+            row_of: vec![0; cells],
             epochs: vec![EPOCH_NONE; cells],
             epoch_thresholds: epoch_thresholds(consts.a2_epoch_scale, k_eps),
             t3_mask,
@@ -425,14 +468,30 @@ impl OptimalListHh {
     }
 
     /// Deferred accounting for repetition `j`: dense gamma bits for its
-    /// T2 row plus sparse bits for its T3 row (§3.1.2: "not all the
-    /// allowed cells will actually be used"). Recomputed from the raw
-    /// tables on demand — the insert path never maintains bit sums.
+    /// T2 row plus sparse bits for its `B·(k+1)`-slot T3 table (§3.1.2:
+    /// "not all the allowed cells will actually be used"), read from
+    /// the live rows only — every other slot is zero. Recomputed from
+    /// the raw tables on demand — the insert path never maintains bit
+    /// sums.
     fn rep_counting_bits(&self, j: usize) -> u64 {
         let b = self.buckets as usize;
         let kp1 = self.k_eps as usize + 1;
-        gamma_sum_bits(&self.t2[j * b..(j + 1) * b])
-            + sparse_slice_bits(&self.t3[j * b * kp1..(j + 1) * b * kp1])
+        let base = j * b;
+        let slots = Self::live_cells(&self.epochs[base..base + b]).flat_map(|i| {
+            let row = self.row(base + i).expect("live cells own a row");
+            row.iter().enumerate().map(move |(t, &c)| (i * kp1 + t, c))
+        });
+        gamma_sum_bits(&self.t2[base..base + b]) + sparse_bits(slots)
+    }
+
+    /// Cell `cell`'s T3 row, or `None` below epoch 0, where the row is
+    /// identically zero and has no place in the pool.
+    #[inline]
+    fn row(&self, cell: usize) -> Option<&[u64]> {
+        (self.epochs[cell] != EPOCH_NONE).then(|| {
+            let at = self.row_of[cell] as usize;
+            &self.pool[at..at + self.k_eps as usize + 1]
+        })
     }
 
     /// Epoch for a T2 value: the largest `t ≤ k` with
@@ -470,10 +529,8 @@ impl OptimalListHh {
         t2.iter().map(|&v| Self::epoch_of(v, thresholds)).collect()
     }
 
-    /// The cells whose cached epoch is live, ascending — the only T3
-    /// rows that can carry mass: a trial records into `T3[cell, ·]`
-    /// only while the cell's epoch is live, and epochs never regress,
-    /// so a dead cell's `(k+1)`-slot row is identically zero.
+    /// The cells whose cached epoch is live, ascending — the cells that
+    /// own a T3 row in the pool.
     ///
     /// The epoch bytes are scanned 8 at a time: an all-dead group is one
     /// `u64 == MAX` test (the sentinel is `0xFF`), the same SWAR shape
@@ -498,24 +555,39 @@ impl OptimalListHh {
             })
     }
 
-    /// The dense T3 table of `len` cells rebuilt in one sequential pass
-    /// from a v5 row block: `k+1` varints per live cell of `epochs`, in
-    /// cell order, then one per trailing sink cell. The table starts as
-    /// one zeroed allocation and only the live rows and sinks are
-    /// written, so the pages of dead rows are left untouched. `None` if
-    /// the block runs out early or has bytes left over.
-    fn t3_from_live_rows(block: &[u8], epochs: &[u8], kp1: usize, len: usize) -> Option<Vec<u64>> {
-        let mut t3 = vec![0u64; len];
+    /// The T3 pool and row offsets rebuilt in one sequential pass from
+    /// a v5 row block of `values` varints: `k+1` per live cell of
+    /// `epochs`, in cell order, then one per sink. The pool is
+    /// allocated once at its exact size — the sinks, then the rows in
+    /// cell order. `None` if the block cannot hold `values` varints,
+    /// runs out early or has bytes left over.
+    fn pool_from_live_rows(
+        block: &[u8],
+        epochs: &[u8],
+        kp1: usize,
+        reps: usize,
+        values: usize,
+    ) -> Option<(Vec<u64>, Vec<u32>)> {
+        // A varint takes at least one byte: refuse a count the block
+        // cannot hold before allocating for it.
+        if values > block.len() {
+            return None;
+        }
+        let mut pool = Vec::with_capacity(values);
+        pool.resize(reps, 0);
+        let mut row_of = vec![0u32; epochs.len()];
         let mut pos = 0usize;
         for cell in Self::live_cells(epochs) {
-            for c in &mut t3[cell * kp1..(cell + 1) * kp1] {
-                *c = read_uvarint(block, &mut pos)?;
+            row_of[cell] = u32::try_from(pool.len()).ok()?;
+            for _ in 0..kp1 {
+                pool.push(read_uvarint(block, &mut pos)?);
             }
         }
-        for c in &mut t3[epochs.len() * kp1..] {
+        // The sinks come last on the wire and first in the pool.
+        for c in &mut pool[..reps] {
             *c = read_uvarint(block, &mut pos)?;
         }
-        (pos == block.len()).then_some(t3)
+        (pos == block.len()).then_some((pool, row_of))
     }
 
     /// Refreshes a cached epoch after its T2 counter reached `v`. The old
@@ -552,21 +624,20 @@ impl OptimalListHh {
         // (higher-variance) estimate of the same count, and using it
         // beats reporting zero (implementation hardening, DESIGN.md).
         let flat = (self.t2[cell] as u128) << k;
-        match self.mode {
-            EpochMode::Flat => flat as f64,
-            EpochMode::Accelerated => {
-                let base = cell * (k as usize + 1);
-                let mut acc: u128 = 0;
-                for t in 0..=k {
-                    // p_t = 2^{t−k}; divide by it ⇒ shift left by k − t.
-                    acc += (self.t3[base + t as usize] as u128) << (k - t);
-                }
-                if acc > 0 {
-                    acc as f64
-                } else {
-                    flat as f64
-                }
-            }
+        let row = match self.mode {
+            EpochMode::Flat => None,
+            EpochMode::Accelerated => self.row(cell),
+        };
+        // p_t = 2^{t−k}; divide by it ⇒ shift left by k − t.
+        let acc = row.map_or(0, |row| {
+            (0..=k)
+                .zip(row)
+                .fold(0u128, |acc, (t, &c)| acc + ((c as u128) << (k - t)))
+        });
+        if acc > 0 {
+            acc as f64
+        } else {
+            flat as f64
         }
     }
 
@@ -780,12 +851,19 @@ fn draw_t2_mask(skip: &mut BitSkipSampler, rng: &mut StdRng, r: usize) -> u64 {
 ///   (word, shift) source pair. The accept decision itself is a
 ///   conditional move: the outcome tracks the data, and a branch there
 ///   mispredicts its way to dominating the update cost.
+///
+/// T3 lives in the row pool: the sinks sit at pool offsets `0..R`, so a
+/// failed trial's target is the repetition index itself, and an
+/// accepted one lands at the cell's row offset plus its epoch. The
+/// offset is loaded on every trial but used only on accept, which can
+/// happen only at a live epoch — exactly when the cell owns a row.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn apply_sample(
     hashes: &[MultiplyShift64Hash],
     t2: &mut [u64],
-    t3: &mut [u64],
+    pool: &mut Vec<u64>,
+    row_of: &mut [u32],
     epochs: &mut [u8],
     thresholds: &[u64],
     b: usize,
@@ -799,8 +877,8 @@ fn apply_sample(
     let top = 1u64 << k;
     let per = (64 / k) as usize;
     let r = hashes.len();
-    let sink_base = t3.len() - r;
-    // T2 pass: only the heads, ascending repetition order.
+    // T2 pass: only the heads, ascending repetition order. A cell that
+    // reaches epoch 0 here opens its T3 row before its trial below.
     let mut m = t2_mask;
     while m != 0 {
         let j = m.trailing_zeros() as usize;
@@ -808,10 +886,12 @@ fn apply_sample(
         let cell = j * b + hashes[j].hash(item) as usize;
         let v = t2[cell] + 1;
         t2[cell] = v;
-        epochs[cell] = OptimalListHh::advance_epoch(thresholds, epochs[cell], v);
+        let e = OptimalListHh::advance_epoch(thresholds, epochs[cell], v);
+        set_epoch(&mut epochs[cell], &mut row_of[cell], pool, kp1, e);
     }
     // T3 pass: trial at p_t = 2^{t−k} for the cached epoch t; accepted
-    // trials land in slot `e`, failures in the repetition's sink cell.
+    // trials land in slot `e` of the cell's row, failures in the
+    // repetition's sink cell.
     let mut j = 0usize;
     'words: for &word in words {
         let mut w = word;
@@ -826,11 +906,11 @@ fn apply_sample(
             let e = epochs[cell];
             let accept = i32::from(e as i8) >= thr;
             let idx = if accept {
-                cell * kp1 + e as usize
+                row_of[cell] as usize + e as usize
             } else {
-                sink_base + j
+                j
             };
-            t3[idx] += 1;
+            pool[idx] += 1;
             j += 1;
         }
     }
@@ -869,7 +949,8 @@ impl OptimalListHh {
         let Self {
             hashes,
             t2,
-            t3,
+            pool,
+            row_of,
             epochs,
             epoch_thresholds,
             t2_skip,
@@ -886,7 +967,8 @@ impl OptimalListHh {
         apply_sample(
             hashes,
             t2,
-            t3,
+            pool,
+            row_of,
             epochs,
             epoch_thresholds,
             b,
@@ -913,7 +995,8 @@ impl OptimalListHh {
         let Self {
             hashes,
             t2,
-            t3,
+            pool,
+            row_of,
             epochs,
             epoch_thresholds,
             t3_mask,
@@ -925,7 +1008,6 @@ impl OptimalListHh {
             ..
         } = self;
         let thresholds = epoch_thresholds.as_slice();
-        let sink_base = t3.len() - hashes.len();
         let mut skip = *t2_skip;
         let mut buf = *bits;
         for (j, h) in hashes.iter().enumerate() {
@@ -935,7 +1017,8 @@ impl OptimalListHh {
             if skip.accept(rng) {
                 let v = t2[cell] + 1;
                 t2[cell] = v;
-                epochs[cell] = Self::advance_epoch(thresholds, epochs[cell], v);
+                let e = Self::advance_epoch(thresholds, epochs[cell], v);
+                set_epoch(&mut epochs[cell], &mut row_of[cell], pool, kp1, e);
             }
             if !accelerated {
                 continue;
@@ -945,16 +1028,16 @@ impl OptimalListHh {
             // trials just discard it), the mask/veto tables turn the
             // epoch byte into an accept bit (a conditional move, not a
             // branch), and failed trials bounce their increment into the
-            // per-repetition sink cell.
+            // per-repetition sink cell (pool offset `j`).
             let slice = buf.take(k, rng);
             let e = epochs[cell] as usize;
             let accept = (slice & t3_mask[e]).wrapping_add(t3_add[e]) == 0;
             let idx = if accept {
-                cell * kp1 + t3_slot[e] as usize
+                row_of[cell] as usize + t3_slot[e] as usize
             } else {
-                sink_base + j
+                j
             };
-            t3[idx] += 1;
+            pool[idx] += 1;
         }
         *t2_skip = skip;
         *bits = buf;
@@ -1000,7 +1083,8 @@ impl SpaceUsage for OptimalListHh {
     fn heap_bytes(&self) -> usize {
         self.t1.heap_bytes()
             + self.t2.capacity() * 8
-            + self.t3.capacity() * 8
+            + self.pool.capacity() * 8
+            + self.row_of.capacity() * 4
             + self.epochs.capacity()
             + self.epoch_thresholds.capacity() * 8
             + self.hashes.capacity() * core::mem::size_of::<MultiplyShift64Hash>()
@@ -1026,29 +1110,20 @@ const A2_TAG: &str = "hh.algo2.v5";
 /// The counter tables dominate the payload, so they go through the
 /// varint/delta slice helpers ([`snapshot::write_u64_slice`] and
 /// friends) as preallocated byte blocks instead of one codec call per
-/// cell. T3 is sent sparse (§3.1.2: "not all the allowed cells will
-/// actually be used"): T2 and the threshold table come first, so the
-/// reader knows every cell's epoch before the T3 block, and the block
-/// holds only the rows of live cells (`OptimalListHh::live_cells`),
-/// in cell order, then the `R` sink cells. A dead row is provably zero,
-/// so nothing is lost — and a buffer cannot express mass in a dead
-/// row, which the merge fast path relies on.
+/// cell. T3 is sent as the pool holds it (§3.1.2: "not all the allowed
+/// cells will actually be used"): T2 and the threshold table come
+/// first, so the reader knows every cell's epoch before the T3 block,
+/// and the block holds only the rows of live cells
+/// (`OptimalListHh::live_cells`), in cell order, then the `R` sink
+/// cells. A dead cell has no row to send — and a buffer cannot express
+/// mass in one.
 impl Codec for OptimalListHh {
     fn write_to(&self, w: &mut Writer) {
         let kp1 = self.k_eps as usize + 1;
+        let reps = self.hashes.len();
         let live = self.epochs.iter().filter(|&&e| e != EPOCH_NONE).count();
-        debug_assert!(
-            self.epochs
-                .iter()
-                .enumerate()
-                .filter(|&(_, &e)| e == EPOCH_NONE)
-                .all(|(cell, _)| self.t3[cell * kp1..(cell + 1) * kp1]
-                    .iter()
-                    .all(|&c| c == 0)),
-            "a dead T3 row carries mass"
-        );
-        let sink = self.t3.len() - self.hashes.len();
-        let t3_values = live * kp1 + self.hashes.len();
+        let t3_values = live * kp1 + reps;
+        debug_assert_eq!(self.pool.len(), t3_values, "one pool row per live cell");
         // Preallocate: ~1 varint byte per T2 cell and per live T3 value
         // plus a fixed-field allowance (the epoch cache is not on the
         // wire).
@@ -1064,11 +1139,11 @@ impl Codec for OptimalListHh {
         w.write_seq_len(t3_values);
         w.write_byte_seq_with(|out| {
             for cell in Self::live_cells(&self.epochs) {
-                for &v in &self.t3[cell * kp1..(cell + 1) * kp1] {
+                for &v in self.row(cell).expect("live cells own a row") {
                     push_uvarint(out, v);
                 }
             }
-            push_uvarints(out, &self.t3[sink..]);
+            push_uvarints(out, &self.pool[..reps]);
         });
         self.t2_skip.write_to(w);
         self.bits.write_to(w);
@@ -1117,12 +1192,15 @@ impl Codec for OptimalListHh {
         if epoch_thresholds.len() != kp1 {
             return Err(CodecError::invariant("epoch table shape inconsistent"));
         }
+        // Every row a later update or merge opens must stay addressable.
+        if !pool_fits(cells, kp1, reps) {
+            return Err(shape_err());
+        }
         // The epoch cache is derived state (the threshold-table lookup
         // of each T2 value, which `advance_epoch` maintains exactly), and
-        // it decides which T3 rows the block carries: recomputing it
-        // from T2 before reading T3 keeps the snapshot smaller and
-        // leaves every dead row zero by construction, the invariant
-        // the merge fast path relies on.
+        // it decides which cells own a T3 row: recomputing it from T2
+        // before reading T3 keeps the snapshot smaller and gives a dead
+        // cell no row by construction.
         let epochs = Self::epochs_from_t2(&t2, &epoch_thresholds);
         let live = epochs.iter().filter(|&&e| e != EPOCH_NONE).count();
         let t3_values = live
@@ -1132,14 +1210,13 @@ impl Codec for OptimalListHh {
         if r.read_seq_len()? != t3_values {
             return Err(shape_err());
         }
-        // Every T2 cell took at least one wire byte, so the dense table
-        // costs at most 8·(k+1) ≤ 520 bytes per byte of the buffer.
-        let t3_cells = cells
-            .checked_mul(kp1)
-            .and_then(|c| c.checked_add(reps))
-            .ok_or_else(shape_err)?;
-        let t3 = Self::t3_from_live_rows(r.read_byte_slice()?, &epochs, kp1, t3_cells)
-            .ok_or_else(|| CodecError::invariant("malformed T3 row block"))?;
+        // Allocation stays proportional to the buffer: every T2 cell
+        // took at least one wire byte and costs 13 bytes in memory (its
+        // T2 word, epoch byte and row offset), and every pool slot took
+        // at least one byte of the row block and costs 8.
+        let (pool, row_of) =
+            Self::pool_from_live_rows(r.read_byte_slice()?, &epochs, kp1, reps, t3_values)
+                .ok_or_else(|| CodecError::invariant("malformed T3 row block"))?;
         let t2_skip = BitSkipSampler::read_from(r)?;
         let bits = BitBudget::read_from(r)?;
         let accelerated = r.read_bool()?;
@@ -1156,7 +1233,8 @@ impl Codec for OptimalListHh {
             t1,
             hashes,
             t2,
-            t3,
+            pool,
+            row_of,
             epochs,
             epoch_thresholds,
             t3_mask,
@@ -1194,10 +1272,11 @@ impl MergeableSummary for OptimalListHh {
     /// The pass is built for the read side's cadence (window rotations
     /// and combiner trees issue merges constantly): `T2` adds and the
     /// epoch recompute run fused over contiguous slices with a
-    /// below-epoch-0 early out, and the `T3` sweep consults *other*'s
-    /// epoch bytes to add only the rows that can carry mass — a bucket
-    /// below epoch 0 has an identically zero row, which on realistic
-    /// workloads is nearly all of them.
+    /// below-epoch-0 early out, and the `T3` sweep adds only *other*'s
+    /// pool rows — a bucket below epoch 0 owns none, which on realistic
+    /// workloads is nearly all of them. A cell of `self` that the merged
+    /// `T2` lifts to epoch 0 opens its row in the epoch pass, so every
+    /// row of *other* has a row of `self` to land in.
     ///
     /// # Example
     ///
@@ -1246,13 +1325,23 @@ impl MergeableSummary for OptimalListHh {
         // below epoch 0, which turns the data-dependent per-cell
         // `advance_epoch` walk this replaces into one predictable
         // branch per block; live blocks recompute outright through
-        // [`OptimalListHh::epoch_of`] (shared with snapshot restore).
-        let thresholds = self.epoch_thresholds.as_slice();
+        // [`OptimalListHh::epoch_of`] (shared with snapshot restore) and
+        // open the T3 row of every cell that reaches epoch 0.
+        let kp1 = self.k_eps as usize + 1;
+        let Self {
+            t2,
+            pool,
+            row_of,
+            epochs,
+            epoch_thresholds,
+            ..
+        } = self;
+        let thresholds = epoch_thresholds.as_slice();
         let thr0 = thresholds[0];
-        let blocks = self.t2.len() / 8;
+        let blocks = t2.len() / 8;
         for g in 0..blocks {
             let base = g * 8;
-            let dst = &mut self.t2[base..base + 8];
+            let dst = &mut t2[base..base + 8];
             let src = &other.t2[base..base + 8];
             let mut max = 0u64;
             for (c, &o) in dst.iter_mut().zip(src) {
@@ -1261,32 +1350,33 @@ impl MergeableSummary for OptimalListHh {
                 max = max.max(v);
             }
             if max >= thr0 {
-                for (e, &v) in self.epochs[base..base + 8].iter_mut().zip(dst.iter()) {
-                    *e = Self::epoch_of(v, thresholds);
+                for cell in base..base + 8 {
+                    let e = Self::epoch_of(t2[cell], thresholds);
+                    set_epoch(&mut epochs[cell], &mut row_of[cell], pool, kp1, e);
                 }
             }
         }
-        for cell in blocks * 8..self.t2.len() {
-            self.t2[cell] = self.t2[cell].saturating_add(other.t2[cell]);
-            self.epochs[cell] = Self::epoch_of(self.t2[cell], thresholds);
+        for cell in blocks * 8..t2.len() {
+            t2[cell] = t2[cell].saturating_add(other.t2[cell]);
+            let e = Self::epoch_of(t2[cell], thresholds);
+            set_epoch(&mut epochs[cell], &mut row_of[cell], pool, kp1, e);
         }
-        // T3 adds cell-wise, but only for the rows of other's live
-        // cells: a dead row is identically zero (see
-        // [`OptimalListHh::live_cells`]), so the sweep costs 1/(8(k+1))
-        // of the row table plus the touched rows, instead of an
-        // element-by-element pass over both full tables.
-        let kp1 = self.k_eps as usize + 1;
+        // T3 adds row-wise over other's pool rows only (a dead cell has
+        // none, see [`OptimalListHh::live_cells`]), so the sweep costs
+        // one pass over other's epoch bytes plus the touched rows.
         for cell in Self::live_cells(&other.epochs) {
-            let row = cell * kp1..(cell + 1) * kp1;
-            for (c, &o) in self.t3[row.clone()].iter_mut().zip(&other.t3[row]) {
+            let src = other.row(cell).expect("live cells own a row");
+            let at = self.row_of[cell] as usize;
+            debug_assert!(self.epochs[cell] != EPOCH_NONE, "merged epochs dominate");
+            for (c, &o) in self.pool[at..at + kp1].iter_mut().zip(src) {
                 *c = c.saturating_add(o);
             }
         }
-        // The trailing per-repetition sink cells absorb mass regardless
-        // of any epoch, so they always add — which keeps them what they
-        // are, discarded trials.
-        let sink = self.t3.len() - self.hashes.len();
-        for (c, &o) in self.t3[sink..].iter_mut().zip(&other.t3[sink..]) {
+        // The per-repetition sink cells absorb mass regardless of any
+        // epoch, so they always add — which keeps them what they are,
+        // discarded trials.
+        let reps = self.hashes.len();
+        for (c, &o) in self.pool[..reps].iter_mut().zip(&other.pool[..reps]) {
             *c = c.saturating_add(o);
         }
         Ok(())
@@ -1308,7 +1398,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Timing probe for the fused fast path; run with
+    /// T3 in the dense layout the pool replaced: `R·B` rows of `k+1`
+    /// slots in cell order, dead rows zero, then the `R` sinks. Tables
+    /// built in different row orders (ingest opens rows as cells go
+    /// live, restore in cell order) compare equal through it.
+    fn dense_t3(a: &OptimalListHh) -> Vec<u64> {
+        let kp1 = a.k_eps as usize + 1;
+        let reps = a.hashes.len();
+        let cells = a.epochs.len();
+        let mut t3 = vec![0; cells * kp1 + reps];
+        for cell in OptimalListHh::live_cells(&a.epochs) {
+            t3[cell * kp1..(cell + 1) * kp1].copy_from_slice(a.row(cell).unwrap());
+        }
+        t3[cells * kp1..].copy_from_slice(&a.pool[..reps]);
+        t3
+    }
+
+    /// Timing probe for the fused fast path, on one warm tenant and on
+    /// 32 interleaved served-shape tenants; run with
     /// `cargo test --release -p hh-core kernel_probe -- --ignored --nocapture`.
     #[test]
     #[ignore = "manual perf probe, not a correctness test"]
@@ -1336,8 +1443,9 @@ mod tests {
         }
         let full = t0.elapsed();
         let r = a.hashes.len();
-        let sinks: u64 = a.t3[a.t3.len() - r..].iter().sum();
-        let accepts: u64 = a.t3[..a.t3.len() - r].iter().sum();
+        let t3 = dense_t3(&a);
+        let sinks: u64 = t3[t3.len() - r..].iter().sum();
+        let accepts: u64 = t3[..t3.len() - r].iter().sum();
         let coins: u64 = a.t2.iter().sum();
         eprintln!(
             "full={:?} samples={} pairs={} accepts={} sinks={} t2coins={}",
@@ -1347,6 +1455,34 @@ mod tests {
             accepts,
             sinks,
             coins
+        );
+        // The served multi-tenant shape: 32 tenants at p = 1 (ε 0.05,
+        // φ 0.15, m = 200 000), each op ingesting one of 32 batches of
+        // 1024 items of the same stream into a tenant picked with
+        // Zipf(1.5) popularity, so 32 tenants' tables compete for cache
+        // as they do in a server.
+        const TENANTS: u64 = 32;
+        const OPS: usize = 6_000;
+        let params = HhParams::with_delta(0.05, 0.15, 0.1).unwrap();
+        let mut tenants: Vec<OptimalListHh> = (0..TENANTS)
+            .map(|t| OptimalListHh::with_seeds(params, n_items, 200_000, 42, t).unwrap())
+            .collect();
+        let mut popularity = hh_streams::ZipfGenerator::new(TENANTS, 1.5).scrambled(&mut zipf_rng);
+        let picks = hh_streams::collect_stream(&mut popularity, OPS, &mut zipf_rng);
+        let t0 = Instant::now();
+        for (op, &t) in picks.iter().enumerate() {
+            let batch = op % 32 * 1024;
+            tenants[t as usize].insert_batch(&stream[batch..batch + 1024]);
+        }
+        let elapsed = t0.elapsed();
+        let live: usize = tenants
+            .iter()
+            .map(|a| OptimalListHh::live_cells(&a.epochs).count())
+            .sum();
+        let heap: usize = tenants.iter().map(SpaceUsage::heap_bytes).sum();
+        eprintln!(
+            "{TENANTS} tenants: ns/item={:.1} live_cells={live} heap_bytes={heap}",
+            elapsed.as_nanos() as f64 / (OPS * 1024) as f64
         );
     }
 
@@ -1490,7 +1626,7 @@ mod tests {
         let m = 300_000u64;
         let (a, _) = run(m, &[(7, 0.40)], 0.05, 0.15, 4, EpochMode::Flat);
         // T3 untouched in flat mode.
-        assert!(a.t3.iter().all(|&c| c == 0));
+        assert!(dense_t3(&a).iter().all(|&c| c == 0));
         let r = a.report();
         assert!(r.contains(7), "flat mode should still find a 40% item");
     }
@@ -1582,7 +1718,7 @@ mod tests {
         }
         assert_eq!(a.samples(), b.samples());
         assert_eq!(a.t2, b.t2);
-        assert_eq!(a.t3, b.t3);
+        assert_eq!(dense_t3(&a), dense_t3(&b));
         assert_eq!(a.report().entries(), b.report().entries());
     }
 
@@ -1708,11 +1844,47 @@ mod tests {
         }
     }
 
+    /// Asserts the pool invariant: every live cell owns exactly one
+    /// distinct, whole row past the sinks, no dead cell owns one, and
+    /// the pool holds nothing else.
+    fn assert_one_row_per_live_cell(a: &OptimalListHh) -> usize {
+        let kp1 = a.k_eps as usize + 1;
+        let reps = a.hashes.len();
+        let mut owners = vec![None; a.pool.len()];
+        let mut live = 0usize;
+        for (cell, &e) in a.epochs.iter().enumerate() {
+            let at = a.row_of[cell] as usize;
+            if e == EPOCH_NONE {
+                assert_eq!(at, 0, "dead cell {cell} owns a row");
+                continue;
+            }
+            live += 1;
+            assert!(
+                at >= reps && (at - reps) % kp1 == 0,
+                "cell {cell}: offset {at}"
+            );
+            assert!(at + kp1 <= a.pool.len(), "cell {cell}: row past the pool");
+            assert_eq!(
+                owners[at], None,
+                "cells {:?} and {cell} share a row",
+                owners[at]
+            );
+            owners[at] = Some(cell);
+        }
+        assert_eq!(
+            a.pool.len(),
+            reps + live * kp1,
+            "the pool holds an orphan row"
+        );
+        live
+    }
+
     #[test]
     fn dead_epoch_rows_carry_no_t3_mass() {
-        // The merge fast path skips other's T3 rows whose cached epoch
-        // is EPOCH_NONE; that is sound only if such rows are identically
-        // zero. Check the invariant on a loaded summary.
+        // A cell owns a T3 row exactly while its cached epoch is live:
+        // a dead cell's row would be identically zero, so it has none,
+        // and the merge, the encoder and the estimates read rows only
+        // through live cells. Check the invariant on a loaded summary.
         let m = 400_000u64;
         let (a, _) = run(
             m,
@@ -1722,18 +1894,7 @@ mod tests {
             77,
             EpochMode::Accelerated,
         );
-        let kp1 = a.k_eps as usize + 1;
-        let mut live = 0usize;
-        for (cell, &e) in a.epochs.iter().enumerate() {
-            if e == EPOCH_NONE {
-                assert!(
-                    a.t3[cell * kp1..(cell + 1) * kp1].iter().all(|&c| c == 0),
-                    "dead cell {cell} carries T3 mass"
-                );
-            } else {
-                live += 1;
-            }
-        }
+        let live = assert_one_row_per_live_cell(&a);
         assert!(live > 0, "workload never reached epoch 0 — test is vacuous");
     }
 
@@ -1779,7 +1940,7 @@ mod tests {
         assert_eq!(a.report().entries(), restored.report().entries());
         assert_eq!(a.samples(), restored.samples());
         assert_eq!(a.t2, restored.t2);
-        assert_eq!(a.t3, restored.t3);
+        assert_eq!(dense_t3(&a), dense_t3(&restored));
     }
 
     /// A seed-aligned instance at the served `tenant_churn` shape
@@ -1810,8 +1971,130 @@ mod tests {
             );
             let back = OptimalListHh::from_bytes(&bytes).unwrap();
             assert_eq!(back.t2, a.t2);
-            assert_eq!(back.t3, a.t3);
+            assert_eq!(dense_t3(&back), dense_t3(&a));
             assert_eq!(back.epochs, a.epochs);
+        }
+    }
+
+    /// Sets `T2[cell] = v` (never below its current value) and refreshes
+    /// the cell's epoch as the kernel does, opening its row if it goes
+    /// live.
+    fn raise_t2(a: &mut OptimalListHh, cell: usize, v: u64) {
+        assert!(v >= a.t2[cell], "T2 never decreases");
+        let kp1 = a.k_eps as usize + 1;
+        a.t2[cell] = v;
+        let e = OptimalListHh::epoch_of(v, &a.epoch_thresholds);
+        set_epoch(
+            &mut a.epochs[cell],
+            &mut a.row_of[cell],
+            &mut a.pool,
+            kp1,
+            e,
+        );
+    }
+
+    #[test]
+    fn heap_bytes_track_live_rows() {
+        let fresh = churn_shaped(0);
+        assert!(
+            fresh.heap_bytes() <= 320 << 10,
+            "fresh: {} bytes",
+            fresh.heap_bytes()
+        );
+        let kp1 = fresh.k_eps as usize + 1;
+        // The counting tables alone (T1's scratch and the decoded hash
+        // vector's capacity move with their own history, not with T3).
+        let tables = |a: &OptimalListHh| {
+            a.t2.capacity() * 8
+                + a.epochs.capacity()
+                + a.row_of.capacity() * 4
+                + a.pool.capacity() * 8
+        };
+        let grown = churn_shaped(32);
+        let live = assert_one_row_per_live_cell(&grown);
+        assert!(live > 0, "workload never reached epoch 0 — test is vacuous");
+        // Ingest adds (k+1) words per newly live cell, plus at most the
+        // pool's growth slack of an eighth of its length.
+        let rows = live * kp1 * 8;
+        let grew = tables(&grown) - tables(&fresh);
+        let slack = grown.pool.len() / 8 * 8;
+        assert!(
+            (rows..=rows + slack).contains(&grew),
+            "{live} live rows: grew {grew} bytes, rows {rows}, slack {slack}"
+        );
+        // A restore allocates its pool at exact size.
+        let back = OptimalListHh::from_bytes(&grown.to_bytes()).unwrap();
+        assert_eq!(back.pool.capacity(), back.pool.len());
+        assert_eq!(tables(&back), tables(&fresh) + rows);
+    }
+
+    #[test]
+    fn merge_opens_a_row_exactly_when_a_cell_goes_live() {
+        let mut a = churn_shaped(8);
+        let mut b = churn_shaped(0);
+        b.rng = StdRng::seed_from_u64(99);
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut zipf = hh_streams::ZipfGenerator::new(1 << 32, 1.2).scrambled(&mut rng);
+        for _ in 0..8 {
+            b.insert_batch(&hh_streams::collect_stream(&mut zipf, 1024, &mut rng));
+        }
+        let thr0 = a.epoch_thresholds[0];
+        assert!(thr0 >= 2, "case 2 needs two dead halves");
+        let dead_in_both: Vec<usize> = (0..a.t2.len())
+            .filter(|&c| a.epochs[c] == EPOCH_NONE && b.epochs[c] == EPOCH_NONE)
+            .collect();
+        // Case 1: dead in `a`, live in `b` with mass in its row.
+        let c1 = dead_in_both[0];
+        raise_t2(&mut b, c1, thr0);
+        let at = b.row_of[c1] as usize;
+        b.pool[at] = 3;
+        b.pool[at + 1] = 1;
+        // Case 2: dead in both, but the summed T2 crosses epoch 0.
+        let c2 = dead_in_both[1];
+        raise_t2(&mut a, c2, thr0 - 1);
+        raise_t2(&mut b, c2, 1);
+        assert!(a.epochs[c2] == EPOCH_NONE && b.epochs[c2] == EPOCH_NONE);
+
+        let mut merged = a.clone();
+        merged.merge_from(&b).unwrap();
+        assert_one_row_per_live_cell(&merged);
+        assert!(merged.epochs[c1] != EPOCH_NONE && merged.epochs[c2] != EPOCH_NONE);
+        let sum: Vec<u64> = dense_t3(&a)
+            .iter()
+            .zip(dense_t3(&b))
+            .map(|(x, y)| x + y)
+            .collect();
+        assert_eq!(dense_t3(&merged), sum);
+        assert_eq!(merged.row(c1).unwrap()[..2], [3, 1]);
+        assert!(merged.row(c2).unwrap().iter().all(|&c| c == 0));
+        let bytes = merged.to_bytes();
+        assert_eq!(OptimalListHh::from_bytes(&bytes).unwrap().to_bytes(), bytes);
+    }
+
+    #[test]
+    fn decoded_heap_stays_within_14_bytes_per_buffer_byte() {
+        // Every T2 cell costs 13 bytes in memory (its word, epoch byte
+        // and row offset) against at least one wire byte, and every
+        // pool slot 8 against at least one byte of the row block. A
+        // fresh buffer is all one-byte T2 cells; the forged one (signed
+        // with a valid trailer, but no stream can reach it) has every
+        // cell live at the top epoch, the largest pool this shape can
+        // ask the decoder for.
+        let fresh = churn_shaped(0);
+        let mut forged = fresh.clone();
+        let top = *forged.epoch_thresholds.last().unwrap();
+        for cell in 0..forged.t2.len() {
+            raise_t2(&mut forged, cell, top);
+        }
+        for (what, s) in [("fresh", fresh), ("forged", forged)] {
+            let bytes = s.to_bytes();
+            let back = OptimalListHh::from_bytes(&bytes).unwrap();
+            assert!(
+                back.heap_bytes() <= 14 * bytes.len() + (16 << 10),
+                "{what}: {} heap bytes from {} wire bytes",
+                back.heap_bytes(),
+                bytes.len()
+            );
         }
     }
 
@@ -1827,11 +2110,12 @@ mod tests {
     fn forged_t3_blocks_one_value_short_or_long_are_refused() {
         let a = churn_shaped(32);
         let kp1 = a.k_eps as usize + 1;
-        let sink = a.t3.len() - a.hashes.len();
+        let t3 = dense_t3(&a);
+        let sink = t3.len() - a.hashes.len();
         let mut values: Vec<u64> = OptimalListHh::live_cells(&a.epochs)
-            .flat_map(|cell| a.t3[cell * kp1..(cell + 1) * kp1].iter().copied())
+            .flat_map(|cell| t3[cell * kp1..(cell + 1) * kp1].iter().copied())
             .collect();
-        values.extend_from_slice(&a.t3[sink..]);
+        values.extend_from_slice(&t3[sink..]);
         let block = |values: &[u64]| {
             let mut out = Vec::new();
             hh_space::push_uvarints(&mut out, values);

@@ -58,7 +58,7 @@ pub use gamma::{GammaDecoder, GammaVec};
 pub use packed::PackedIntVec;
 pub use space::{
     ceil_log2, gamma_bits, gamma_sum_bits, id_bits, merged_gamma_sum_bits,
-    merged_sparse_slice_bits, sparse_slice_bits, SpaceUsage,
+    merged_sparse_slice_bits, sparse_bits, sparse_slice_bits, SpaceUsage,
 };
 pub use varcount::VarCounterArray;
 pub use varint::{decode_deltas, decode_uvarints, push_deltas, push_uvarints};

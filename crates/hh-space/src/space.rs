@@ -60,9 +60,16 @@ pub fn gamma_sum_bits(counts: &[u64]) -> u64 {
 /// slice form of [`crate::VarCounterArray::sparse_model_bits`], for
 /// mostly-empty tables held as raw `&[u64]`.
 pub fn sparse_slice_bits(counts: &[u64]) -> u64 {
+    sparse_bits(counts.iter().copied().enumerate())
+}
+
+/// [`sparse_slice_bits`] of a table given as `(position, value)`
+/// pairs in ascending position order, with every omitted position
+/// zero: the same cost for a table stored only by its nonzero rows.
+pub fn sparse_bits(entries: impl IntoIterator<Item = (usize, u64)>) -> u64 {
     let mut bits = 0u64;
     let mut last = 0usize;
-    for (i, &c) in counts.iter().enumerate() {
+    for (i, c) in entries {
         if c > 0 {
             bits += gamma_bits((i - last) as u64) + gamma_bits(c);
             last = i + 1;
@@ -235,6 +242,8 @@ mod tests {
         assert_eq!(sparse_slice_bits(&counts), expected);
         assert_eq!(sparse_slice_bits(&[0u64; 10]), 1);
         assert_eq!(sparse_slice_bits(&[]), 1);
+        // The same table given by its nonzero positions only.
+        assert_eq!(sparse_bits([(17, 3), (50, 0), (90, 1)]), expected);
     }
 
     #[test]
