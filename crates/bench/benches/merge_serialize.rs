@@ -162,7 +162,7 @@ fn bench_snapshot_decode(c: &mut Criterion) {
 
     fn loaded_bytes<S: MergeableSummary>(data: &[u64], mut s: S) -> Vec<u8> {
         s.insert_batch(data);
-        s.to_bytes().to_vec()
+        s.to_bytes()
     }
 
     let b1 = loaded_bytes(&data, SimpleListHh::new(params, N, M as u64, 1).unwrap());

@@ -428,7 +428,7 @@ impl MergeableSummary for SimpleListHh {
         Ok(())
     }
 
-    fn to_bytes(&self) -> bytes::Bytes {
+    fn to_bytes(&self) -> Vec<u8> {
         snapshot::encode(A1_TAG, self)
     }
 

@@ -1382,7 +1382,7 @@ impl MergeableSummary for OptimalListHh {
         Ok(())
     }
 
-    fn to_bytes(&self) -> bytes::Bytes {
+    fn to_bytes(&self) -> Vec<u8> {
         snapshot::encode(A2_TAG, self)
     }
 

@@ -17,7 +17,7 @@
 //!
 //! Snapshots are the persistence half of the same contract: a summary
 //! serializes to a tagged binary buffer ([`MergeableSummary::to_bytes`],
-//! a vendored-[`bytes::Bytes`] value) that restores to a bit-identical
+//! an owned `Vec<u8>`) that restores to a bit-identical
 //! summary — same future reports, same space accounting, and, because
 //! the RNG and sampler states are captured too, the same behavior under
 //! continued ingestion.
@@ -49,7 +49,6 @@
 
 use crate::error::{MergeError, SnapshotError};
 use crate::traits::StreamSummary;
-use bytes::Bytes;
 
 /// A summary of a substream that can be merged with summaries of
 /// disjoint substreams, and checkpointed to bytes.
@@ -105,7 +104,7 @@ pub trait MergeableSummary: StreamSummary + Sized {
     /// Serializes the full summary state (tables, counters, hash seeds,
     /// RNG and sampler state) into a tagged binary buffer with a
     /// trailing integrity checksum.
-    fn to_bytes(&self) -> Bytes;
+    fn to_bytes(&self) -> Vec<u8>;
 
     /// Restores a summary from a buffer produced by
     /// [`MergeableSummary::to_bytes`]. The trailing checksum is
@@ -146,7 +145,7 @@ pub trait MergeableSummary: StreamSummary + Sized {
 /// tag, an older format version of the same type included, is refused
 /// with [`SnapshotError::WrongTag`].
 pub mod snapshot {
-    use super::{Bytes, SnapshotError};
+    use super::SnapshotError;
     use hh_space::codec::{Codec, CodecError, ErrorKind, Reader, Writer};
 
     /// Size of the trailing integrity checksum in bytes.
@@ -177,20 +176,20 @@ pub mod snapshot {
     /// names the summary type and snapshot-format version) and appends
     /// the striped `fnv1a64x4` digest of the whole buffer as an 8-byte
     /// little-endian trailer.
-    pub fn encode<T: Codec>(tag: &str, value: &T) -> Bytes {
+    pub fn encode<T: Codec>(tag: &str, value: &T) -> Vec<u8> {
         encode_with(tag, |w| value.write_to(w))
     }
 
     /// [`encode`] for a payload written by `write`: a caller encodes
     /// from borrowed parts without building an owned [`Codec`] value.
-    pub fn encode_with(tag: &str, write: impl FnOnce(&mut Writer)) -> Bytes {
+    pub fn encode_with(tag: &str, write: impl FnOnce(&mut Writer)) -> Vec<u8> {
         let mut w = Writer::default();
         w.write_str(tag);
         write(&mut w);
         let mut buf = w.into_bytes();
         let digest = hh_space::checksum::fnv1a64x4(&buf);
         buf.extend_from_slice(&digest.to_le_bytes());
-        Bytes::from(buf)
+        buf
     }
 
     /// Decodes a buffer produced by [`encode`] with the same `tag`:

@@ -386,7 +386,7 @@ impl MergeableSummary for MisraGries {
         Ok(())
     }
 
-    fn to_bytes(&self) -> bytes::Bytes {
+    fn to_bytes(&self) -> Vec<u8> {
         snapshot::encode(MG_TAG, self)
     }
 

@@ -381,7 +381,7 @@ impl MergeableSummary for CountMin {
         Ok(())
     }
 
-    fn to_bytes(&self) -> bytes::Bytes {
+    fn to_bytes(&self) -> Vec<u8> {
         snapshot::encode(TAG, self)
     }
 

@@ -412,7 +412,7 @@ impl MergeableSummary for CountSketch {
         Ok(())
     }
 
-    fn to_bytes(&self) -> bytes::Bytes {
+    fn to_bytes(&self) -> Vec<u8> {
         snapshot::encode(TAG, self)
     }
 

@@ -307,7 +307,7 @@ impl MergeableSummary for LossyCounting {
         Ok(())
     }
 
-    fn to_bytes(&self) -> bytes::Bytes {
+    fn to_bytes(&self) -> Vec<u8> {
         snapshot::encode(TAG, self)
     }
 

@@ -151,7 +151,7 @@ impl MergeableSummary for MisraGriesBaseline {
         self.table.merge_from(other.table())
     }
 
-    fn to_bytes(&self) -> bytes::Bytes {
+    fn to_bytes(&self) -> Vec<u8> {
         snapshot::encode(TAG, self)
     }
 

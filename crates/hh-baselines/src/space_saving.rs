@@ -619,7 +619,7 @@ impl MergeableSummary for SpaceSaving {
         Ok(())
     }
 
-    fn to_bytes(&self) -> bytes::Bytes {
+    fn to_bytes(&self) -> Vec<u8> {
         snapshot::encode(TAG, self)
     }
 

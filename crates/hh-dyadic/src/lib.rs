@@ -54,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bytes::Bytes;
 use hh_baselines::CountMin;
 use hh_core::mergeable::snapshot;
 use hh_core::{
@@ -503,7 +502,7 @@ impl<S: MergeableSummary + Clone> MergeableSummary for DyadicHh<S> {
         Ok(())
     }
 
-    fn to_bytes(&self) -> Bytes {
+    fn to_bytes(&self) -> Vec<u8> {
         snapshot::encode(TAG, self)
     }
 

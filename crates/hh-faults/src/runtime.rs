@@ -149,7 +149,7 @@ impl<S: MergeableSummary> MergeableSummary for FaultySummary<S> {
 
     /// The inner summary's bytes, verbatim — a faulty wrapper
     /// checkpoints (and restores) as its clean payload.
-    fn to_bytes(&self) -> bytes::Bytes {
+    fn to_bytes(&self) -> Vec<u8> {
         self.inner.to_bytes()
     }
 

@@ -1,7 +1,5 @@
 //! The one-way protocol abstraction shared by every reduction.
 
-use bytes::Bytes;
-
 /// Result of executing one reduction end to end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReductionOutcome {
@@ -32,7 +30,7 @@ impl ReductionOutcome {
 /// Counted toward `message_bits` at 8 bits per byte.
 #[derive(Debug, Clone, Default)]
 pub struct AuxPayload {
-    data: Bytes,
+    data: Vec<u8>,
 }
 
 impl AuxPayload {
@@ -47,9 +45,7 @@ impl AuxPayload {
         for v in values {
             buf.extend_from_slice(&v.to_le_bytes());
         }
-        Self {
-            data: Bytes::from(buf),
-        }
+        Self { data: buf }
     }
 
     /// Decodes the payload back into `u64`s.

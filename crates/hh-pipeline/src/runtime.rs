@@ -61,7 +61,6 @@
 //! counted in [`RuntimeHealth::shed_items`]; DESIGN.md §11 walks
 //! through the accounting.
 
-use bytes::Bytes;
 use hh_core::{MergeableSummary, SnapshotError, StreamSummary};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -249,7 +248,7 @@ pub struct ShardRuntime<S> {
     backpressure: Backpressure,
     health: Mutex<HealthState>,
     /// Last checkpoint bytes per shard; see [`ShardRuntime::checkpoint`].
-    checkpoints: Vec<Option<Bytes>>,
+    checkpoints: Vec<Option<Arc<[u8]>>>,
 }
 
 impl<S> std::fmt::Debug for ShardRuntime<S> {
@@ -685,7 +684,7 @@ impl<S: MergeableSummary + Send + 'static> ShardRuntime<S> {
     /// previous bytes, and (crucially) their cell lock is never taken,
     /// so a worker wedged mid-batch cannot stall the caller. Returns
     /// the `(shard, bytes)` pairs actually captured.
-    pub fn checkpoint_timeout(&mut self, timeout: Duration) -> Vec<(usize, Bytes)> {
+    pub fn checkpoint_timeout(&mut self, timeout: Duration) -> Vec<(usize, Arc<[u8]>)> {
         let pending = match self.flush_timeout(timeout) {
             Ok(()) => Vec::new(),
             Err(FlushError::TimedOut { pending }) => pending,
@@ -705,14 +704,14 @@ impl<S: MergeableSummary + Send + 'static> ShardRuntime<S> {
     ///
     /// # Panics
     /// If `bytes` does not hold exactly one entry per shard.
-    pub fn seed_checkpoints(&mut self, bytes: Vec<Bytes>) {
+    pub fn seed_checkpoints(&mut self, bytes: Vec<Arc<[u8]>>) {
         assert_eq!(bytes.len(), self.cells.len(), "one checkpoint per shard");
         self.checkpoints = bytes.into_iter().map(Some).collect();
     }
 
     /// Snapshots every shard except poisoned ones and `skip` into the
     /// recovery slots, returning what was captured.
-    fn capture_checkpoints(&mut self, skip: &[usize]) -> Vec<(usize, Bytes)> {
+    fn capture_checkpoints(&mut self, skip: &[usize]) -> Vec<(usize, Arc<[u8]>)> {
         let poisoned: Vec<bool> = {
             let state = lock(&self.health);
             state.poisoned.iter().map(|p| p.is_some()).collect()
@@ -722,8 +721,8 @@ impl<S: MergeableSummary + Send + 'static> ShardRuntime<S> {
             if poisoned[j] || skip.contains(&j) {
                 continue;
             }
-            let bytes = lock(cell).to_bytes();
-            self.checkpoints[j] = Some(bytes.clone());
+            let bytes: Arc<[u8]> = lock(cell).to_bytes().into();
+            self.checkpoints[j] = Some(Arc::clone(&bytes));
             captured.push((j, bytes));
         }
         captured

@@ -290,7 +290,7 @@ mod tests {
         let body = Request::Ping.encode();
         crate::proto::write_frame(&mut client, &body).unwrap();
         let got = server.read_frame().unwrap().expect("frame arrives");
-        assert_eq!(got, body.as_ref());
+        assert_eq!(got, body);
     }
 
     #[test]

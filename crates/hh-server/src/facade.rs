@@ -31,7 +31,6 @@
 //! *stream seed* per shard (independent sampling).
 
 use crate::proto::ProtocolError;
-use bytes::Bytes;
 use hh_baselines::{CountMin, CountSketch, LossyCounting, MisraGriesBaseline, SpaceSaving};
 use hh_core::{
     HeavyHitters, HhParams, ItemEstimate, MergeError, MergeableSummary, MisraGries, OptimalListHh,
@@ -302,7 +301,7 @@ pub trait ErasedSummary: Send + Sync {
     /// entry list as a report — thresholding is the caller's).
     fn report_dyn(&self) -> Report;
     /// [`MergeableSummary::to_bytes`].
-    fn to_bytes_dyn(&self) -> Bytes;
+    fn to_bytes_dyn(&self) -> Vec<u8>;
     /// Kind-checked [`MergeableSummary::merge_from`].
     fn merge_dyn(&mut self, other: &dyn ErasedSummary) -> Result<(), MergeError>;
     /// Downcast hook for [`ErasedSummary::merge_dyn`].
@@ -348,7 +347,7 @@ macro_rules! erase {
                 #[allow(clippy::redundant_closure_call)]
                 ($report)(&self.inner)
             }
-            fn to_bytes_dyn(&self) -> Bytes {
+            fn to_bytes_dyn(&self) -> Vec<u8> {
                 self.inner.to_bytes()
             }
             fn merge_dyn(&mut self, other: &dyn ErasedSummary) -> Result<(), MergeError> {
@@ -517,7 +516,7 @@ impl MergeableSummary for DynSummary {
         self.0.merge_dyn(&*other.0)
     }
 
-    fn to_bytes(&self) -> Bytes {
+    fn to_bytes(&self) -> Vec<u8> {
         self.0.to_bytes_dyn()
     }
 
@@ -565,6 +564,48 @@ mod tests {
             assert_eq!(back.kind(), kind, "tag dispatch picked the wrong kind");
             assert_eq!(back.to_bytes(), bytes, "{kind:?} restore not bit-identical");
         }
+    }
+
+    #[test]
+    fn every_kind_snapshot_bytes_are_pinned() {
+        // The `fnv1a64x4` of each kind's snapshot, in `SummaryKind::ALL`
+        // order: fresh, then after one fixed seeded batch. A change that
+        // moves one checkpoint byte fails here, not at a boot scan
+        // reading a store the other build wrote.
+        const FRESH: [u64; 9] = [
+            0x4D25_9D9B_FE9F_B9A5,
+            0xC6A1_4AB4_3A63_A1D3,
+            0x5504_2AB8_4CDF_997A,
+            0x0DD7_8A98_E5A7_13C3,
+            0x1D1C_8CE7_3259_C2A1,
+            0xE6DA_E834_5747_1BE2,
+            0x607B_D3A0_934E_275B,
+            0xB9B0_9EBE_9F01_CD15,
+            0xC846_1B9D_0BC5_0BF0,
+        ];
+        const FED: [u64; 9] = [
+            0x0015_838E_275A_7F6A,
+            0x3415_C0DD_CC66_7DC0,
+            0xE63B_ADAE_AA35_4855,
+            0x2376_6D24_6BEF_5C6E,
+            0x6193_0ECB_6B39_F50D,
+            0x0F9D_3703_9BDC_6259,
+            0xB1E4_C656_9DCA_B486,
+            0xE503_EAE4_6DE6_0387,
+            0xE263_2C4F_1489_2B27,
+        ];
+        let batch: Vec<u64> = (0..20_000u64)
+            .map(|i| if i % 4 == 0 { 7 } else { mix64(i) % (1 << 20) })
+            .collect();
+        let (mut fresh, mut fed) = (Vec::new(), Vec::new());
+        for kind in SummaryKind::ALL {
+            let mut s = spec(kind).build_bank().unwrap().remove(0);
+            fresh.push(hh_space::fnv1a64x4(&s.to_bytes()));
+            s.insert_batch(&batch);
+            fed.push(hh_space::fnv1a64x4(&s.to_bytes()));
+        }
+        assert_eq!(fresh, FRESH, "fresh snapshot bytes moved");
+        assert_eq!(fed, FED, "fed snapshot bytes moved");
     }
 
     #[test]

@@ -853,7 +853,7 @@ impl Codec for Response {
 
 impl Request {
     /// Encodes into a checksummed, tagged frame body.
-    pub fn encode(&self) -> bytes::Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         snapshot::encode(REQUEST_TAG, self)
     }
 
@@ -866,7 +866,7 @@ impl Request {
         client: u64,
         req_seq: u64,
         items: &[u64],
-    ) -> bytes::Bytes {
+    ) -> Vec<u8> {
         snapshot::encode_with(REQUEST_TAG, |w| {
             write_ingest(w, tenant, shard, client, req_seq, items)
         })
@@ -881,7 +881,7 @@ impl Request {
 
 impl Response {
     /// Encodes into a checksummed, tagged frame body.
-    pub fn encode(&self) -> bytes::Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         snapshot::encode(RESPONSE_TAG, self)
     }
 
@@ -1204,13 +1204,13 @@ mod tests {
     /// A request body of the given payload under [`REQUEST_TAG`], with a
     /// valid trailer: hostile payloads reach the decoder, not the
     /// checksum.
-    fn sealed(payload: impl FnOnce(&mut Writer)) -> bytes::Bytes {
+    fn sealed(payload: impl FnOnce(&mut Writer)) -> Vec<u8> {
         snapshot::encode_with(REQUEST_TAG, payload)
     }
 
     /// An `Ingest` payload whose item block claims `count` items and
     /// holds `words`, then one stray byte if `stray`.
-    fn ingest_claiming(count: u64, words: &[u64], stray: bool) -> bytes::Bytes {
+    fn ingest_claiming(count: u64, words: &[u64], stray: bool) -> Vec<u8> {
         sealed(|w| {
             w.write_u64(2);
             w.write_str("t");

@@ -757,7 +757,7 @@ fn dispatch(shared: &Arc<Shared>, req: &Request) -> Result<Response, ProtocolErr
         Request::Snapshot { tenant } => {
             let mut reg = lock_registry(shared);
             let t = resident_tenant(shared, &mut reg, tenant)?;
-            let bytes = t.snapshot_merged()?.to_vec();
+            let bytes = t.snapshot_merged()?;
             Ok(Response::Snapshot { bytes })
         }
         Request::RangeQuery { tenant, lo, hi } => {
@@ -1543,7 +1543,7 @@ mod tests {
         for (name, oracle) in names.iter().zip(&oracles) {
             assert_eq!(
                 client.snapshot(name).unwrap(),
-                oracle.to_bytes().as_ref(),
+                oracle.to_bytes(),
                 "tenant {name}: an acked batch was lost or doubled"
             );
         }
@@ -1584,7 +1584,7 @@ mod tests {
         }
         assert_eq!(
             client.snapshot("t").unwrap(),
-            oracle.to_bytes().as_ref(),
+            oracle.to_bytes(),
             "a batch of the restarted client was dropped"
         );
         assert_eq!(client.health().unwrap().dedup_hits, 0);
@@ -1623,7 +1623,7 @@ mod tests {
         );
         assert_eq!(
             client.snapshot("t").unwrap(),
-            oracle.to_bytes().as_ref(),
+            oracle.to_bytes(),
             "the scan must replay the acked batch over the last-good bytes"
         );
         let (reopened, _) = log_of(&server, "t");

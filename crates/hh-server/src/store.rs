@@ -41,11 +41,11 @@
 use crate::durability::{BankSnapshot, DedupEntry};
 use crate::facade::{DynSummary, TenantSpec};
 use crate::proto::{validate_tenant_name, ProtocolError};
-use bytes::Bytes;
 use hh_core::mergeable::snapshot;
 use hh_core::MergeableSummary;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Snapshot-codec tag for persisted tenant specs (v2: signed with the
 /// checksum's folded lane step, as is the bundle).
@@ -73,7 +73,7 @@ pub struct RecoveredTenant {
     /// The verified snapshot bytes each shard was decoded from, in
     /// shard order. Restore then snapshot is bit-identical for every
     /// kind, so these are the shard's current encoding.
-    pub shard_bytes: Vec<Bytes>,
+    pub shard_bytes: Vec<Arc<[u8]>>,
     /// Per-shard WAL high-water marks from the bundle.
     pub hwms: Vec<u64>,
     /// The dedup table from the bundle.
@@ -199,7 +199,7 @@ impl Store {
                 ));
             }
             shards.push(summary);
-            shard_bytes.push(Bytes::from(bytes));
+            shard_bytes.push(Arc::from(bytes));
         }
         Ok(RecoveredTenant {
             name: name.to_string(),
@@ -288,7 +288,7 @@ mod tests {
             s.insert_batch(&vec![feed + j as u64; 100]);
         }
         let bundle = BankSnapshot {
-            shards: shards.iter().map(|s| s.to_bytes().to_vec()).collect(),
+            shards: shards.iter().map(MergeableSummary::to_bytes).collect(),
             hwms: vec![feed; shards.len()],
             dedup: vec![(
                 9,
@@ -322,9 +322,25 @@ mod tests {
         }
         // The verified bytes come back too, equal to a fresh encode.
         for (bytes, restored) in back.shard_bytes.iter().zip(&back.shards) {
-            assert_eq!(*bytes, restored.to_bytes());
+            assert_eq!(bytes[..], restored.to_bytes());
         }
         let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn bundle_and_spec_bytes_are_pinned() {
+        // The `fnv1a64x4` of a two-shard bundle and of its spec file: a
+        // change that moves one stored byte fails here, not at boot.
+        let (_, bundle) = bank(&spec(), 7);
+        let digests = [
+            hh_space::fnv1a64x4(&snapshot::encode(BANK_TAG, &bundle)),
+            hh_space::fnv1a64x4(&snapshot::encode(SPEC_TAG, &spec())),
+        ];
+        assert_eq!(
+            digests,
+            [0xA9C6_A43A_18B1_510B, 0x7476_7E80_BFE9_DDE5],
+            "stored bytes moved"
+        );
     }
 
     #[test]

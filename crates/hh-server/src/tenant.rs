@@ -41,7 +41,6 @@
 use crate::durability::{encode_frame, BankSnapshot, DedupEntry, DedupTable, IngestFrame};
 use crate::facade::{DynSummary, TenantSpec};
 use crate::proto::{ProtocolError, RangeEntry};
-use bytes::Bytes;
 use hh_core::{HeavyHitters, MergeableSummary};
 use hh_pipeline::{Backpressure, FailurePolicy, IngestMode, ShardRuntime};
 use hh_space::SpaceUsage;
@@ -89,7 +88,7 @@ pub struct Tenant {
     pub last_touch: u64,
     /// Bytes most recently handed to the store, per shard. Poisoned
     /// shards keep their last good entry here.
-    disk_bytes: Vec<Bytes>,
+    disk_bytes: Vec<Arc<[u8]>>,
     /// Operator-injected fault (testing and drills): while set, writes
     /// are refused as [`ProtocolError::Quarantined`] and health reports
     /// the tenant, without any shard actually dying. Also latched by a
@@ -126,7 +125,7 @@ impl Tenant {
     /// in-memory recovery checkpoint.
     pub fn create(spec: TenantSpec) -> Result<Self, ProtocolError> {
         let bank = spec.build_bank()?;
-        let bytes = bank.iter().map(MergeableSummary::to_bytes).collect();
+        let bytes = bank.iter().map(|s| s.to_bytes().into()).collect();
         Self::from_bank(spec, bank, bytes)
     }
 
@@ -144,7 +143,7 @@ impl Tenant {
     pub fn from_bank(
         spec: TenantSpec,
         bank: Vec<DynSummary>,
-        bytes: Vec<Bytes>,
+        bytes: Vec<Arc<[u8]>>,
     ) -> Result<Self, ProtocolError> {
         debug_assert_eq!(bank.len(), spec.shards as usize);
         let mut runtime = ShardRuntime::new(bank, IngestMode::Auto);
@@ -402,7 +401,7 @@ impl Tenant {
     }
 
     /// The merged summary's portable snapshot bytes.
-    pub fn snapshot_merged(&mut self) -> Result<Bytes, ProtocolError> {
+    pub fn snapshot_merged(&mut self) -> Result<Vec<u8>, ProtocolError> {
         self.read(MergeableSummary::to_bytes)
     }
 
@@ -828,7 +827,7 @@ mod tests {
             .iter()
             .map(|b| DynSummary::from_bytes(b).unwrap())
             .collect();
-        let bytes: Vec<Bytes> = bank.shards.iter().cloned().map(Bytes::from).collect();
+        let bytes = bank.shards.iter().map(|b| b[..].into()).collect();
         let back = Tenant::from_bank(spec(), shards, bytes).unwrap();
         assert_eq!(back.runtime.health().checkpointed, 2, "recovery is armed");
         assert_eq!(back.bundle().shards, bank.shards);

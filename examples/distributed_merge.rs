@@ -61,8 +61,8 @@ fn main() {
     }
 
     banner("checkpoint -> wire -> restore");
-    let wires: Vec<bytes::Bytes> = nodes.iter().map(MergeableSummary::to_bytes).collect();
-    let total_wire: usize = wires.iter().map(bytes::Bytes::len).sum();
+    let wires: Vec<Vec<u8>> = nodes.iter().map(MergeableSummary::to_bytes).collect();
+    let total_wire: usize = wires.iter().map(Vec::len).sum();
     println!(
         "  {} snapshots, {total_wire} bytes total ({} bytes/node)",
         wires.len(),

@@ -192,7 +192,7 @@ fn seeded_checkpoints_arm_recovery_without_a_flush_or_an_encode() {
     for (j, s) in summaries.iter_mut().enumerate() {
         s.insert_batch(&vec![j as u64 + 1; 70]);
     }
-    let bytes: Vec<_> = summaries.iter().map(|s| s.to_bytes()).collect();
+    let bytes: Vec<Arc<[u8]>> = summaries.iter().map(|s| s.to_bytes().into()).collect();
     let mut rt = ShardRuntime::new(summaries, IngestMode::Parallel);
     rt.set_failure_policy(FailurePolicy::Quarantine);
     assert_eq!(rt.health().checkpointed, 0);
@@ -206,7 +206,7 @@ fn seeded_checkpoints_arm_recovery_without_a_flush_or_an_encode() {
     assert_eq!(rt.health().poisoned.len(), 1);
     rt.recover(1).expect("recover from the seeded bytes");
     assert_eq!(processed(&rt, 1), 70, "rebuilt as seeded");
-    assert_eq!(rt.with_summary(1, |s| s.to_bytes()), bytes[1]);
+    assert_eq!(rt.with_summary(1, |s| s.to_bytes()), &bytes[1][..]);
     assert_eq!(processed(&rt, 0), 70, "the sibling never moved");
 }
 

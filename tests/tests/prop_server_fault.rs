@@ -304,7 +304,7 @@ fn concurrent_soak_matches_sequential_oracle() {
                 use hh_core::MergeableSummary as _;
                 assert_eq!(
                     served,
-                    oracle.to_bytes().as_ref(),
+                    oracle.to_bytes(),
                     "tenant {tenant}: served state diverged from the acked-batch oracle"
                 );
             })
@@ -368,7 +368,7 @@ fn kill_loses_at_most_the_uncheckpointed_window() {
     // un-checkpointed batch is gone.
     use hh_core::MergeableSummary as _;
     let served = client.snapshot("ten").unwrap();
-    assert_eq!(served, oracle.to_bytes().as_ref());
+    assert_eq!(served, oracle.to_bytes());
     let restored = DynSummary::from_bytes(&served).unwrap();
     use hh_core::HeavyHitters as _;
     assert!(restored.report().contains(42));
@@ -422,7 +422,7 @@ fn kill_with_wal_recovers_every_acked_batch() {
     let served = client.snapshot("ten").unwrap();
     assert_eq!(
         served,
-        oracle.to_bytes().as_ref(),
+        oracle.to_bytes(),
         "recovered state diverged from the every-acked-batch oracle"
     );
     server.shutdown();
@@ -465,7 +465,7 @@ fn wal_soak_reliable_ingest_survives_kill_cycles_exactly() {
     let served = client.snapshot("ten").unwrap();
     assert_eq!(
         served,
-        oracle.to_bytes().as_ref(),
+        oracle.to_bytes(),
         "acked batches lost or double-applied across kill cycles"
     );
     server.shutdown();
@@ -772,7 +772,7 @@ fn parallel_boot_quarantines_exactly_the_damaged_tenants() {
         }
         assert_eq!(
             client.snapshot(name).unwrap(),
-            oracle.to_bytes().as_ref(),
+            oracle.to_bytes(),
             "{name}: parallel boot diverged from the oracle"
         );
     }
@@ -839,7 +839,7 @@ fn upgrade_by_shutdown_and_wal_wipe_keeps_every_report_and_resumes_acked_ingest(
         assert_eq!(&report_bits(&mut client, name), &reports[t], "{name}");
         assert_eq!(
             client.snapshot(name).unwrap(),
-            oracles[t].to_bytes().as_ref(),
+            oracles[t].to_bytes(),
             "{name}: the checkpoint alone must carry every acked batch"
         );
         // The next ingest lands in the fresh log and is acked. The

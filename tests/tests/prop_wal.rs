@@ -467,7 +467,7 @@ fn corrupt_sealed_wal_quarantines_one_tenant_while_the_rest_serve() {
     let served = client.snapshot("good").unwrap();
     assert_eq!(
         served,
-        oracle.to_bytes().as_ref(),
+        oracle.to_bytes(),
         "healthy tenant lost acked data to a neighbor's corruption"
     );
     assert_eq!(client.ingest("good", 0, &[9, 9, 9]).unwrap(), 3);
@@ -487,8 +487,10 @@ fn retried_ingest_applies_exactly_once_at_every_sever_offset() {
     config.checkpoint_every = Duration::from_secs(3_600);
     let server = Server::start(config, Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
     let addr = server.local_addr().unwrap();
-    let mut client = Client::connect_tcp(addr).unwrap();
-    client.create("exact", server_spec()).unwrap();
+    Client::connect_tcp(addr)
+        .unwrap()
+        .create("exact", server_spec())
+        .unwrap();
 
     // Few distinct items + huge m: SpaceSaving is exact, so one double
     // apply or one lost batch shifts the snapshot bytes.
@@ -545,16 +547,42 @@ fn retried_ingest_applies_exactly_once_at_every_sever_offset() {
         oracle.insert_batch(&items);
     }
 
-    // (5b) Applied but unacked: the full frame lands, the connection
-    // dies before the ack is read. The retry must dedup — answered from
-    // the table with the original accepted count, not re-applied.
+    // (5b) Applied but unacked: the full frame lands on its own
+    // connection, which dies with the ack unused. The retry must dedup —
+    // answered from the table with the original accepted count, not
+    // re-applied. The original is driven to its answer before the retry
+    // is sent, and resent while the acceptor refuses it at
+    // `max_connections`, so the retry always finds it applied and
+    // `dedup_hits` measures the server, not the scheduler.
+    let apply_original = |full: &[u8], k: u64| {
+        for _ in 0..100 {
+            let mut drive = TcpStream::connect(addr).unwrap();
+            drive
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let _ = drive.write_all(full);
+            // A refused connection can be reset before its RetryAfter
+            // frame is read: no frame at all is a refusal too.
+            match read_frame(&mut drive) {
+                Ok(Some(rsp)) => match Response::decode(&rsp).unwrap() {
+                    Response::Ingested { accepted } => {
+                        assert_eq!(accepted, 40, "original {k}");
+                        return;
+                    }
+                    Response::RetryAfter { millis } => {
+                        std::thread::sleep(Duration::from_millis(millis));
+                    }
+                    other => panic!("original {k} answered {other:?}"),
+                },
+                Ok(None) | Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
+        }
+        panic!("original {k} was refused 100 times");
+    };
     for k in 0..5u64 {
         let req_seq = 1_000_000 + k;
         let body = body_for(req_seq);
-        let full = frame_for(&body);
-        let mut drive = TcpStream::connect(addr).unwrap();
-        drive.write_all(&full).unwrap();
-        drop(drive); // ack rides into a closed socket
+        apply_original(&frame_for(&body), k);
 
         match rpc(&body) {
             Response::Ingested { accepted } => assert_eq!(accepted, 40, "unacked retry {k}"),
@@ -564,11 +592,14 @@ fn retried_ingest_applies_exactly_once_at_every_sever_offset() {
         oracle.insert_batch(&items);
     }
 
+    // A fresh connection: one opened before (5a) would have sat idle
+    // past `ConnLimits::fast`'s idle limit and been reaped.
+    let mut client = Client::connect_tcp(addr).unwrap();
     use hh_core::MergeableSummary as _;
     let served = client.snapshot("exact").unwrap();
     assert_eq!(
         served,
-        oracle.to_bytes().as_ref(),
+        oracle.to_bytes(),
         "retries lost or double-applied a batch"
     );
     assert!(
