@@ -46,6 +46,8 @@ fn space_vs_log_n() {
         ],
     );
     let mut series: Vec<(u32, Vec<u64>)> = Vec::new();
+    // (log2 n, algo2 heap bytes, Misra-Gries heap bytes)
+    let mut heaps: Vec<(u32, usize, usize)> = Vec::new();
     for log_n in [16u32, 24, 32, 48, 60] {
         let n = 1u64 << log_n;
         // The same distribution at every n (so only the id width moves):
@@ -93,9 +95,25 @@ fn space_vs_log_n() {
         row.extend(bits.iter().map(|&b| hh_bench::Cell::Int(b)));
         t.row(row);
         series.push((log_n, bits));
+        heaps.push((log_n, a2.heap_bytes(), mg.heap_bytes()));
     }
     t.print();
 
+    // The same sweep in resident bytes: model bits price only what the
+    // analysis counts, while a tenant's memory budget meters heap bytes.
+    let mut h = Table::new(
+        "E7a heap - resident bytes vs universe size (algo2 vs misra-gries)",
+        &["log2 n", "algo2 heap B", "misra-gries heap B", "algo2 / mg"],
+    );
+    for &(log_n, a2_heap, mg_heap) in &heaps {
+        h.row(vec![
+            u64::from(log_n).into(),
+            a2_heap.into(),
+            mg_heap.into(),
+            hh_bench::Cell::Float(a2_heap as f64 / mg_heap as f64, 1),
+        ]);
+    }
+    h.print();
     // Slope analysis: bits added per unit of log2 n, least-squares over
     // the sweep. The paper's algorithms only pay ids in the phi^-1 term
     // (about 1/phi = 5 id slots here); Misra-Gries-style baselines pay
@@ -115,16 +133,11 @@ fn space_vs_log_n() {
         &["algorithm", "slope", "ids paying log n (approx)"],
     );
     for (idx, name) in names.iter().enumerate() {
-        let xs: Vec<f64> = series.iter().map(|&(l, _)| l as f64).collect();
-        let ys: Vec<f64> = series.iter().map(|(_, b)| b[idx] as f64).collect();
-        let xm = xs.iter().sum::<f64>() / xs.len() as f64;
-        let ym = ys.iter().sum::<f64>() / ys.len() as f64;
-        let slope = xs
+        let points: Vec<(f64, f64)> = series
             .iter()
-            .zip(&ys)
-            .map(|(x, y)| (x - xm) * (y - ym))
-            .sum::<f64>()
-            / xs.iter().map(|x| (x - xm) * (x - xm)).sum::<f64>();
+            .map(|(l, b)| (f64::from(*l), b[idx] as f64))
+            .collect();
+        let (slope, _) = least_squares(&points);
         s.row(vec![
             (*name).into(),
             hh_bench::Cell::Float(slope, 1),
@@ -140,6 +153,63 @@ fn space_vs_log_n() {
          ids to a small candidate set - their weakness is the eps^-2-width\n\
          counter matrix visible in the absolute numbers.\n"
     );
+    let algo2_bits: Vec<(f64, f64)> = series
+        .iter()
+        .map(|(l, b)| (f64::from(*l), b[1] as f64))
+        .collect();
+    let mg_bits: Vec<(f64, f64)> = series
+        .iter()
+        .map(|(l, b)| (f64::from(*l), b[2] as f64))
+        .collect();
+    let algo2_heap: Vec<(f64, f64)> = heaps
+        .iter()
+        .map(|&(l, a, _)| (f64::from(l), a as f64))
+        .collect();
+    let mg_heap: Vec<(f64, f64)> = heaps
+        .iter()
+        .map(|&(l, _, m)| (f64::from(l), m as f64))
+        .collect();
+    println!(
+        "Crossover against Misra-Gries (where algo2 becomes the smaller one):\n\
+         - in model bits: {}\n\
+         - in heap bytes: {}\n",
+        crossover(&algo2_bits, &mg_bits),
+        crossover(&algo2_heap, &mg_heap),
+    );
+}
+
+/// Least-squares line `(slope, intercept)` through `(x, y)` points.
+fn least_squares(points: &[(f64, f64)]) -> (f64, f64) {
+    let n = points.len() as f64;
+    let xm = points.iter().map(|p| p.0).sum::<f64>() / n;
+    let ym = points.iter().map(|p| p.1).sum::<f64>() / n;
+    let slope = points
+        .iter()
+        .map(|&(x, y)| (x - xm) * (y - ym))
+        .sum::<f64>()
+        / points
+            .iter()
+            .map(|&(x, _)| (x - xm) * (x - xm))
+            .sum::<f64>();
+    (slope, ym - slope * xm)
+}
+
+/// The first swept log2 n where algo2 costs less than Misra-Gries or,
+/// failing that, where the two least-squares lines meet.
+fn crossover(algo2: &[(f64, f64)], mg: &[(f64, f64)]) -> String {
+    if let Some((&(x, _), _)) = algo2.iter().zip(mg).find(|(a, m)| a.1 < m.1) {
+        return format!("log2 n = {x} (measured)");
+    }
+    let (sa, ba) = least_squares(algo2);
+    let (sm, bm) = least_squares(mg);
+    if sm > sa {
+        format!(
+            "not in the sweep; the fitted lines meet at log2 n = {:.0}",
+            (ba - bm) / (sm - sa)
+        )
+    } else {
+        "never: Misra-Gries' cost does not grow faster than algo2's in log n".to_string()
+    }
 }
 
 fn accuracy_on_zipf() {

@@ -21,9 +21,10 @@
 //!     probability accelerates, keeping `Var[f̂] = O(ε⁻²)` *total* across
 //!     epochs (the geometric-decay argument of Claim 2) while a naive
 //!     fixed-rate counter would pay an extra `log ε⁻¹` factor.
-//! * The estimate `f̂_j = Σ_t T3[i,j,t]/p_t` is unbiased up to the
-//!   pre-epoch-0 mass; the median over `j` is compared against
-//!   `(φ − ε/2)s`.
+//! * The estimate `f̂_j = Σ_t T3[i,j,t]/p_t` misses the mass a bucket
+//!   saw before its epoch 0, so a live cell adds that prefix's
+//!   expectation, `thresholds[0]/ε̂` (DESIGN.md §1.6); the median over
+//!   `j` is compared against `(φ − ε/2)s`.
 //!
 //! Because `ε̂` is a power of two (footnote 3), every `p_t = 2^{t−k}` is a
 //! power of two and each sampling decision is a test of `k − t` fresh
@@ -43,11 +44,14 @@
 //!   an integer **threshold table** (`epoch_thresholds`) plus a per-bucket
 //!   cached epoch byte make it a table lookup refreshed only when T2
 //!   increments;
-//! * tables are **flat arrays** (`t2`, `epochs`, `row_of` indexed by
-//!   `rep · buckets + bucket`), T3 is a **row pool** holding a
-//!   `(k+1)`-slot row only for each cell that has reached epoch 0
-//!   (a dead cell's row is identically zero), and the per-repetition
-//!   hash is the single-multiply plain-universal multiply-shift
+//! * tables are **flat arrays** (`slots`, `epochs` indexed by
+//!   `rep · buckets + bucket`) plus a **row pool** holding a `(k+2)`-slot
+//!   row — the cell's `k+1` T3 counters, then its T2 — only for each
+//!   cell that has reached epoch 0 (a dead cell's T3 row is identically
+//!   zero). A cell's `u32` slot holds its T2 count while it is below
+//!   epoch 0 and its row offset after, so a cell costs 5 bytes until it
+//!   goes live. The per-repetition hash is the single-multiply
+//!   plain-universal multiply-shift
 //!   ([`MultiplyShift64Family`], one `u64` multiply and a shift), drawn
 //!   over a doubled power-of-two range so the Definition-2 collision
 //!   bound of the bucket analysis is preserved;
@@ -71,7 +75,7 @@ use hh_hash::{HashFamily, HashFunction, MultiplyShift64Family, MultiplyShift64Ha
 use hh_sampling::{BitBudget, BitSkipSampler};
 use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::varint::{push_uvarint, read_uvarint};
-use hh_space::{gamma_sum_bits, push_uvarints, sparse_bits, SpaceUsage};
+use hh_space::{gamma_bits, push_uvarints, sparse_bits, SpaceUsage};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -126,24 +130,6 @@ fn epoch_thresholds(scale: f64, k: u32) -> Vec<u64> {
         .collect()
 }
 
-/// Builds the branchless T3 trial tables for a given `ε̂ = 2^{-k}`
-/// exponent (shared by the constructor and snapshot restore; the tables
-/// are pure functions of `k`, so they are never serialized).
-#[allow(clippy::type_complexity)]
-fn trial_tables(k_eps: u32) -> (Box<[u64; 256]>, Box<[u64; 256]>, Box<[u8; 256]>) {
-    let mut t3_mask = Box::new([0u64; 256]);
-    let mut t3_add = Box::new([1u64; 256]);
-    let mut t3_slot = Box::new([k_eps as u8; 256]);
-    for e in 0..=k_eps.min(255) {
-        // Low (k − e) bits of a k-bit slice; u128 shift handles the
-        // full-width k = 64, e = 0 corner.
-        t3_mask[e as usize] = (((1u128) << (k_eps - e)) - 1) as u64;
-        t3_add[e as usize] = 0;
-        t3_slot[e as usize] = e as u8;
-    }
-    (t3_mask, t3_add, t3_slot)
-}
-
 /// Most fresh 64-bit words the aligned coin schedule may spend on one
 /// sample's T3 slices. `⌈R / ⌊64/k⌋⌉` beyond this (huge `R` at large
 /// `k`) falls back to the legacy buffered-bit schedule.
@@ -168,39 +154,126 @@ fn coin_layout(k_eps: u32, r: usize) -> (u32, bool) {
     (words as u32, true)
 }
 
-/// Whether a T3 pool of `cells` rows of `kp1` slots plus `reps` sinks
-/// can be addressed by `u32` offsets. Checked at construction and at
-/// restore, so every row a later update or merge opens fits.
+/// Whether a pool of `cells` rows of `kp1 + 1` slots (T3, then T2)
+/// plus `reps` sinks can be addressed by `u32` offsets. Checked at
+/// construction and at restore, so every row a later update or merge
+/// opens fits.
 fn pool_fits(cells: usize, kp1: usize, reps: usize) -> bool {
     cells
-        .checked_mul(kp1)
+        .checked_mul(kp1 + 1)
         .and_then(|n| n.checked_add(reps))
         .is_some_and(|n| n <= u32::MAX as usize)
 }
 
-/// Stores a cell's new epoch byte over its cached one, appending a
-/// zeroed `kp1`-slot T3 row to the pool for the cell the moment its
-/// epoch leaves `EPOCH_NONE`. Epochs never regress, so a cell opens at
-/// most one row in its lifetime. The pool grows by about an eighth of
-/// its length per step rather than doubling: [`SpaceUsage::heap_bytes`]
-/// meters capacity, so the growth slack stays below 1/8 of the rows.
-#[inline(always)]
-fn set_epoch(epoch: &mut u8, row: &mut u32, pool: &mut Vec<u64>, kp1: usize, new: u8) {
-    if *epoch == EPOCH_NONE && new != EPOCH_NONE {
-        let at = pool.len();
-        if pool.capacity() - at < kp1 {
-            pool.reserve_exact(kp1.max(at / 8));
-        }
-        pool.resize(at + kp1, 0);
-        *row = u32::try_from(at).expect("pool_fits bounds every row offset");
+/// Whether every below-epoch-0 T2 count — each is below `thresholds[0]`
+/// — fits a cell's `u32` slot. Checked next to [`pool_fits`].
+fn slot_fits(thresholds: &[u64]) -> bool {
+    thresholds[0] <= u64::from(u32::MAX) + 1
+}
+
+/// Appends a live cell's row to the pool: `kp1` zeroed T3 slots, then
+/// the T2 slot holding `t2`. Returns the row's offset. Epochs never
+/// regress, so a cell opens at most one row in its lifetime. The pool
+/// grows by about an eighth of its length per step rather than
+/// doubling: [`SpaceUsage::heap_bytes`] meters capacity, so the growth
+/// slack stays below 1/8 of the rows.
+#[inline]
+fn open_row(pool: &mut Vec<u64>, kp1: usize, t2: u64) -> u32 {
+    let at = pool.len();
+    if pool.capacity() - at < kp1 + 1 {
+        pool.reserve_exact((kp1 + 1).max(at / 8));
     }
-    *epoch = new;
+    pool.resize(at + kp1, 0);
+    pool.push(t2);
+    u32::try_from(at).expect("pool_fits bounds every row offset")
+}
+
+/// A cell's T2 value, read through its epoch byte: the slot itself below
+/// epoch 0, the last slot of the cell's row after.
+#[inline]
+fn t2_at(slot: u32, epoch: u8, pool: &[u64], kp1: usize) -> u64 {
+    if epoch == EPOCH_NONE {
+        u64::from(slot)
+    } else {
+        pool[slot as usize + kp1]
+    }
+}
+
+/// One T2 coin for a cell: a dead cell counts in its slot until the
+/// count reaches `thresholds[0]`, where the count moves into a newly
+/// opened row and the slot takes the row's offset; a live cell counts in
+/// its row. Either way the cached epoch follows the new count.
+#[inline(always)]
+fn bump_t2(slot: &mut u32, epoch: &mut u8, pool: &mut Vec<u64>, thresholds: &[u64], kp1: usize) {
+    if *epoch == EPOCH_NONE {
+        let v = u64::from(*slot) + 1;
+        if v < thresholds[0] {
+            *slot = v as u32;
+            return;
+        }
+        *slot = open_row(pool, kp1, v);
+        *epoch = OptimalListHh::advance_epoch(thresholds, EPOCH_NONE, v);
+    } else {
+        let at = *slot as usize + kp1;
+        let v = pool[at] + 1;
+        pool[at] = v;
+        *epoch = OptimalListHh::advance_epoch(thresholds, *epoch, v);
+    }
+}
+
+/// Sets a cell's T2 to `v`, never below its current value: the slot
+/// keeps `v` while it stays below epoch 0, otherwise the cell's row
+/// does, opened here if the cell was dead.
+#[inline]
+fn store_t2(
+    slot: &mut u32,
+    epoch: &mut u8,
+    pool: &mut Vec<u64>,
+    thresholds: &[u64],
+    kp1: usize,
+    v: u64,
+) {
+    let e = OptimalListHh::epoch_of(v, thresholds);
+    if e == EPOCH_NONE {
+        debug_assert_eq!(*epoch, EPOCH_NONE, "epochs never regress");
+        *slot = v as u32;
+    } else if *epoch == EPOCH_NONE {
+        *slot = open_row(pool, kp1, v);
+    } else {
+        pool[*slot as usize + kp1] = v;
+    }
+    *epoch = e;
+}
+
+/// Merges `other`'s T2 count for `cell` into the cell's slot, epoch
+/// byte and pool (`slots`, `epochs`, `pool` of the summary merged into):
+/// both counts are read through their epoch bytes and summed in `u64`
+/// before [`store_t2`] decides dead or live.
+#[inline]
+fn merge_t2_cell(
+    slots: &mut [u32],
+    epochs: &mut [u8],
+    pool: &mut Vec<u64>,
+    other: &OptimalListHh,
+    thresholds: &[u64],
+    cell: usize,
+) {
+    let kp1 = thresholds.len();
+    let v = t2_at(slots[cell], epochs[cell], pool, kp1).saturating_add(other.t2(cell));
+    store_t2(
+        &mut slots[cell],
+        &mut epochs[cell],
+        pool,
+        thresholds,
+        kp1,
+        v,
+    );
 }
 
 /// Algorithm 2 of the paper (Theorem 2).
 ///
-/// Per-repetition state lives in flat rep-major arrays (`t2`,
-/// `epochs`, `row_of`) and one T3 row pool rather than per-repetition
+/// Per-repetition state lives in flat rep-major arrays (`slots`,
+/// `epochs`) and one row pool rather than per-repetition
 /// structs; see the module docs for the hot-path layout.
 #[derive(Debug, Clone)]
 pub struct OptimalListHh {
@@ -217,37 +290,27 @@ pub struct OptimalListHh {
     /// per-bucket collision bound matches the `Θ(1/ε)`-bucket analysis
     /// (see `MultiplyShift64Family::covering_universal` and DESIGN.md).
     hashes: Vec<MultiplyShift64Hash>,
-    /// `T2[j, i]` at `j · buckets + i`.
-    t2: Vec<u64>,
-    /// The T3 row pool. Slots `0..R` are the per-repetition *sink*
-    /// cells that absorb the unconditional increment of failed trials
-    /// (see `apply_sample`); they are excluded from estimates and
-    /// accounting, and one per repetition keeps consecutive failed
-    /// trials from forming a store-forward dependency chain on a single
-    /// cell. After them sits one `(k+1)`-slot row `T3[j, i, ·]` per live
-    /// cell, in the order the cells reached epoch 0 (§3.1.2: "not all
-    /// the allowed cells will actually be used"). A cell below epoch 0
-    /// has no row: its row would be identically zero, since trials
-    /// record only at a live epoch and epochs never regress.
+    /// One `u32` per cell `j · buckets + i`, read through the cell's
+    /// cached epoch: below epoch 0 it is the cell's count `T2[j, i]`
+    /// (always below `thresholds[0]`); from epoch 0 on it is the pool
+    /// offset of the cell's row, which carries T2 from then on.
+    slots: Vec<u32>,
+    /// The row pool. Slots `0..R` are the per-repetition *sink* cells
+    /// that absorb the unconditional increment of failed trials (see
+    /// `apply_sample`); they are excluded from estimates and accounting,
+    /// and one per repetition keeps consecutive failed trials from
+    /// forming a store-forward dependency chain on a single cell. After
+    /// them sits one `(k+2)`-slot row per live cell, in the order the
+    /// cells reached epoch 0 (§3.1.2: "not all the allowed cells will
+    /// actually be used"): `T3[j, i, 0..=k]`, then `T2[j, i]`. A cell
+    /// below epoch 0 has no row: its T3 row would be identically zero,
+    /// since trials record only at a live epoch and epochs never regress.
     pool: Vec<u64>,
-    /// Pool offset of cell `j · buckets + i`'s T3 row, read only while
-    /// the cell's cached epoch is live (0 — a sink offset, never a row —
-    /// for dead cells).
-    row_of: Vec<u32>,
     /// Cached epoch of `T2[j, i]` (`EPOCH_NONE` below epoch 0),
     /// refreshed only when T2 increments.
     epochs: Vec<u8>,
     /// Integer epoch boundaries; see [`epoch_thresholds`].
     epoch_thresholds: Vec<u64>,
-    /// Branchless T3 trial tables indexed by the cached epoch byte
-    /// (`e ∈ [0, k]` or `EPOCH_NONE`): a fresh k-bit slice `w` accepts
-    /// iff `(w & t3_mask[e]) + t3_add[e] == 0`. For an active epoch the
-    /// mask keeps the low `k − e` bits (probability `2^{e−k}`, saturating
-    /// at 1 when `e = k`); for `EPOCH_NONE` the add of 1 vetoes
-    /// unconditionally. `t3_slot[e]` is the in-bounds T3 slot.
-    t3_mask: Box<[u64; 256]>,
-    t3_add: Box<[u64; 256]>,
-    t3_slot: Box<[u8; 256]>,
     buckets: u64,
     /// `ε̂ = 2^{-k_eps}`, the power-of-two rounding of the T2 rate.
     k_eps: u32,
@@ -367,8 +430,10 @@ impl OptimalListHh {
         if !pool_fits(cells, k_eps as usize + 1, r) {
             return Err(ParamError::BadConstants("algorithm-2 table shape"));
         }
-
-        let (t3_mask, t3_add, t3_slot) = trial_tables(k_eps);
+        let thresholds = epoch_thresholds(consts.a2_epoch_scale, k_eps);
+        if !slot_fits(&thresholds) {
+            return Err(ParamError::BadConstants("algorithm-2 epoch scale"));
+        }
         let (slice_words, layout_ok) = coin_layout(k_eps, r);
 
         Ok(Self {
@@ -378,15 +443,11 @@ impl OptimalListHh {
             p,
             t1,
             hashes,
-            t2: vec![0; cells],
+            slots: vec![0; cells],
             // Only the per-repetition failed-trial sinks: no cell is live.
             pool: vec![0; r],
-            row_of: vec![0; cells],
             epochs: vec![EPOCH_NONE; cells],
-            epoch_thresholds: epoch_thresholds(consts.a2_epoch_scale, k_eps),
-            t3_mask,
-            t3_add,
-            t3_slot,
+            epoch_thresholds: thresholds,
             buckets,
             k_eps,
             t2_skip: BitSkipSampler::with_exponent(k_eps),
@@ -468,7 +529,8 @@ impl OptimalListHh {
     }
 
     /// Deferred accounting for repetition `j`: dense gamma bits for its
-    /// T2 row plus sparse bits for its `B·(k+1)`-slot T3 table (§3.1.2:
+    /// T2 counts (read through the epoch bytes, wherever each cell keeps
+    /// its count) plus sparse bits for its `B·(k+1)`-slot T3 table (§3.1.2:
     /// "not all the allowed cells will actually be used"), read from
     /// the live rows only — every other slot is zero. Recomputed from
     /// the raw tables on demand — the insert path never maintains bit
@@ -477,19 +539,27 @@ impl OptimalListHh {
         let b = self.buckets as usize;
         let kp1 = self.k_eps as usize + 1;
         let base = j * b;
-        let slots = Self::live_cells(&self.epochs[base..base + b]).flat_map(|i| {
+        let t3 = Self::live_cells(&self.epochs[base..base + b]).flat_map(|i| {
             let row = self.row(base + i).expect("live cells own a row");
             row.iter().enumerate().map(move |(t, &c)| (i * kp1 + t, c))
         });
-        gamma_sum_bits(&self.t2[base..base + b]) + sparse_bits(slots)
+        let t2: u64 = (base..base + b).map(|cell| gamma_bits(self.t2(cell))).sum();
+        t2 + sparse_bits(t3)
     }
 
-    /// Cell `cell`'s T3 row, or `None` below epoch 0, where the row is
-    /// identically zero and has no place in the pool.
+    /// Cell `cell`'s T2 count, read through its epoch byte.
+    #[inline]
+    fn t2(&self, cell: usize) -> u64 {
+        let kp1 = self.k_eps as usize + 1;
+        t2_at(self.slots[cell], self.epochs[cell], &self.pool, kp1)
+    }
+
+    /// Cell `cell`'s `k+1` T3 counters, or `None` below epoch 0, where
+    /// they are identically zero and have no place in the pool.
     #[inline]
     fn row(&self, cell: usize) -> Option<&[u64]> {
         (self.epochs[cell] != EPOCH_NONE).then(|| {
-            let at = self.row_of[cell] as usize;
+            let at = self.slots[cell] as usize;
             &self.pool[at..at + self.k_eps as usize + 1]
         })
     }
@@ -508,8 +578,8 @@ impl OptimalListHh {
     /// clears, minus one (zero wraps to [`EPOCH_NONE`]), with a
     /// below-epoch-0 early out on the first threshold — the common case
     /// on realistic workloads. The single source of truth for both bulk
-    /// recompute sites (snapshot restore and the merge fast path); must
-    /// agree with the [`OptimalListHh::epoch`] table lookup, which the
+    /// recompute sites (snapshot restore and the merge); must agree with
+    /// the [`OptimalListHh::epoch`] table lookup, which the
     /// `bulk_epoch_recompute_matches_lookup` test pins.
     #[inline]
     fn epoch_of(v: u64, thresholds: &[u64]) -> u8 {
@@ -519,14 +589,6 @@ impl OptimalListHh {
             let cleared: u8 = thresholds.iter().map(|&t| u8::from(v >= t)).sum();
             cleared.wrapping_sub(1)
         }
-    }
-
-    /// Recomputes the whole epoch cache from a T2 table. Used by
-    /// snapshot restore (the cache is derived state and is not
-    /// serialized); the merge fast path applies [`OptimalListHh::epoch_of`]
-    /// selectively instead.
-    fn epochs_from_t2(t2: &[u64], thresholds: &[u64]) -> Vec<u8> {
-        t2.iter().map(|&v| Self::epoch_of(v, thresholds)).collect()
     }
 
     /// The cells whose cached epoch is live, ascending — the cells that
@@ -555,39 +617,86 @@ impl OptimalListHh {
             })
     }
 
-    /// The T3 pool and row offsets rebuilt in one sequential pass from
-    /// a v5 row block of `values` varints: `k+1` per live cell of
-    /// `epochs`, in cell order, then one per sink. The pool is
-    /// allocated once at its exact size — the sinks, then the rows in
-    /// cell order. `None` if the block cannot hold `values` varints,
-    /// runs out early or has bytes left over.
-    fn pool_from_live_rows(
-        block: &[u8],
-        epochs: &[u8],
-        kp1: usize,
+    /// The cell slots, the epoch cache and the row pool rebuilt in one
+    /// pass over the two v5 blocks: `t2_block` holds one varint per cell,
+    /// `row_block` holds `t3_values` varints — `k+1` per live cell, in
+    /// cell order, then one per sink. Each cell's epoch is derived from
+    /// its T2 value as it is read. A dead cell keeps the count in its
+    /// slot; a live one takes the next pool row, filled with its `k+1`
+    /// T3 values from the row block and then its T2. The pool is
+    /// allocated once at its exact size, sinks first. `None` if a block
+    /// cannot hold its count, runs out early or has bytes left over, or
+    /// if the live cells do not account for the row block's count.
+    fn tables_from_blocks(
+        t2_block: &[u8],
+        cells: usize,
+        thresholds: &[u64],
+        row_block: &[u8],
+        t3_values: usize,
         reps: usize,
-        values: usize,
-    ) -> Option<(Vec<u64>, Vec<u32>)> {
-        // A varint takes at least one byte: refuse a count the block
-        // cannot hold before allocating for it.
-        if values > block.len() {
+    ) -> Option<(Vec<u32>, Vec<u8>, Vec<u64>)> {
+        const HIGH: u64 = 0x8080_8080_8080_8080;
+        const LOW: u64 = 0x0101_0101_0101_0101;
+        let kp1 = thresholds.len();
+        // A varint takes at least one byte: refuse counts the blocks
+        // cannot hold before allocating for them.
+        if cells > t2_block.len() || t3_values > row_block.len() || t3_values < reps {
             return None;
         }
-        let mut pool = Vec::with_capacity(values);
+        let live = (t3_values - reps) / kp1;
+        if live * kp1 != t3_values - reps {
+            return None;
+        }
+        let thr0 = thresholds[0];
+        // Lane `i` of an all-one-byte word is at or above epoch 0 iff
+        // adding `0x80 − thr0` sets its top bit; above 0x7F no one-byte
+        // count is live.
+        let probe = if thr0 > 0x7F { 0 } else { LOW * (0x80 - thr0) };
+        let mut slots = vec![0u32; cells];
+        let mut epochs = vec![EPOCH_NONE; cells];
+        let mut pool = Vec::with_capacity(reps + live * (kp1 + 1));
         pool.resize(reps, 0);
-        let mut row_of = vec![0u32; epochs.len()];
-        let mut pos = 0usize;
-        for cell in Self::live_cells(epochs) {
-            row_of[cell] = u32::try_from(pool.len()).ok()?;
-            for _ in 0..kp1 {
-                pool.push(read_uvarint(block, &mut pos)?);
+        let (mut pos, mut row_pos, mut opened) = (0usize, 0usize, 0usize);
+        let mut cell = 0usize;
+        while cell < cells {
+            // Fast path: eight one-byte counts, all below epoch 0 — on
+            // realistic workloads nearly every group.
+            if cell + 8 <= cells && pos + 8 <= t2_block.len() {
+                let word =
+                    u64::from_le_bytes(t2_block[pos..pos + 8].try_into().expect("lane width"));
+                if word & HIGH == 0 && word.wrapping_add(probe) & HIGH == 0 {
+                    for (i, s) in slots[cell..cell + 8].iter_mut().enumerate() {
+                        *s = (word >> (8 * i)) as u32 & 0x7F;
+                    }
+                    pos += 8;
+                    cell += 8;
+                    continue;
+                }
             }
+            let v = read_uvarint(t2_block, &mut pos)?;
+            let e = Self::epoch_of(v, thresholds);
+            if e == EPOCH_NONE {
+                slots[cell] = v as u32;
+            } else {
+                opened += 1;
+                if opened > live {
+                    return None;
+                }
+                slots[cell] = u32::try_from(pool.len()).ok()?;
+                for _ in 0..kp1 {
+                    pool.push(read_uvarint(row_block, &mut row_pos)?);
+                }
+                pool.push(v);
+                epochs[cell] = e;
+            }
+            cell += 1;
         }
         // The sinks come last on the wire and first in the pool.
         for c in &mut pool[..reps] {
-            *c = read_uvarint(block, &mut pos)?;
+            *c = read_uvarint(row_block, &mut row_pos)?;
         }
-        (pos == block.len()).then_some((pool, row_of))
+        let whole = pos == t2_block.len() && row_pos == row_block.len() && opened == live;
+        whole.then_some((slots, epochs, pool))
     }
 
     /// Refreshes a cached epoch after its T2 counter reached `v`. The old
@@ -613,32 +722,34 @@ impl OptimalListHh {
     /// two, so the whole sum `Σ_t T3[t]/p_t` is formed as **integer
     /// shifts** into a `u128` accumulator and converted to `f64` once —
     /// no `powi` calls, no per-epoch float rounding. (The `u128` keeps
-    /// the `t << (k − t)` terms exact even at `k = 64`.)
+    /// the `t << (k − t)` terms exact even at `k = 64`; the sums saturate
+    /// rather than trust a restored buffer's counts.)
+    ///
+    /// The estimate follows the cell's epoch (DESIGN.md §1.6). Below
+    /// epoch 0 it is the flat-rate `T2/ε̂ = T2 · 2^k`: a stream shorter
+    /// than the paper's `m = poly(1/ε)` regime may leave a bucket there
+    /// for good, and the ε̂-rate tracker T2 is an unbiased
+    /// (higher-variance) estimate of its count. From epoch 0 on it is the
+    /// T3 sum plus `thresholds[0] · 2^k`, the expected number of sampled
+    /// items that arrived before T2 reached epoch 0 and so never met a
+    /// T3 trial. The [`EpochMode::Flat`] ablation always uses `T2/ε̂`.
     #[inline]
     fn cell_estimate(&self, cell: usize) -> f64 {
         let k = self.k_eps;
-        // T2/ε̂ = T2 · 2^k, the flat-rate (and below-epoch-0 fallback)
-        // estimate: when the stream is shorter than the paper's
-        // m = poly(1/ε) regime a bucket may never reach epoch 0, leaving
-        // T3 empty; the ε̂-rate tracker T2 is an unbiased
-        // (higher-variance) estimate of the same count, and using it
-        // beats reporting zero (implementation hardening, DESIGN.md).
-        let flat = (self.t2[cell] as u128) << k;
         let row = match self.mode {
             EpochMode::Flat => None,
             EpochMode::Accelerated => self.row(cell),
         };
-        // p_t = 2^{t−k}; divide by it ⇒ shift left by k − t.
-        let acc = row.map_or(0, |row| {
-            (0..=k)
+        let est = match row {
+            None => u128::from(self.t2(cell)) << k,
+            // p_t = 2^{t−k}; divide by it ⇒ shift left by k − t.
+            Some(row) => (0..=k)
                 .zip(row)
-                .fold(0u128, |acc, (t, &c)| acc + ((c as u128) << (k - t)))
-        });
-        if acc > 0 {
-            acc as f64
-        } else {
-            flat as f64
-        }
+                .fold(u128::from(self.epoch_thresholds[0]) << k, |acc, (t, &c)| {
+                    acc.saturating_add(u128::from(c) << (k - t))
+                }),
+        };
+        est as f64
     }
 
     /// Per-repetition estimate `f̂_j(x)` of the sampled-stream count of
@@ -844,26 +955,26 @@ fn draw_t2_mask(skip: &mut BitSkipSampler, rng: &mut StdRng, r: usize) -> u64 {
 /// - **Threshold-form trials.** A slice accepts at epoch `e` iff its
 ///   low `k − e` bits are zero, i.e. iff `e ≥ k − tz(slice)` with `tz`
 ///   clamped to `k` by a sentinel bit. One `tzcnt` and a signed byte
-///   compare replace the mask/veto table loads, and `EPOCH_NONE = 0xFF`
-///   read as `i8` is `−1`, below every threshold — the below-epoch-0
-///   veto costs nothing. Slices are consumed by shifting the current
-///   word in a register (`w >>= k`), so the pass never re-derives a
-///   (word, shift) source pair. The accept decision itself is a
+///   compare decide it, and `EPOCH_NONE = 0xFF` read as `i8` is `−1`,
+///   below every threshold — the below-epoch-0 veto costs nothing.
+///   Slices are consumed by shifting the current word in a register
+///   (`w >>= k`), so the pass never re-derives a (word, shift) source
+///   pair. The accept decision itself is a
 ///   conditional move: the outcome tracks the data, and a branch there
 ///   mispredicts its way to dominating the update cost.
 ///
 /// T3 lives in the row pool: the sinks sit at pool offsets `0..R`, so a
 /// failed trial's target is the repetition index itself, and an
 /// accepted one lands at the cell's row offset plus its epoch. The
-/// offset is loaded on every trial but used only on accept, which can
-/// happen only at a live epoch — exactly when the cell owns a row.
+/// cell's slot is loaded on every trial but read as an offset only on
+/// accept, which can happen only at a live epoch — exactly when the
+/// slot holds the row's offset rather than a T2 count.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn apply_sample(
     hashes: &[MultiplyShift64Hash],
-    t2: &mut [u64],
+    slots: &mut [u32],
     pool: &mut Vec<u64>,
-    row_of: &mut [u32],
     epochs: &mut [u8],
     thresholds: &[u64],
     b: usize,
@@ -884,10 +995,7 @@ fn apply_sample(
         let j = m.trailing_zeros() as usize;
         m &= m - 1;
         let cell = j * b + hashes[j].hash(item) as usize;
-        let v = t2[cell] + 1;
-        t2[cell] = v;
-        let e = OptimalListHh::advance_epoch(thresholds, epochs[cell], v);
-        set_epoch(&mut epochs[cell], &mut row_of[cell], pool, kp1, e);
+        bump_t2(&mut slots[cell], &mut epochs[cell], pool, thresholds, kp1);
     }
     // T3 pass: trial at p_t = 2^{t−k} for the cached epoch t; accepted
     // trials land in slot `e` of the cell's row, failures in the
@@ -906,7 +1014,7 @@ fn apply_sample(
             let e = epochs[cell];
             let accept = i32::from(e as i8) >= thr;
             let idx = if accept {
-                row_of[cell] as usize + e as usize
+                slots[cell] as usize + e as usize
             } else {
                 j
             };
@@ -948,9 +1056,8 @@ impl OptimalListHh {
         let wn = self.slice_words as usize;
         let Self {
             hashes,
-            t2,
+            slots,
             pool,
-            row_of,
             epochs,
             epoch_thresholds,
             t2_skip,
@@ -966,9 +1073,8 @@ impl OptimalListHh {
         }
         apply_sample(
             hashes,
-            t2,
+            slots,
             pool,
-            row_of,
             epochs,
             epoch_thresholds,
             b,
@@ -994,14 +1100,10 @@ impl OptimalListHh {
         // per-repetition chains.
         let Self {
             hashes,
-            t2,
+            slots,
             pool,
-            row_of,
             epochs,
             epoch_thresholds,
-            t3_mask,
-            t3_add,
-            t3_slot,
             t2_skip,
             bits,
             rng,
@@ -1015,25 +1117,26 @@ impl OptimalListHh {
             // T2: increment with probability ε̂ = 2^{-k}; the geometric
             // skip makes the (1 − ε̂) common case one decrement.
             if skip.accept(rng) {
-                let v = t2[cell] + 1;
-                t2[cell] = v;
-                let e = Self::advance_epoch(thresholds, epochs[cell], v);
-                set_epoch(&mut epochs[cell], &mut row_of[cell], pool, kp1, e);
+                bump_t2(&mut slots[cell], &mut epochs[cell], pool, thresholds, kp1);
             }
             if !accelerated {
                 continue;
             }
-            // T3 trial at p_t = 2^{t−k} for the cached epoch t. A fixed
-            // k-bit slice is drawn either way (failed and below-epoch-0
-            // trials just discard it), the mask/veto tables turn the
-            // epoch byte into an accept bit (a conditional move, not a
-            // branch), and failed trials bounce their increment into the
+            // T3 trial at p_t = 2^{t−k} for the cached epoch t, in the
+            // fast path's threshold form: a fixed k-bit slice is drawn
+            // either way (failed and below-epoch-0 trials just discard
+            // it) and accepts iff `e ≥ k − tz(slice)`, with `tz` clamped
+            // to `k`. Clamping with `min` rather than the fast path's
+            // sentinel bit `1 << k` keeps the k = 64 corner in range: a
+            // zero slice reads `tz = 64` there and accepts at every live
+            // epoch. `EPOCH_NONE` read as `i8` is −1 and never accepts;
+            // failed trials bounce their increment into the
             // per-repetition sink cell (pool offset `j`).
             let slice = buf.take(k, rng);
-            let e = epochs[cell] as usize;
-            let accept = (slice & t3_mask[e]).wrapping_add(t3_add[e]) == 0;
-            let idx = if accept {
-                row_of[cell] as usize + t3_slot[e] as usize
+            let thr = k as i32 - slice.trailing_zeros().min(k) as i32;
+            let e = epochs[cell];
+            let idx = if i32::from(e as i8) >= thr {
+                slots[cell] as usize + e as usize
             } else {
                 j
             };
@@ -1082,14 +1185,11 @@ impl SpaceUsage for OptimalListHh {
 
     fn heap_bytes(&self) -> usize {
         self.t1.heap_bytes()
-            + self.t2.capacity() * 8
+            + self.slots.capacity() * 4
             + self.pool.capacity() * 8
-            + self.row_of.capacity() * 4
             + self.epochs.capacity()
             + self.epoch_thresholds.capacity() * 8
             + self.hashes.capacity() * core::mem::size_of::<MultiplyShift64Hash>()
-            // The boxed 256-entry trial tables.
-            + 256 * (8 + 8 + 1)
     }
 }
 
@@ -1102,15 +1202,17 @@ const A2_TAG: &str = "hh.algo2.v5";
 
 /// Full-state snapshot: parameters, every hash seed, the T1/T2 tables,
 /// the live T3 rows, and the three randomness sources (front-end
-/// sampler, T2 skip, T3 bit budget, backing RNG). The epoch cache, the
-/// branchless trial tables and the Lemire constants are derived at
-/// restore time, not stored — and neither is the read cache, which a
-/// restored instance rebuilds on first query.
+/// sampler, T2 skip, T3 bit budget, backing RNG). The epoch cache and
+/// the Lemire constants are derived at restore time, not stored — and
+/// neither is the read cache, which a restored instance rebuilds on
+/// first query. The wire does not follow the memory layout: T2 goes out
+/// as one exact count per cell, in cell order, whether the cell keeps
+/// it in its slot or in its row.
 ///
-/// The counter tables dominate the payload, so they go through the
-/// varint/delta slice helpers ([`snapshot::write_u64_slice`] and
-/// friends) as preallocated byte blocks instead of one codec call per
-/// cell. T3 is sent as the pool holds it (§3.1.2: "not all the allowed
+/// The counter tables dominate the payload, so they go out as
+/// length-prefixed varint blocks (the threshold table delta-coded by
+/// [`snapshot::write_u64_slice_delta`]) in one preallocated buffer
+/// instead of one codec call per cell. T3 is sent as the pool holds it (§3.1.2: "not all the allowed
 /// cells will actually be used"): T2 and the threshold table come
 /// first, so the reader knows every cell's epoch before the T3 block,
 /// and the block holds only the rows of live cells
@@ -1123,17 +1225,47 @@ impl Codec for OptimalListHh {
         let reps = self.hashes.len();
         let live = self.epochs.iter().filter(|&&e| e != EPOCH_NONE).count();
         let t3_values = live * kp1 + reps;
-        debug_assert_eq!(self.pool.len(), t3_values, "one pool row per live cell");
+        debug_assert_eq!(
+            self.pool.len(),
+            live * (kp1 + 1) + reps,
+            "one pool row per live cell"
+        );
         // Preallocate: ~1 varint byte per T2 cell and per live T3 value
         // plus a fixed-field allowance (the epoch cache is not on the
         // wire).
-        w.reserve(self.t2.len() + t3_values + 512);
+        w.reserve(self.slots.len() + t3_values + 512);
         self.params.write_to(w);
         w.write_u64(self.universe);
         self.sampler.write_to(w);
         self.t1.write_to(w);
         self.hashes.write_to(w);
-        snapshot::write_u64_slice(&self.t2, w);
+        // T2 as one varint block (count, then one LEB128 value per
+        // cell), read through the epoch bytes. An all-dead group of
+        // eight one-byte counts is packed in one store, the same fast
+        // path `push_uvarints` takes.
+        w.write_seq_len(self.slots.len());
+        w.write_byte_seq_with(|out| {
+            let groups = self.slots.len() / 8 * 8;
+            for base in (0..groups).step_by(8) {
+                let epochs = &self.epochs[base..base + 8];
+                let dead = u64::from_ne_bytes(epochs.try_into().expect("8-byte group")) == u64::MAX;
+                let slots = &self.slots[base..base + 8];
+                if dead && slots.iter().fold(0, |a, &v| a | v) < 0x80 {
+                    let mut packed = [0u8; 8];
+                    for (b, &v) in packed.iter_mut().zip(slots) {
+                        *b = v as u8;
+                    }
+                    out.extend_from_slice(&packed);
+                } else {
+                    for cell in base..base + 8 {
+                        push_uvarint(out, self.t2(cell));
+                    }
+                }
+            }
+            for cell in groups..self.slots.len() {
+                push_uvarint(out, self.t2(cell));
+            }
+        });
         snapshot::write_u64_slice_delta(&self.epoch_thresholds, w);
         w.write_u64(self.k_eps as u64);
         w.write_seq_len(t3_values);
@@ -1178,10 +1310,12 @@ impl Codec for OptimalListHh {
             .ok()
             .and_then(|b| reps.checked_mul(b))
             .ok_or_else(shape_err)?;
-        let t2: Vec<u64> = snapshot::read_u64_slice(r)?;
-        if t2.len() != cells {
+        // The T2 block is decoded only once the threshold table after it
+        // says which counts are live, straight into the cell slots.
+        if r.read_seq_len()? != cells {
             return Err(shape_err());
         }
+        let t2_block = r.read_byte_slice()?;
         let epoch_thresholds: Vec<u64> = snapshot::read_u64_slice_delta(r)?;
         let k_eps = r.read_u64()?;
         if k_eps > 64 {
@@ -1192,38 +1326,45 @@ impl Codec for OptimalListHh {
         if epoch_thresholds.len() != kp1 {
             return Err(CodecError::invariant("epoch table shape inconsistent"));
         }
-        // Every row a later update or merge opens must stay addressable.
+        // Every row a later update or merge opens must stay addressable,
+        // and every dead count must fit its slot.
         if !pool_fits(cells, kp1, reps) {
             return Err(shape_err());
         }
+        if !slot_fits(&epoch_thresholds) {
+            return Err(CodecError::invariant(
+                "epoch-0 threshold past the slot width",
+            ));
+        }
         // The epoch cache is derived state (the threshold-table lookup
         // of each T2 value, which `advance_epoch` maintains exactly), and
-        // it decides which cells own a T3 row: recomputing it from T2
-        // before reading T3 keeps the snapshot smaller and gives a dead
+        // it decides which cells own a row: deriving it from T2 as the
+        // T3 block is read keeps the snapshot smaller and gives a dead
         // cell no row by construction.
-        let epochs = Self::epochs_from_t2(&t2, &epoch_thresholds);
-        let live = epochs.iter().filter(|&&e| e != EPOCH_NONE).count();
-        let t3_values = live
-            .checked_mul(kp1)
-            .and_then(|n| n.checked_add(reps))
-            .ok_or_else(shape_err)?;
-        if r.read_seq_len()? != t3_values {
-            return Err(shape_err());
-        }
-        // Allocation stays proportional to the buffer: every T2 cell
-        // took at least one wire byte and costs 13 bytes in memory (its
-        // T2 word, epoch byte and row offset), and every pool slot took
-        // at least one byte of the row block and costs 8.
-        let (pool, row_of) =
-            Self::pool_from_live_rows(r.read_byte_slice()?, &epochs, kp1, reps, t3_values)
-                .ok_or_else(|| CodecError::invariant("malformed T3 row block"))?;
+        //
+        // Allocation stays proportional to the buffer. A dead cell took
+        // at least one wire byte and costs 5 bytes in memory (its slot
+        // and epoch byte). A live cell took at least `k+2` (its T2 and
+        // its `k+1` row values) and costs `5 + 8·(k+2)`, and a sink took
+        // at least one and costs 8. That is at most `8 + 5/(k+2) ≤ 10.5`
+        // bytes per buffer byte, under 9 at the served `k = 4`.
+        let t3_values = r.read_seq_len()?;
+        let row_block = r.read_byte_slice()?;
+        let (slots, epochs, pool) = Self::tables_from_blocks(
+            t2_block,
+            cells,
+            &epoch_thresholds,
+            row_block,
+            t3_values,
+            reps,
+        )
+        .ok_or_else(|| CodecError::invariant("malformed T2 or T3 block"))?;
         let t2_skip = BitSkipSampler::read_from(r)?;
         let bits = BitBudget::read_from(r)?;
         let accelerated = r.read_bool()?;
         let samples = r.read_u64()?;
         let rng = StdRng::from_state(snapshot::read_rng_state(r)?);
 
-        let (t3_mask, t3_add, t3_slot) = trial_tables(k_eps);
         let (slice_words, layout_ok) = coin_layout(k_eps, reps);
         Ok(Self {
             params,
@@ -1232,14 +1373,10 @@ impl Codec for OptimalListHh {
             p: sampler.probability(),
             t1,
             hashes,
-            t2,
+            slots,
             pool,
-            row_of,
             epochs,
             epoch_thresholds,
-            t3_mask,
-            t3_add,
-            t3_slot,
             buckets,
             k_eps,
             t2_skip,
@@ -1271,12 +1408,12 @@ impl MergeableSummary for OptimalListHh {
     ///
     /// The pass is built for the read side's cadence (window rotations
     /// and combiner trees issue merges constantly): `T2` adds and the
-    /// epoch recompute run fused over contiguous slices with a
-    /// below-epoch-0 early out, and the `T3` sweep adds only *other*'s
-    /// pool rows — a bucket below epoch 0 owns none, which on realistic
-    /// workloads is nearly all of them. A cell of `self` that the merged
-    /// `T2` lifts to epoch 0 opens its row in the epoch pass, so every
-    /// row of *other* has a row of `self` to land in.
+    /// epoch recompute run fused over 8-cell blocks with a below-epoch-0
+    /// early out, and the `T3` sweep adds only *other*'s pool rows — a
+    /// bucket below epoch 0 owns none, which on realistic workloads is
+    /// nearly all of them. A cell of `self` that the merged `T2` lifts
+    /// to epoch 0 opens its row in the epoch pass, so every row of
+    /// *other* has a row of `self` to land in.
     ///
     /// # Example
     ///
@@ -1313,60 +1450,64 @@ impl MergeableSummary for OptimalListHh {
         // a restored snapshot may carry them, and the merge must stay
         // total (no overflow panic) rather than trust them.
         self.samples = self.samples.saturating_add(other.samples);
-        // T2 and the epoch cache, processed in 8-cell blocks. Per
-        // block: add the two T2 slices cell-wise while folding the
-        // running max (fixed-trip loops over fixed-width subslices, so
-        // the compiler unrolls and vectorizes them), then touch the
-        // epoch bytes **only when the block's max clears epoch 0**. The
-        // skip is sound because epochs are exact for the pre-merge
-        // values and monotone: a merged value below `thresholds[0]`
-        // forces both inputs below it, so the cached byte is already
-        // `EPOCH_NONE`. On realistic workloads nearly every bucket sits
-        // below epoch 0, which turns the data-dependent per-cell
-        // `advance_epoch` walk this replaces into one predictable
-        // branch per block; live blocks recompute outright through
-        // [`OptimalListHh::epoch_of`] (shared with snapshot restore) and
-        // open the T3 row of every cell that reaches epoch 0.
+        // T2 and the epoch cache, processed in 8-cell blocks. Each block
+        // first sums its two slot rows lane-wise in `u64` (a fixed-trip
+        // loop the compiler unrolls and vectorizes). A block dead on both
+        // sides whose sums all stay below `thresholds[0]` stores them
+        // back as counts — on realistic workloads nearly every block,
+        // with no epoch byte touched. In any other block a lane dead on
+        // both sides keeps its sum the same way, and every remaining lane
+        // goes through `merge_t2_cell`: both sides' T2 read through their
+        // epoch bytes, summed in `u64`, and stored by [`store_t2`], which
+        // recomputes the epoch through [`OptimalListHh::epoch_of`]
+        // (shared with snapshot restore) and opens the row of a cell the
+        // sum lifts to epoch 0.
         let kp1 = self.k_eps as usize + 1;
         let Self {
-            t2,
+            slots,
             pool,
-            row_of,
             epochs,
             epoch_thresholds,
             ..
         } = self;
         let thresholds = epoch_thresholds.as_slice();
         let thr0 = thresholds[0];
-        let blocks = t2.len() / 8;
-        for g in 0..blocks {
-            let base = g * 8;
-            let dst = &mut t2[base..base + 8];
-            let src = &other.t2[base..base + 8];
-            let mut max = 0u64;
-            for (c, &o) in dst.iter_mut().zip(src) {
-                let v = c.saturating_add(o);
-                *c = v;
-                max = max.max(v);
+        let group = |e: &[u8]| u64::from_ne_bytes(e.try_into().expect("8-byte group"));
+        let blocks = slots.len() / 8 * 8;
+        for base in (0..blocks).step_by(8) {
+            // Byte `i` is 0xFF exactly when lane `i` is dead on both sides.
+            let dead = group(&epochs[base..base + 8]) & group(&other.epochs[base..base + 8]);
+            let mut sum = [0u64; 8];
+            for ((v, &a), &b) in sum
+                .iter_mut()
+                .zip(&slots[base..base + 8])
+                .zip(&other.slots[base..base + 8])
+            {
+                *v = u64::from(a) + u64::from(b);
             }
-            if max >= thr0 {
-                for cell in base..base + 8 {
-                    let e = Self::epoch_of(t2[cell], thresholds);
-                    set_epoch(&mut epochs[cell], &mut row_of[cell], pool, kp1, e);
+            if dead == u64::MAX && sum.iter().all(|&v| v < thr0) {
+                for (s, &v) in slots[base..base + 8].iter_mut().zip(&sum) {
+                    *s = v as u32;
+                }
+                continue;
+            }
+            for (i, &v) in sum.iter().enumerate() {
+                if (dead >> (8 * i)) & 0xFF == 0xFF && v < thr0 {
+                    slots[base + i] = v as u32;
+                } else {
+                    merge_t2_cell(slots, epochs, pool, other, thresholds, base + i);
                 }
             }
         }
-        for cell in blocks * 8..t2.len() {
-            t2[cell] = t2[cell].saturating_add(other.t2[cell]);
-            let e = Self::epoch_of(t2[cell], thresholds);
-            set_epoch(&mut epochs[cell], &mut row_of[cell], pool, kp1, e);
+        for cell in blocks..slots.len() {
+            merge_t2_cell(slots, epochs, pool, other, thresholds, cell);
         }
         // T3 adds row-wise over other's pool rows only (a dead cell has
         // none, see [`OptimalListHh::live_cells`]), so the sweep costs
         // one pass over other's epoch bytes plus the touched rows.
         for cell in Self::live_cells(&other.epochs) {
             let src = other.row(cell).expect("live cells own a row");
-            let at = self.row_of[cell] as usize;
+            let at = self.slots[cell] as usize;
             debug_assert!(self.epochs[cell] != EPOCH_NONE, "merged epochs dominate");
             for (c, &o) in self.pool[at..at + kp1].iter_mut().zip(src) {
                 *c = c.saturating_add(o);
@@ -1414,6 +1555,12 @@ mod tests {
         t3
     }
 
+    /// T2 in the dense `u64` layout the cell slots replaced: one count
+    /// per cell, in cell order, wherever the cell keeps it.
+    fn dense_t2(a: &OptimalListHh) -> Vec<u64> {
+        (0..a.slots.len()).map(|cell| a.t2(cell)).collect()
+    }
+
     /// Timing probe for the fused fast path, on one warm tenant and on
     /// 32 interleaved served-shape tenants; run with
     /// `cargo test --release -p hh-core kernel_probe -- --ignored --nocapture`.
@@ -1446,7 +1593,7 @@ mod tests {
         let t3 = dense_t3(&a);
         let sinks: u64 = t3[t3.len() - r..].iter().sum();
         let accepts: u64 = t3[..t3.len() - r].iter().sum();
-        let coins: u64 = a.t2.iter().sum();
+        let coins: u64 = dense_t2(&a).iter().sum();
         eprintln!(
             "full={:?} samples={} pairs={} accepts={} sinks={} t2coins={}",
             full,
@@ -1717,7 +1864,7 @@ mod tests {
             b.insert_batch(chunk);
         }
         assert_eq!(a.samples(), b.samples());
-        assert_eq!(a.t2, b.t2);
+        assert_eq!(dense_t2(&a), dense_t2(&b));
         assert_eq!(dense_t3(&a), dense_t3(&b));
         assert_eq!(a.report().entries(), b.report().entries());
     }
@@ -1735,6 +1882,53 @@ mod tests {
                 "item {item}: est {est}"
             );
         }
+    }
+
+    #[test]
+    fn short_stream_estimates_carry_the_pre_epoch_0_prefix() {
+        // At p = 1 every stream item is a sample, and a bucket's T3 sees
+        // nothing until its T2 reaches epoch 0: about thresholds[0] · 2^k
+        // = 50 · 16 = 800 items at this shape, more than ε·m = 600. The
+        // T3 sum alone leaves the top item ~800 under on every seed; the
+        // prefix term puts it back within ε·m.
+        let m = 12_000u64;
+        for seed in 1..=5 {
+            let (a, _) = run(m, &[(7, 0.30)], 0.05, 0.15, seed, EpochMode::Accelerated);
+            assert_eq!(a.sampling_probability(), 1.0, "test needs p = 1");
+            let est = a.report().estimate(7).expect("top item reported");
+            let truth = 0.30 * m as f64;
+            assert!(
+                (est - truth).abs() <= 0.05 * m as f64,
+                "seed {seed}: est {est}, truth {truth}"
+            );
+        }
+    }
+
+    #[test]
+    fn epoch_scales_whose_dead_counts_overflow_a_slot_are_rejected() {
+        // Below 2^-64 the epoch-0 threshold passes 2^32, and a dead
+        // cell's count would no longer fit its u32 slot.
+        let params = HhParams::with_delta(0.05, 0.2, 0.1).unwrap();
+        let build = |scale: f64| {
+            let consts = Constants {
+                a2_epoch_scale: scale,
+                ..Constants::default()
+            };
+            OptimalListHh::with_constants(
+                params,
+                1 << 20,
+                1 << 20,
+                0,
+                consts,
+                EpochMode::Accelerated,
+            )
+        };
+        let fits = build(1e-18).unwrap();
+        assert!(fits.epoch_thresholds[0] <= u64::from(u32::MAX));
+        assert_eq!(
+            build(1e-20).unwrap_err(),
+            ParamError::BadConstants("algorithm-2 epoch scale")
+        );
     }
 
     #[test]
@@ -1812,7 +2006,7 @@ mod tests {
         a.insert_batch(&planted_stream(m / 2, &[(7, 0.4)], 1));
         b.insert_batch(&planted_stream(m / 2, &[(7, 0.4)], 2));
         a.merge_from(&b).unwrap();
-        for (cell, &v) in a.t2.iter().enumerate() {
+        for (cell, v) in dense_t2(&a).into_iter().enumerate() {
             let expect = match a.epoch(v) {
                 None => EPOCH_NONE,
                 Some(e) => e as u8,
@@ -1823,9 +2017,9 @@ mod tests {
 
     #[test]
     fn bulk_epoch_recompute_matches_lookup() {
-        // `epochs_from_t2` (restore) and the merge fast path recompute
-        // epochs wholesale; both must agree with the threshold-table
-        // lookup cell for cell, including at every boundary.
+        // `epoch_of` (restore and the merge) recomputes epochs outright;
+        // it must agree with the threshold-table lookup value for value,
+        // including at every boundary.
         let params = HhParams::with_delta(0.02, 0.1, 0.1).unwrap();
         let a = OptimalListHh::new(params, 1 << 20, 1 << 20, 5).unwrap();
         let mut probes: Vec<u64> = (0..5000).collect();
@@ -1834,8 +2028,8 @@ mod tests {
                 .iter()
                 .flat_map(|&t| [t.saturating_sub(1), t, t + 1]),
         );
-        let recomputed = OptimalListHh::epochs_from_t2(&probes, &a.epoch_thresholds);
-        for (&v, &e) in probes.iter().zip(&recomputed) {
+        for &v in &probes {
+            let e = OptimalListHh::epoch_of(v, &a.epoch_thresholds);
             let expect = match a.epoch(v) {
                 None => EPOCH_NONE,
                 Some(t) => t as u8,
@@ -1844,26 +2038,39 @@ mod tests {
         }
     }
 
-    /// Asserts the pool invariant: every live cell owns exactly one
-    /// distinct, whole row past the sinks, no dead cell owns one, and
-    /// the pool holds nothing else.
+    /// Asserts the slot and pool invariants: a dead cell's slot holds
+    /// a count below `thresholds[0]`; every live cell's slot holds the
+    /// offset of exactly one distinct, whole row past the sinks, whose
+    /// last slot carries a T2 value of the cell's cached epoch; and the
+    /// pool holds nothing else.
     fn assert_one_row_per_live_cell(a: &OptimalListHh) -> usize {
         let kp1 = a.k_eps as usize + 1;
         let reps = a.hashes.len();
+        let thr0 = a.epoch_thresholds[0];
         let mut owners = vec![None; a.pool.len()];
         let mut live = 0usize;
         for (cell, &e) in a.epochs.iter().enumerate() {
-            let at = a.row_of[cell] as usize;
+            let slot = a.slots[cell];
             if e == EPOCH_NONE {
-                assert_eq!(at, 0, "dead cell {cell} owns a row");
+                assert!(
+                    u64::from(slot) < thr0,
+                    "dead cell {cell}: count {slot} at or past epoch 0"
+                );
                 continue;
             }
             live += 1;
+            let at = slot as usize;
             assert!(
-                at >= reps && (at - reps) % kp1 == 0,
+                at >= reps && (at - reps) % (kp1 + 1) == 0,
                 "cell {cell}: offset {at}"
             );
-            assert!(at + kp1 <= a.pool.len(), "cell {cell}: row past the pool");
+            assert!(at + kp1 < a.pool.len(), "cell {cell}: row past the pool");
+            let t2 = a.pool[at + kp1];
+            assert_eq!(
+                OptimalListHh::epoch_of(t2, &a.epoch_thresholds),
+                e,
+                "cell {cell}: row carries T2 {t2}, not one of epoch {e}"
+            );
             assert_eq!(
                 owners[at], None,
                 "cells {:?} and {cell} share a row",
@@ -1873,7 +2080,7 @@ mod tests {
         }
         assert_eq!(
             a.pool.len(),
-            reps + live * kp1,
+            reps + live * (kp1 + 1),
             "the pool holds an orphan row"
         );
         live
@@ -1939,7 +2146,7 @@ mod tests {
         restored.insert_batch(tail);
         assert_eq!(a.report().entries(), restored.report().entries());
         assert_eq!(a.samples(), restored.samples());
-        assert_eq!(a.t2, restored.t2);
+        assert_eq!(dense_t2(&a), dense_t2(&restored));
         assert_eq!(dense_t3(&a), dense_t3(&restored));
     }
 
@@ -1970,7 +2177,7 @@ mod tests {
                 bytes.len()
             );
             let back = OptimalListHh::from_bytes(&bytes).unwrap();
-            assert_eq!(back.t2, a.t2);
+            assert_eq!(dense_t2(&back), dense_t2(&a));
             assert_eq!(dense_t3(&back), dense_t3(&a));
             assert_eq!(back.epochs, a.epochs);
         }
@@ -1980,16 +2187,15 @@ mod tests {
     /// the cell's epoch as the kernel does, opening its row if it goes
     /// live.
     fn raise_t2(a: &mut OptimalListHh, cell: usize, v: u64) {
-        assert!(v >= a.t2[cell], "T2 never decreases");
+        assert!(v >= a.t2(cell), "T2 never decreases");
         let kp1 = a.k_eps as usize + 1;
-        a.t2[cell] = v;
-        let e = OptimalListHh::epoch_of(v, &a.epoch_thresholds);
-        set_epoch(
+        store_t2(
+            &mut a.slots[cell],
             &mut a.epochs[cell],
-            &mut a.row_of[cell],
             &mut a.pool,
+            &a.epoch_thresholds,
             kp1,
-            e,
+            v,
         );
     }
 
@@ -1997,7 +2203,7 @@ mod tests {
     fn heap_bytes_track_live_rows() {
         let fresh = churn_shaped(0);
         assert!(
-            fresh.heap_bytes() <= 320 << 10,
+            fresh.heap_bytes() <= 120 << 10,
             "fresh: {} bytes",
             fresh.heap_bytes()
         );
@@ -2005,17 +2211,15 @@ mod tests {
         // The counting tables alone (T1's scratch and the decoded hash
         // vector's capacity move with their own history, not with T3).
         let tables = |a: &OptimalListHh| {
-            a.t2.capacity() * 8
-                + a.epochs.capacity()
-                + a.row_of.capacity() * 4
-                + a.pool.capacity() * 8
+            a.slots.capacity() * 4 + a.epochs.capacity() + a.pool.capacity() * 8
         };
         let grown = churn_shaped(32);
         let live = assert_one_row_per_live_cell(&grown);
         assert!(live > 0, "workload never reached epoch 0 — test is vacuous");
-        // Ingest adds (k+1) words per newly live cell, plus at most the
-        // pool's growth slack of an eighth of its length.
-        let rows = live * kp1 * 8;
+        // Ingest adds (k+2) words per newly live cell (its T3 slots and
+        // its T2), plus at most the pool's growth slack of an eighth of
+        // its length.
+        let rows = live * (kp1 + 1) * 8;
         let grew = tables(&grown) - tables(&fresh);
         let slack = grown.pool.len() / 8 * 8;
         assert!(
@@ -2040,13 +2244,13 @@ mod tests {
         }
         let thr0 = a.epoch_thresholds[0];
         assert!(thr0 >= 2, "case 2 needs two dead halves");
-        let dead_in_both: Vec<usize> = (0..a.t2.len())
+        let dead_in_both: Vec<usize> = (0..a.slots.len())
             .filter(|&c| a.epochs[c] == EPOCH_NONE && b.epochs[c] == EPOCH_NONE)
             .collect();
         // Case 1: dead in `a`, live in `b` with mass in its row.
         let c1 = dead_in_both[0];
         raise_t2(&mut b, c1, thr0);
-        let at = b.row_of[c1] as usize;
+        let at = b.slots[c1] as usize;
         b.pool[at] = 3;
         b.pool[at + 1] = 1;
         // Case 2: dead in both, but the summed T2 crosses epoch 0.
@@ -2073,24 +2277,25 @@ mod tests {
 
     #[test]
     fn decoded_heap_stays_within_14_bytes_per_buffer_byte() {
-        // Every T2 cell costs 13 bytes in memory (its word, epoch byte
-        // and row offset) against at least one wire byte, and every
-        // pool slot 8 against at least one byte of the row block. A
-        // fresh buffer is all one-byte T2 cells; the forged one (signed
-        // with a valid trailer, but no stream can reach it) has every
-        // cell live at the top epoch, the largest pool this shape can
-        // ask the decoder for.
+        // A dead cell costs 5 bytes in memory (its slot and epoch byte)
+        // against at least one wire byte, a live cell `5 + 8·(k+2)`
+        // against at least `k+2` (its T2 and its row values), and a sink
+        // 8 against at least one: at most `8 + 5/(k+2)` bytes per buffer
+        // byte, under 9 at this shape's `k = 4`. A fresh buffer is all
+        // one-byte dead cells; the forged one (signed with a valid
+        // trailer, but no stream can reach it) has every cell live at the
+        // top epoch, the largest pool this shape can ask the decoder for.
         let fresh = churn_shaped(0);
         let mut forged = fresh.clone();
         let top = *forged.epoch_thresholds.last().unwrap();
-        for cell in 0..forged.t2.len() {
+        for cell in 0..forged.slots.len() {
             raise_t2(&mut forged, cell, top);
         }
         for (what, s) in [("fresh", fresh), ("forged", forged)] {
             let bytes = s.to_bytes();
             let back = OptimalListHh::from_bytes(&bytes).unwrap();
             assert!(
-                back.heap_bytes() <= 14 * bytes.len() + (16 << 10),
+                back.heap_bytes() <= 9 * bytes.len() + (16 << 10),
                 "{what}: {} heap bytes from {} wire bytes",
                 back.heap_bytes(),
                 bytes.len()
@@ -2174,16 +2379,40 @@ mod tests {
         let dead = (0..a.epochs.len())
             .find(|&c| a.epochs[c] == EPOCH_NONE)
             .expect("some cell stays below epoch 0");
+        let kp1 = a.k_eps as usize + 1;
         let mut killed = a.clone();
-        killed.t2[live] = 0;
+        killed.pool[a.slots[live] as usize + kp1] = 0;
         let mut revived = a.clone();
-        revived.t2[dead] = a.epoch_thresholds[0];
+        revived.slots[dead] = a.epoch_thresholds[0] as u32;
         for (what, s) in [("live -> dead", killed), ("dead -> live", revived)] {
             let err = OptimalListHh::from_bytes(&s.to_bytes());
             assert!(
                 matches!(err, Err(SnapshotError::InvariantViolated(_))),
                 "{what}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn epoch_0_thresholds_past_the_slot_width_are_refused() {
+        // A dead cell's count is below thresholds[0] and sits in a u32
+        // slot, so the decoder refuses a table whose thresholds[0] passes
+        // 2^32. The encoder signs the edited table, so only that check
+        // stands in the way.
+        for (thr0, fits) in [(1u64 << 32, true), ((1 << 32) + 1, false)] {
+            let mut a = churn_shaped(0);
+            let kp1 = a.epoch_thresholds.len() as u64;
+            a.epoch_thresholds = (0..kp1).map(|t| thr0 + t).collect();
+            let back = OptimalListHh::from_bytes(&a.to_bytes());
+            if fits {
+                assert!(back.is_ok(), "thresholds[0] = {thr0}: {:?}", back.err());
+            } else {
+                assert!(
+                    matches!(back, Err(SnapshotError::InvariantViolated(_))),
+                    "thresholds[0] = {thr0}: {:?}",
+                    back.err()
+                );
+            }
         }
     }
 

@@ -231,30 +231,10 @@ pub mod snapshot {
         Ok(value)
     }
 
-    /// Writes a `u64` counter slice as one varint block through the
-    /// codec's bulk byte channel: element count, then every value
-    /// LEB128-encoded into a single length-prefixed byte string,
-    /// encoded straight into the writer's buffer. For the counter
-    /// tables of the paper's algorithms — tens of thousands of cells
-    /// worth `O(1)` expected bits each — this replaces one codec call
-    /// and 8 bytes per cell with one bulk call and ~1 byte per cell.
-    pub fn write_u64_slice(values: &[u64], w: &mut Writer) {
-        w.write_seq_len(values.len());
-        w.write_byte_seq_with(|out| hh_space::push_uvarints(out, values));
-    }
-
-    /// Reads back a slice written by [`write_u64_slice`], decoding the
-    /// block in place and validating it exhaustively (count,
-    /// truncation, overlong runs, trailing bytes).
-    pub fn read_u64_slice(r: &mut Reader<'_>) -> Result<Vec<u64>, CodecError> {
-        let n = r.read_seq_len()?;
-        let block = r.read_byte_slice()?;
-        hh_space::decode_uvarints(block, n)
-            .ok_or_else(|| CodecError::invariant("malformed varint counter block"))
-    }
-
-    /// Like [`write_u64_slice`] but delta-encoded, for **non-decreasing**
-    /// slices (threshold tables): first value, then LEB128 gaps.
+    /// Writes a **non-decreasing** `u64` slice (threshold tables) as one
+    /// delta-coded varint block through the codec's bulk byte channel:
+    /// element count, then the first value and the LEB128 gaps in a
+    /// single length-prefixed byte string.
     ///
     /// # Panics
     /// If the slice decreases anywhere: a caller bug, never silently
