@@ -11,7 +11,8 @@
 //! * **ping_rtt** — the protocol floor: one empty request/response
 //!   round trip, bounding what framing + deadlines cost by themselves.
 //! * **ingest_wire** — one acked batch per iteration, element
-//!   throughput: the serving ingest path clients actually pay.
+//!   throughput: the serving ingest path clients actually pay, the
+//!   write-ahead log's append and commit fsync included.
 //! * **query_wire** — one report read per iteration against a quiescent
 //!   tenant: the cached serving read.
 //! * **query_after_ingest_wire** — one small ingest, then one report
@@ -24,7 +25,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hh_server::client::Client;
-use hh_server::durability::Durability;
 use hh_server::facade::{SummaryKind, TenantSpec};
 use hh_server::server::{Endpoint, Server, ServerConfig};
 use std::hint::black_box;
@@ -43,10 +43,6 @@ fn serving_pair() -> (Server, Client, std::path::PathBuf) {
     let _ = std::fs::remove_dir_all(&root);
     let mut config = ServerConfig::new(&root);
     config.checkpoint_every = Duration::from_secs(3_600);
-    // This group's trajectory predates the write-ahead log; it keeps
-    // measuring the bare serving path. The WAL's ingest tax has its own
-    // gated group (`wal/serve_ingest_wal`, benches/wal.rs).
-    config.durability = Durability::CheckpointOnly;
     let server = Server::start(config, Endpoint::Tcp("127.0.0.1:0".parse().unwrap()))
         .expect("bind loopback");
     let mut client = Client::connect_tcp(server.local_addr().unwrap()).expect("connect");

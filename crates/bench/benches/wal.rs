@@ -13,17 +13,11 @@
 //!   segment of 32 KiB records (the serving path's ingest-record size)
 //!   with a no-op visitor, in bytes: record parsing plus the trailer
 //!   digest, with no filesystem in the loop.
-//! * **serve_ingest_checkpoint_only / serve_ingest_wal** — the serving
-//!   daemon's acked-ingest RTT over loopback TCP without and with the
-//!   log (the default durability), same batch shape as
-//!   `serve_throughput/ingest_wire`: what a client actually pays for
-//!   zero acked loss.
+//!
+//! The log's share of an acked ingest over the wire is measured where
+//! the rest of that round trip is: `serve_throughput/ingest_wire`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hh_server::client::Client;
-use hh_server::durability::Durability;
-use hh_server::facade::{SummaryKind, TenantSpec};
-use hh_server::server::{Endpoint, Server, ServerConfig};
 use hh_wal::record::encode_record;
 use hh_wal::segment::{encode_header, scan_segment};
 use hh_wal::{record_disk_len, replay_dir, Wal, WalConfig};
@@ -33,37 +27,11 @@ use std::time::Duration;
 
 /// One ingest frame's order of magnitude (512 items).
 const PAYLOAD: usize = 4096;
-const BATCH: usize = 1 << 12;
-const UNIVERSE: u64 = 1 << 24;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hh-wal-bench-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// A loopback daemon with one SpaceSaving tenant under the given
-/// durability (`None`: the default), checkpointing pushed out of the
-/// measurement window.
-fn serving_pair(tag: &str, durability: Option<Durability>) -> (Server, Client, PathBuf) {
-    let root = scratch(tag);
-    let mut config = ServerConfig::new(&root);
-    config.checkpoint_every = Duration::from_secs(3_600);
-    if let Some(durability) = durability {
-        config.durability = durability;
-    }
-    let server = Server::start(config, Endpoint::Tcp("127.0.0.1:0".parse().unwrap()))
-        .expect("bind loopback");
-    let mut client = Client::connect_tcp(server.local_addr().unwrap()).expect("connect");
-    let spec = TenantSpec {
-        kind: SummaryKind::SpaceSaving,
-        universe: UNIVERSE,
-        m: 1 << 22,
-        shards: 1,
-        ..TenantSpec::default()
-    };
-    client.create("bench", spec).expect("create tenant");
-    (server, client, root)
 }
 
 fn bench_wal(c: &mut Criterion) {
@@ -136,29 +104,6 @@ fn bench_wal(c: &mut Criterion) {
             black_box(scan.valid_len)
         })
     });
-
-    // --- The serving tax: acked-ingest RTT without and with the log. ---
-    let data = hh_bench::zipf_stream(1 << 18, UNIVERSE, 1.2, 11);
-    for (id, durability) in [
-        (
-            "serve_ingest_checkpoint_only",
-            Some(Durability::CheckpointOnly),
-        ),
-        ("serve_ingest_wal", None),
-    ] {
-        let (server, mut client, root) = serving_pair(id, durability);
-        g.throughput(Throughput::Elements(BATCH as u64));
-        let mut at = 0usize;
-        g.bench_function(id, |b| {
-            b.iter(|| {
-                let chunk = &data[at..at + BATCH];
-                at = (at + BATCH) % (data.len() - BATCH);
-                black_box(client.ingest("bench", 0, black_box(chunk)).expect("ingest"))
-            })
-        });
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&root);
-    }
 
     g.finish();
 }

@@ -23,8 +23,9 @@
 //!     fixed-rate counter would pay an extra `log ε⁻¹` factor.
 //! * The estimate `f̂_j = Σ_t T3[i,j,t]/p_t` misses the mass a bucket
 //!   saw before its epoch 0, so a live cell adds that prefix's
-//!   expectation, `thresholds[0]/ε̂` (DESIGN.md §1.6); the median over
-//!   `j` is compared against `(φ − ε/2)s`.
+//!   expectation, `thresholds[0]/ε̂` (DESIGN.md §1.6), and a merge keeps
+//!   every input's prefix; the median over `j` is compared against
+//!   `(φ − ε/2)s`.
 //!
 //! Because `ε̂` is a power of two (footnote 3), every `p_t = 2^{t−k}` is a
 //! power of two and each sampling decision is a test of `k − t` fresh
@@ -249,6 +250,14 @@ fn store_t2(
 /// byte and pool (`slots`, `epochs`, `pool` of the summary merged into):
 /// both counts are read through their epoch bytes and summed in `u64`
 /// before [`store_t2`] decides dead or live.
+///
+/// A live result also carries both inputs' pre-epoch-0 prefixes
+/// (DESIGN.md §1.6). Each input's estimate holds `m · 2^k` of prefix,
+/// with `m` = `thresholds[0]` for a live input and its T2 for a dead
+/// one, while the merged cell's estimate adds `thresholds[0] · 2^k`
+/// once; the difference, `m_self + m_other − thresholds[0]` (≥ 0, as
+/// the sum reached epoch 0), goes into T3[0], which is weighted `2^k`.
+/// The [`EpochMode::Flat`] ablation reads no T3 and keeps it zero.
 #[inline]
 fn merge_t2_cell(
     slots: &mut [u32],
@@ -259,15 +268,22 @@ fn merge_t2_cell(
     cell: usize,
 ) {
     let kp1 = thresholds.len();
-    let v = t2_at(slots[cell], epochs[cell], pool, kp1).saturating_add(other.t2(cell));
+    let thr0 = thresholds[0];
+    let (mine, theirs) = (t2_at(slots[cell], epochs[cell], pool, kp1), other.t2(cell));
+    let prefix = |t2: u64, epoch: u8| if epoch == EPOCH_NONE { t2 } else { thr0 };
+    let prefixes = prefix(mine, epochs[cell]).saturating_add(prefix(theirs, other.epochs[cell]));
     store_t2(
         &mut slots[cell],
         &mut epochs[cell],
         pool,
         thresholds,
         kp1,
-        v,
+        mine.saturating_add(theirs),
     );
+    if epochs[cell] != EPOCH_NONE && other.mode == EpochMode::Accelerated {
+        let t3_0 = &mut pool[slots[cell] as usize];
+        *t3_0 = t3_0.saturating_add(prefixes - thr0);
+    }
 }
 
 /// Algorithm 2 of the paper (Theorem 2).
@@ -1461,7 +1477,8 @@ impl MergeableSummary for OptimalListHh {
         // epoch bytes, summed in `u64`, and stored by [`store_t2`], which
         // recomputes the epoch through [`OptimalListHh::epoch_of`]
         // (shared with snapshot restore) and opens the row of a cell the
-        // sum lifts to epoch 0.
+        // sum lifts to epoch 0; a live result's T3[0] also takes the
+        // pre-epoch-0 prefixes its estimate would otherwise drop.
         let kp1 = self.k_eps as usize + 1;
         let Self {
             slots,
@@ -2263,13 +2280,28 @@ mod tests {
         merged.merge_from(&b).unwrap();
         assert_one_row_per_live_cell(&merged);
         assert!(merged.epochs[c1] != EPOCH_NONE && merged.epochs[c2] != EPOCH_NONE);
-        let sum: Vec<u64> = dense_t3(&a)
+        // T3 adds cell-wise, and each live cell's T3[0] also takes the
+        // pre-epoch-0 prefixes its single `thresholds[0] · 2^k` term
+        // does not cover: `thresholds[0]` per live input, T2 per dead one,
+        // less the one the estimate adds.
+        let kp1 = a.k_eps as usize + 1;
+        let mut want: Vec<u64> = dense_t3(&a)
             .iter()
             .zip(dense_t3(&b))
             .map(|(x, y)| x + y)
             .collect();
-        assert_eq!(dense_t3(&merged), sum);
-        assert_eq!(merged.row(c1).unwrap()[..2], [3, 1]);
+        for cell in OptimalListHh::live_cells(&merged.epochs) {
+            let prefix = |s: &OptimalListHh| {
+                if s.epochs[cell] == EPOCH_NONE {
+                    s.t2(cell)
+                } else {
+                    thr0
+                }
+            };
+            want[cell * kp1] += prefix(&a) + prefix(&b) - thr0;
+        }
+        assert_eq!(dense_t3(&merged), want);
+        assert_eq!(merged.row(c1).unwrap()[..2], [3 + a.t2(c1), 1]);
         assert!(merged.row(c2).unwrap().iter().all(|&c| c == 0));
         let bytes = merged.to_bytes();
         assert_eq!(OptimalListHh::from_bytes(&bytes).unwrap().to_bytes(), bytes);

@@ -1,6 +1,5 @@
-//! Scaling the workspace's summaries out: a persistent shard runtime,
-//! partition-and-merge over seed-aligned banks, and windowed (time
-//! decay) heavy hitters.
+//! Scaling the workspace's summaries out: a persistent shard runtime
+//! and partition-and-merge over seed-aligned banks.
 //!
 //! The workspace's summaries are single-threaded by construction (the
 //! paper's model is one pass, one machine word at a time). This crate
@@ -25,9 +24,6 @@
 //!   state, no threads.
 //! * [`partition_and_merge`] runs a whole stream through a runtime in
 //!   one positional chunk per summary and merges the results.
-//! * [`WindowedHh`] rotates per-window summaries and merges the live
-//!   ones at query time — tumbling or sliding heavy hitters from the
-//!   same merge contract.
 //! * [`Frozen`] is the read-only serving view of any merged result.
 //!
 //! # Example
@@ -63,10 +59,9 @@ pub use runtime::{
 };
 
 use hh_core::{FrequencyEstimator, HeavyHitters, HhParams, OptimalListHh};
-use hh_core::{MergeError, MergeableSummary, ParamError, QueryCache, Report};
+use hh_core::{MergeError, MergeableSummary, ParamError, Report};
 use hh_core::{SimpleListHh, StreamSummary};
 use hh_hash::mix64;
-use std::collections::VecDeque;
 
 /// SplitMix64-derived stream seed for part `j` of a seed-aligned bank.
 fn stream_seed(seed: u64, j: usize) -> u64 {
@@ -161,11 +156,11 @@ where
 /// Freezing materializes the report once; afterwards [`Frozen::report`]
 /// hands out a **borrow** of it — no clone, no lock, no rescan — and
 /// point queries go to the (warm, never-again-invalidated) summary.
-/// `Frozen` is the read-mostly serving shape: build one per window
-/// rotation or checkpoint, share it behind an `Arc` across however many
-/// query threads the service runs, and drop it when the next one is
-/// ready. Obtained from [`WindowedHh::frozen`], or [`Frozen::new`] for
-/// any summary (a [`partition_and_merge`] result, a merged bank).
+/// `Frozen` is the read-mostly serving shape: build one per checkpoint,
+/// share it behind an `Arc` across however many query threads the
+/// service runs, and drop it when the next one is ready. Built by
+/// [`Frozen::new`] from any summary (a [`partition_and_merge`] result,
+/// a merged bank).
 #[derive(Debug, Clone)]
 pub struct Frozen<S> {
     summary: S,
@@ -201,250 +196,6 @@ impl<S: FrequencyEstimator> Frozen<S> {
     pub fn estimate(&self, item: u64) -> f64 {
         self.summary.estimate(item)
     }
-}
-
-/// Tumbling/sliding-window heavy hitters over any mergeable summary.
-///
-/// The stream is cut into fixed-length windows. Each window gets a
-/// fresh summary from the factory; at a boundary the active summary is
-/// *rotated* into a ring of completed windows and the ring is trimmed
-/// to the configured depth. Queries merge the retained summaries — the
-/// active window plus the `depth − 1` most recent completed ones — so
-/// the report always covers the last `≤ depth` windows and old traffic
-/// ages out with its window.
-///
-/// `depth = 1` gives tumbling windows (the report covers only the
-/// in-progress window); larger depths give a sliding window with
-/// window-granular eviction.
-///
-/// The factory receives the window index and **must** produce
-/// merge-compatible summaries — deterministic summaries qualify as-is;
-/// randomized ones must share a structure seed (vary only the stream
-/// seed by window index, as the presets do).
-///
-/// # Example
-///
-/// ```
-/// use hh_core::HeavyHitters;
-/// use hh_pipeline::windowed_algo2;
-/// use hh_core::HhParams;
-///
-/// let params = HhParams::new(0.05, 0.2).unwrap();
-/// // 3-window sliding report over 100k-item windows.
-/// let mut win = windowed_algo2(params, 1 << 30, 100_000, 3, 7).unwrap();
-/// // Item 9 dominates early traffic, item 4 dominates late traffic.
-/// let early: Vec<u64> = (0..150_000u64).map(|i| if i % 2 == 0 { 9 } else { i }).collect();
-/// let late: Vec<u64> = (0..400_000u64).map(|i| if i % 2 == 0 { 4 } else { i }).collect();
-/// win.ingest(&early);
-/// win.ingest(&late);
-/// let r = win.report().unwrap();
-/// assert!(r.contains(4));   // current traffic is heavy
-/// assert!(!r.contains(9));  // early traffic aged out with its windows
-/// ```
-#[derive(Debug)]
-pub struct WindowedHh<S, F> {
-    window_len: u64,
-    depth: usize,
-    /// Completed windows, oldest first; at most `depth − 1` retained.
-    completed: VecDeque<S>,
-    active: S,
-    in_window: u64,
-    window_index: u64,
-    total: u64,
-    make: F,
-    /// Materialized merge of the live windows; dropped by every
-    /// `ingest` (rotation included — it happens inside `ingest`).
-    merged_cache: QueryCache<S>,
-}
-
-impl<S, F> WindowedHh<S, F>
-where
-    S: StreamSummary + MergeableSummary,
-    F: FnMut(u64) -> S,
-{
-    /// A windowed pipeline with `window_len ≥ 1` items per window,
-    /// reporting over the last `depth ≥ 1` windows.
-    ///
-    /// # Panics
-    /// If `window_len` or `depth` is zero.
-    pub fn new(window_len: u64, depth: usize, mut make: F) -> Self {
-        assert!(window_len >= 1, "windows must hold at least one item");
-        assert!(depth >= 1, "need at least one window in the report");
-        let active = make(0);
-        Self {
-            window_len,
-            depth,
-            completed: VecDeque::new(),
-            active,
-            in_window: 0,
-            window_index: 0,
-            total: 0,
-            make,
-            merged_cache: QueryCache::new(),
-        }
-    }
-
-    /// Items per window.
-    pub fn window_len(&self) -> u64 {
-        self.window_len
-    }
-
-    /// Number of windows a report covers (active window included).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Index of the in-progress window (0-based).
-    pub fn window_index(&self) -> u64 {
-        self.window_index
-    }
-
-    /// Items ingested into the in-progress window so far.
-    pub fn in_window(&self) -> u64 {
-        self.in_window
-    }
-
-    /// Items ingested over the pipeline's lifetime (including aged-out
-    /// windows).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Closes the active window and opens a fresh one.
-    fn rotate(&mut self) {
-        self.window_index += 1;
-        let fresh = (self.make)(self.window_index);
-        let done = std::mem::replace(&mut self.active, fresh);
-        self.completed.push_back(done);
-        while self.completed.len() > self.depth.saturating_sub(1) {
-            self.completed.pop_front();
-        }
-        self.in_window = 0;
-    }
-
-    /// Ingests one batch, rotating at every window boundary it crosses
-    /// (a batch may span several windows).
-    pub fn ingest(&mut self, batch: &[u64]) {
-        if !batch.is_empty() {
-            self.merged_cache.invalidate();
-        }
-        let mut rest = batch;
-        while !rest.is_empty() {
-            let room = (self.window_len - self.in_window) as usize;
-            let (now, later) = rest.split_at(room.min(rest.len()));
-            self.active.insert_batch(now);
-            self.total += now.len() as u64;
-            self.in_window += now.len() as u64;
-            if self.in_window == self.window_len {
-                self.rotate();
-            }
-            rest = later;
-        }
-    }
-
-    /// The summaries a report would merge: retained completed windows,
-    /// oldest first, then the active window.
-    pub fn live_windows(&self) -> impl Iterator<Item = &S> {
-        self.completed.iter().chain(std::iter::once(&self.active))
-    }
-
-    /// The cached merge of the live windows, building it if an ingest
-    /// left the cache cold.
-    fn merged_ref(&self) -> Result<&S, MergeError>
-    where
-        S: Clone,
-    {
-        if let Some(s) = self.merged_cache.get() {
-            return Ok(s);
-        }
-        let mut acc = self.completed.front().unwrap_or(&self.active).clone();
-        for s in self.live_windows().skip(1) {
-            acc.merge_from(s)?;
-        }
-        Ok(self.merged_cache.get_or_build(|| acc))
-    }
-
-    /// Merges the live windows into one summary of the last `≤ depth`
-    /// windows' traffic (windows are left untouched). A clone of the
-    /// cached merge on the quiescent path.
-    pub fn merged(&self) -> Result<S, MergeError>
-    where
-        S: Clone,
-    {
-        Ok(self.merged_ref()?.clone())
-    }
-
-    /// The heavy hitters of the last `≤ depth` windows (see
-    /// [`WindowedHh::merged`]). Repeated calls between ingests reuse
-    /// both the cached merge *and* its own materialized report —
-    /// serving a query burst between batches costs one merge plus one
-    /// report build, total.
-    pub fn report(&self) -> Result<Report, MergeError>
-    where
-        S: HeavyHitters + Clone,
-    {
-        Ok(self.merged_ref()?.report())
-    }
-
-    /// A [`Frozen`] serving view of the last `≤ depth` windows. Reuses
-    /// both cached artifacts: the materialized merge and (when a prior
-    /// query warmed it) its materialized report.
-    pub fn frozen(&self) -> Result<Frozen<S>, MergeError>
-    where
-        S: HeavyHitters + Clone,
-    {
-        let merged = self.merged_ref()?;
-        let report = merged.report();
-        Ok(Frozen {
-            summary: merged.clone(),
-            report,
-        })
-    }
-}
-
-impl<S: hh_space::SpaceUsage, F> hh_space::SpaceUsage for WindowedHh<S, F> {
-    fn model_bits(&self) -> u64 {
-        self.completed
-            .iter()
-            .map(hh_space::SpaceUsage::model_bits)
-            .sum::<u64>()
-            + self.active.model_bits()
-    }
-    fn heap_bytes(&self) -> usize {
-        self.completed
-            .iter()
-            .map(hh_space::SpaceUsage::heap_bytes)
-            .sum::<usize>()
-            + self.active.heap_bytes()
-    }
-}
-
-/// A [`WindowedHh`] over seed-aligned Algorithm 2 instances: one
-/// structure seed for every window (merge-compatible), per-window
-/// stream seeds. Each window advertises `window_len · depth` as its
-/// stream length so the sampling rate matches the report span.
-pub fn windowed_algo2(
-    params: HhParams,
-    universe: u64,
-    window_len: u64,
-    depth: usize,
-    seed: u64,
-) -> Result<WindowedHh<OptimalListHh, impl FnMut(u64) -> OptimalListHh>, ParamError> {
-    let m = window_len.saturating_mul(depth as u64).max(1);
-    // Validate the configuration once, eagerly; the factory then only
-    // varies the stream seed, which cannot fail.
-    OptimalListHh::with_seeds(params, universe, m, mix64(seed), 0)?;
-    let make = move |w: u64| {
-        OptimalListHh::with_seeds(
-            params,
-            universe,
-            m,
-            mix64(seed),
-            stream_seed(seed, w as usize),
-        )
-        .expect("validated at construction")
-    };
-    Ok(WindowedHh::new(window_len, depth, make))
 }
 
 #[cfg(test)]
@@ -618,91 +369,5 @@ mod tests {
         let again = frozen.clone();
         let inner = again.into_inner();
         assert_eq!(inner.report().entries(), frozen.report().entries());
-    }
-
-    #[test]
-    fn windowed_frozen_and_cached_report_track_rotation() {
-        let params = HhParams::with_delta(0.05, 0.2, 0.1).unwrap();
-        let window = 30_000u64;
-        let mut win = windowed_algo2(params, 1 << 30, window, 2, 11).unwrap();
-        let early: Vec<u64> = (0..window)
-            .map(|i| if i % 2 == 0 { 9 } else { i })
-            .collect();
-        win.ingest(&early);
-        let frozen = win.frozen().unwrap();
-        assert!(frozen.report().contains(9));
-        assert_eq!(frozen.report().entries(), win.report().unwrap().entries());
-        // Rotate item 9 out; the cached path must follow.
-        let late: Vec<u64> = (0..3 * window)
-            .map(|i| if i % 2 == 0 { 4 } else { 100_000 + i })
-            .collect();
-        win.ingest(&late);
-        let r = win.report().unwrap();
-        assert!(r.contains(4) && !r.contains(9));
-        // The old frozen view is unchanged — that is its point.
-        assert!(frozen.report().contains(9));
-    }
-
-    #[test]
-    fn windowed_summary_ages_out_old_heavy_hitters() {
-        // Deterministic summary for an exact aging check.
-        let window = 10_000u64;
-        let mut win = WindowedHh::new(window, 2, |_| MisraGriesBaseline::new(0.05, 0.2, 1 << 20));
-        // Window 0 and 1 traffic: item 9 heavy.
-        let old: Vec<u64> = (0..2 * window)
-            .map(|i| if i % 2 == 0 { 9 } else { i })
-            .collect();
-        win.ingest(&old);
-        assert!(win.report().unwrap().contains(9));
-        // Three more windows of item-4 traffic push 9 out of the ring.
-        let new: Vec<u64> = (0..3 * window)
-            .map(|i| if i % 2 == 0 { 4 } else { 100_000 + i })
-            .collect();
-        win.ingest(&new);
-        let r = win.report().unwrap();
-        assert!(r.contains(4));
-        assert!(!r.contains(9), "aged-out window still reported");
-        assert_eq!(win.total(), 5 * window);
-        assert_eq!(win.window_index(), 5);
-        assert_eq!(win.in_window(), 0);
-    }
-
-    #[test]
-    fn windowed_algo2_preset_slides_over_traffic() {
-        let params = HhParams::with_delta(0.05, 0.2, 0.1).unwrap();
-        let window = 50_000u64;
-        let mut win = windowed_algo2(params, 1 << 30, window, 3, 9).unwrap();
-        let early: Vec<u64> = (0..window)
-            .map(|i| if i % 2 == 0 { 9 } else { i })
-            .collect();
-        win.ingest(&early);
-        assert!(win.report().unwrap().contains(9));
-        let late: Vec<u64> = (0..4 * window)
-            .map(|i| if i % 2 == 0 { 4 } else { 200_000 + i })
-            .collect();
-        win.ingest(&late);
-        let r = win.report().unwrap();
-        assert!(r.contains(4), "current heavy item missing");
-        assert!(!r.contains(9), "expired window still reported");
-    }
-
-    #[test]
-    fn windowed_space_is_depth_windows_not_stream_length() {
-        use hh_space::SpaceUsage;
-        let window = 5_000u64;
-        let mut win = WindowedHh::new(window, 3, |_| MisraGriesBaseline::new(0.05, 0.2, 1 << 20));
-        let mut probe_bits = Vec::new();
-        for round in 0..10u64 {
-            let batch: Vec<u64> = (0..window).map(|i| (round * window + i) % 97).collect();
-            win.ingest(&batch);
-            probe_bits.push(win.model_bits());
-        }
-        // After the ring fills, space stops growing with stream length.
-        let late_max = *probe_bits[3..].iter().max().unwrap();
-        let late_min = *probe_bits[3..].iter().min().unwrap();
-        assert!(
-            late_max <= 2 * late_min,
-            "windowed space drifts: {probe_bits:?}"
-        );
     }
 }

@@ -1,12 +1,9 @@
 //! The durability contract: what gets logged, what gets deduplicated,
 //! and what a checkpoint bundle carries.
 //!
-//! Four pieces, all consumed by [`crate::tenant`] and
+//! Three pieces, all consumed by [`crate::tenant`] and
 //! [`crate::store`]:
 //!
-//! * [`Durability`] — the server-level knob: checkpoint-only (PR 8's
-//!   contract, lose at most the un-checkpointed window) or a per-tenant
-//!   WAL (this PR's contract, lose nothing acked).
 //! * [`IngestFrame`] — the WAL record payload: one acked ingest batch
 //!   with its shard, the client's identity, and the client's request
 //!   sequence number. Replay re-applies it; the identity pair re-arms
@@ -62,20 +59,6 @@ use crate::proto::MAX_BATCH;
 use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use std::collections::HashMap;
 use std::collections::VecDeque;
-
-/// What the server promises about acked ingests across a crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Durability {
-    /// Periodic checkpoints only (PR 8's contract): a kill loses at
-    /// most the un-checkpointed window.
-    CheckpointOnly,
-    /// Write-ahead log every acked ingest, fsynced before the ack: a
-    /// kill or power cut loses nothing acked.
-    Wal {
-        /// WAL segment rotation threshold in bytes.
-        segment_bytes: u64,
-    },
-}
 
 /// Hard ceiling on dedup entries per tenant (one per distinct client;
 /// FIFO eviction beyond it).

@@ -55,7 +55,7 @@ pub mod tenant;
 
 pub use client::{Client, RetryPolicy};
 pub use conn::{ConnLimits, DeadlineConn, Transport};
-pub use durability::{BankSnapshot, DedupEntry, Durability, IngestFrame, DEDUP_CAP};
+pub use durability::{BankSnapshot, DedupEntry, IngestFrame, DEDUP_CAP};
 pub use facade::{DynSummary, SummaryKind, TenantSpec, MAX_SHARDS};
 // Re-exported because `Tenant::wal_stats` returns it.
 pub use hh_wal::WalStats;

@@ -441,8 +441,8 @@ pub struct ServerHealth {
     pub quarantined: Vec<String>,
     /// Heap bytes currently held by resident tenant summaries.
     pub resident_bytes: u64,
-    /// WAL records appended across resident tenants (0 when running
-    /// checkpoint-only).
+    /// WAL records appended across resident tenants, each counted
+    /// since its log was last opened.
     pub wal_appended: u64,
     /// WAL records not yet covered by a checkpoint — the replay debt a
     /// crash right now would incur.

@@ -33,15 +33,13 @@
 //! frames), and only then the final checkpoint runs — checkpoint
 //! rounds are single-flight, so it can never interleave with a round a
 //! handler started. [`Server::kill`] is the crash simulation:
-//! everything stops **without** a final checkpoint. Under
-//! [`Durability::Wal`] (the default) that loses *nothing acked* —
-//! recovery restores the last checkpoint bundle and replays the WAL
-//! tail over it; under [`Durability::CheckpointOnly`] whatever
-//! ingested after the last checkpoint is lost — exactly the windows
-//! the recovery tests measure.
+//! everything stops **without** a final checkpoint, and still loses
+//! *nothing acked*: every tenant is write-ahead logged, each ack waits
+//! for its record's fsync, and recovery restores the last checkpoint
+//! bundle and replays the WAL tail over it.
 
 use crate::conn::{ConnLimits, DeadlineConn, Transport};
-use crate::durability::{BankSnapshot, Durability, IngestFrame};
+use crate::durability::{BankSnapshot, IngestFrame};
 use crate::proto::{validate_tenant_name, ProtocolError, Request, Response, ServerHealth};
 use crate::store::{RecoveredTenant, Store};
 use crate::tenant::{Tenant, RETRY_AFTER_MS};
@@ -88,9 +86,9 @@ pub struct ServerConfig {
     /// what keeps one wedged shard worker from stalling every request
     /// on the server.
     pub checkpoint_timeout: Duration,
-    /// Whether acked ingests are write-ahead logged (zero acked loss
-    /// on a kill) or only as durable as the last checkpoint.
-    pub durability: Durability,
+    /// Rotation threshold of each tenant's write-ahead log segments,
+    /// in bytes.
+    pub wal_segment_bytes: u64,
 }
 
 impl ServerConfig {
@@ -103,9 +101,7 @@ impl ServerConfig {
             memory_budget_bytes: 256 << 20,
             checkpoint_every: Duration::from_secs(30),
             checkpoint_timeout: Duration::from_secs(2),
-            durability: Durability::Wal {
-                segment_bytes: 4 << 20,
-            },
+            wal_segment_bytes: 4 << 20,
         }
     }
 
@@ -116,17 +112,15 @@ impl ServerConfig {
             limits: ConnLimits::fast(),
             max_connections: 8,
             checkpoint_every: Duration::from_millis(200),
-            durability: Durability::Wal {
-                segment_bytes: 64 << 10,
-            },
+            wal_segment_bytes: 64 << 10,
             ..Self::new(store_root)
         }
     }
 
-    fn wal_config(&self, dir: PathBuf) -> Option<WalConfig> {
-        match self.durability {
-            Durability::CheckpointOnly => None,
-            Durability::Wal { segment_bytes } => Some(WalConfig { dir, segment_bytes }),
+    fn wal_config(&self, dir: PathBuf) -> WalConfig {
+        WalConfig {
+            dir,
+            segment_bytes: self.wal_segment_bytes,
         }
     }
 }
@@ -441,18 +435,19 @@ fn lock_registry(shared: &Shared) -> std::sync::MutexGuard<'_, Registry> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Rebuilds a tenant from its recovered checkpoint bundle and — when
-/// the server runs with a WAL — attaches its log. Shared by the boot
-/// scan and eviction rehydration, so a kill at *any* point recovers
-/// through exactly one code path. Returns the tenant and the torn-tail
-/// bytes its log open cut.
+/// Rebuilds a tenant from its recovered checkpoint bundle and attaches
+/// its write-ahead log. Shared by the boot scan and eviction
+/// rehydration, so a kill at *any* point recovers through exactly one
+/// code path. Returns the tenant and the torn-tail bytes its log open
+/// cut.
 ///
-/// The one branch is where the log comes from. `kept` is the handle
-/// an eviction left in [`Slot::Evicted`] because the bundle covers
-/// every record in it: it is reattached as is — no directory scan, no
+/// Two branches, on where the log comes from. `kept` is the handle an
+/// eviction left in [`Slot::Evicted`] because the bundle covers every
+/// record in it: it is reattached as is — no directory scan, no
 /// checksum, no frame decode — since replay would skip every record.
-/// Its next append reopens the active segment it released. Otherwise (boot, and evictions that left records uncovered)
-/// the log is opened and its tail replayed over the bundle.
+/// Its next append reopens the active segment it released. Otherwise
+/// (boot, and evictions that left records uncovered) the log is opened
+/// and its tail replayed over the bundle.
 ///
 /// Replay streams: each record's payload is decoded straight out of the
 /// scan buffer into one reused frame and applied before the next record
@@ -483,7 +478,7 @@ fn hydrate(
     let mut truncated = 0;
     if let Some(wal) = kept {
         tenant.attach_wal(wal);
-    } else if let Some(wal_cfg) = config.wal_config(store.wal_dir(&name)) {
+    } else {
         // A log reopened after a crash must never re-issue a sequence
         // number the bundle's marks already cover — the hint floors
         // the next sequence past them even if the tail itself was
@@ -492,6 +487,7 @@ fn hydrate(
         // fresh-log edge).
         let hint = hwms.iter().copied().max().unwrap_or(0) + 1;
         let mut frame = IngestFrame::default();
+        let wal_cfg = config.wal_config(store.wal_dir(&name));
         let (wal, replay) = Wal::open_with(wal_cfg, hint, |seq, payload| {
             frame
                 .decode_from(payload)
@@ -697,12 +693,11 @@ fn dispatch(shared: &Arc<Shared>, req: &Request) -> Result<Response, ProtocolErr
                 return Err(ProtocolError::TenantExists(tenant.clone()));
             }
             let mut t = Tenant::create(*spec)?;
-            if let Some(wal_cfg) = shared.config.wal_config(shared.store.wal_dir(tenant)) {
-                let (wal, _replay) = Wal::open(wal_cfg, 1).map_err(|e| {
-                    ProtocolError::Io(std::io::ErrorKind::Other, format!("wal open failed: {e}"))
-                })?;
-                t.attach_wal(Arc::new(wal));
-            }
+            let wal_cfg = shared.config.wal_config(shared.store.wal_dir(tenant));
+            let (wal, _replay) = Wal::open(wal_cfg, 1).map_err(|e| {
+                ProtocolError::Io(std::io::ErrorKind::Other, format!("wal open failed: {e}"))
+            })?;
+            t.attach_wal(Arc::new(wal));
             // Persist immediately: a crash before the first periodic
             // checkpoint must not forget the tenant exists. This is the
             // spec's only write: later saves rewrite the bundle alone.
@@ -859,12 +854,13 @@ fn enforce_memory_budget(shared: &Shared, keep: Option<&str>) {
         // Eviction round. Lock order is ckpt_lock → registry, matching
         // checkpoint_all, and the registry stays held through the disk
         // write: `Slot::Evicted` must never be observable before the
-        // victim's fresh bytes have landed. If it were, a concurrent
-        // request could rehydrate the tenant from the *stale* on-disk
-        // checkpoint; once the eviction save then landed, that stale
-        // resident tenant would shadow it and the next checkpoint
-        // round would persist the stale state over the fresh bytes —
-        // silently losing acked ingests.
+        // victim's fresh bundle has landed. A covered eviction parks
+        // the log in the slot, and `hydrate` reattaches a parked log
+        // without scanning it, trusting the bundle on disk to cover
+        // every record. A request that rehydrated from the *stale*
+        // bundle in between would skip the records past its marks: its
+        // next ingest moves the marks past them, and the next
+        // checkpoint makes the loss of those acked batches permanent.
         let _round = shared
             .ckpt_lock
             .lock()
@@ -1188,47 +1184,6 @@ mod tests {
         client.recover("t").unwrap();
         client.ingest("t", 0, &[8; 10]).unwrap();
         assert!(client.health().unwrap().quarantined.is_empty());
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn kill_loses_only_the_unchckpointed_window_and_recovery_serves_it() {
-        let root = tmp_root("kill");
-        let cfg = ServerConfig {
-            // Effectively disable the periodic checkpointer: the test
-            // controls checkpoint timing explicitly. Checkpoint-only
-            // durability: this test measures the *un-logged* loss
-            // window; the WAL variant below closes it.
-            checkpoint_every: Duration::from_secs(3600),
-            durability: Durability::CheckpointOnly,
-            ..ServerConfig::fast(&root)
-        };
-        let server =
-            Server::start(cfg.clone(), Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
-        let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
-        client.create("t", spec()).unwrap();
-        client.ingest("t", 0, &[42; 2_000]).unwrap();
-        client.checkpoint().unwrap();
-        // This window is ingested but never checkpointed: it dies with
-        // the server.
-        client.ingest("t", 0, &[99; 2_000]).unwrap();
-        server.kill();
-
-        let server = Server::start(cfg, Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
-        let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
-        let health = client.health().unwrap();
-        assert_eq!(health.recovered_tenants, 1);
-        assert!(health.quarantined.is_empty());
-        let (entries, _) = client.query("t").unwrap();
-        assert!(
-            entries.iter().any(|&(item, _)| item == 42),
-            "checkpointed item lost"
-        );
-        assert!(
-            !entries.iter().any(|&(item, _)| item == 99),
-            "un-checkpointed window survived a kill -9?"
-        );
         server.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -94,7 +94,9 @@ pub struct Tenant {
     /// the tenant, without any shard actually dying. Also latched by a
     /// failed WAL append (fail-stop — see the module docs).
     forced_fault: Option<String>,
-    /// The write-ahead log, when the server runs with one.
+    /// The write-ahead log. The server attaches one to every tenant it
+    /// serves; `None` only for a tenant built and driven directly
+    /// ([`Tenant::create`] + [`Tenant::ingest`]).
     wal: Option<Arc<Wal>>,
     /// Exactly-once request dedup (client → latest acked request).
     dedup: DedupTable,

@@ -12,13 +12,11 @@
 //! repetition hashes) and its *own stream seed* (so sampling stays
 //! independent). Every node checkpoints its summary to bytes; a
 //! combiner restores the four snapshots and merges them bucket-wise.
-//! The merged summary answers for the whole stream — and a tumbling
-//! `WindowedHh` over the same traffic shows the time-decay face of the
-//! same merge contract.
+//! The merged summary answers for the whole stream.
 
 use hh_core::{HeavyHitters, HhParams, MergeableSummary, OptimalListHh, StreamSummary};
 use hh_examples::{banner, count_with_share};
-use hh_pipeline::{seed_aligned_algo2, windowed_algo2};
+use hh_pipeline::seed_aligned_algo2;
 use hh_space::SpaceUsage;
 use hh_streams::{arrange, ExactCounts, OrderPolicy};
 use rand::rngs::StdRng;
@@ -113,26 +111,5 @@ fn main() {
         "merged report violated Definition 1"
     );
 
-    banner("windowed reporting (the same merge, rotated in time)");
-    let window = 250_000u64;
-    let mut win = windowed_algo2(params, universe, window, 3, 7).expect("valid parameters");
-    // Phase 1: the planted stream; phase 2: a regime change where a new
-    // item takes over and the old heavies vanish.
-    win.ingest(&stream);
-    let before = win.report().expect("windows merge");
-    // Filler ids stay inside the declared 2^32 universe and clear of the
-    // planted items and the 4_000_000_000+ tail.
-    let shifted: Vec<u64> = (0..4 * window)
-        .map(|i| if i % 2 == 0 { 777 } else { 2_000_000_000 + i })
-        .collect();
-    win.ingest(&shifted);
-    let after = win.report().expect("windows merge");
-    println!(
-        "  before regime change: hot reported = {}; after: hot reported = {}, new item 777 = {}",
-        before.contains(HOT),
-        after.contains(HOT),
-        after.contains(777)
-    );
-    assert!(before.contains(HOT) && !after.contains(HOT) && after.contains(777));
-    println!("\n  one merge contract: distributed combining, checkpoints, and time windows.");
+    println!("\n  one merge contract: distributed combining and checkpoints.");
 }

@@ -144,8 +144,8 @@ fn main() {
 
     banner("crash");
     // Un-checkpointed traffic rides ahead of the crash. It lives only
-    // in the write-ahead log — under checkpoint-only durability this
-    // window would be lost; with the WAL it must survive to the byte.
+    // in the write-ahead log, and every batch of it was acked, so it
+    // must survive to the byte.
     let at_risk = stream_batches(&mut client, &mut rng, &mut sources, 2);
     let pre_kill: Vec<(&str, Vec<u8>)> = ["ads", "search"]
         .iter()

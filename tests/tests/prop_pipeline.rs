@@ -5,7 +5,7 @@
 //! Zipf streams at 1, 2, and 4 parts — the part count is an executor
 //! knob, not a semantics knob.
 
-use hh_core::{HeavyHitters, HhParams, MergeableSummary};
+use hh_core::{HeavyHitters, HhParams, MergeableSummary, StreamSummary};
 use hh_pipeline::{partition_and_merge, seed_aligned_algo1, seed_aligned_algo2};
 use hh_streams::{arrange, collect_stream, ExactCounts, OrderPolicy, ZipfGenerator};
 use proptest::prelude::*;
@@ -121,5 +121,36 @@ proptest! {
         let (ra, rb) = (a.report(), b.report());
         prop_assert_eq!(ra.entries(), rb.entries());
         prop_assert_eq!(a.to_bytes(), b.to_bytes());
+    }
+}
+
+/// Every input's pre-epoch-0 prefix survives a merge (DESIGN.md §1.6).
+/// A cell live in K shards used to lose K − 1 of its K prefixes, about
+/// `(K − 1) · thresholds[0] · 2^k` = 800 items per extra shard at this
+/// shape (p = 1), so the 30% item read about ε·m low at 4 shards. The
+/// stream is dealt the way the server deals it: 1024-item batches,
+/// round-robin over seed-aligned shards, merged left to right.
+#[test]
+fn merged_shards_keep_every_input_prefix() {
+    let (m, phi, eps) = (48_000u64, 0.15, 0.05);
+    let params = HhParams::with_delta(eps, phi, 0.1).unwrap();
+    for seed in 1..=4u64 {
+        let stream = planted_with_boundary(m, phi, eps, seed);
+        let truth = stream.iter().filter(|&&x| x == 1).count() as f64;
+        for shards in [1, 2, 4, 8] {
+            let mut bank = seed_aligned_algo2(params, 1 << 32, m, shards, seed).unwrap();
+            for (i, batch) in stream.chunks(1024).enumerate() {
+                bank[i % shards].insert_batch(batch);
+            }
+            let mut merged = bank.remove(0);
+            for s in &bank {
+                merged.merge_from(s).unwrap();
+            }
+            let est = merged.report().estimate(1).expect("30% item reported");
+            assert!(
+                (est - truth).abs() <= eps * m as f64,
+                "seed {seed}, {shards} shards: estimate {est} vs {truth}"
+            );
+        }
     }
 }

@@ -18,12 +18,9 @@
 //!    with every tenant byte-identical to a sequential oracle fed only
 //!    the acknowledged batches;
 //! 5. **kill -9** (abrupt process death, simulated by `Server::kill`)
-//!    under checkpoint-only durability loses at most the
-//!    un-checkpointed window: a restart over the same store serves
-//!    exactly the last checkpoint, bit-for-bit — and under the
-//!    write-ahead log (PR 10) it loses **nothing acked**: the restart
-//!    serves the bundle plus the replayed log tail, byte-identical to
-//!    an oracle fed every acked batch;
+//!    loses **nothing acked**, since every tenant is write-ahead
+//!    logged: the restart serves the bundle plus the replayed log
+//!    tail, byte-identical to an oracle fed every acked batch;
 //! 6. the same protocol works over a **Unix domain socket**;
 //! 7. **streaming replay fails closed**: recovery applies WAL records
 //!    as it reads them, so damage found partway through a log (a
@@ -42,8 +39,7 @@
 use hh_faults::corrupt;
 use hh_faults::net::FaultyConn;
 use hh_server::client::Client;
-use hh_server::durability::Durability;
-use hh_server::facade::{DynSummary, SummaryKind, TenantSpec};
+use hh_server::facade::{SummaryKind, TenantSpec};
 use hh_server::proto::{read_frame, write_frame, ProtocolError, Request, Response, MAX_FRAME_LEN};
 use hh_server::server::{Endpoint, Server, ServerConfig};
 use hh_server::RetryPolicy;
@@ -323,62 +319,6 @@ fn concurrent_soak_matches_sequential_oracle() {
 }
 
 #[test]
-fn kill_loses_at_most_the_uncheckpointed_window() {
-    let root = tmp_root("kill");
-    // Periodic checkpointing pushed out of the test's way: only the
-    // explicit checkpoint below persists anything post-create. This
-    // variant runs WITHOUT the write-ahead log: it measures the
-    // checkpoint-only loss window that `kill_with_wal_recovers_every_
-    // acked_batch` closes.
-    let mut config = ServerConfig::fast(&root);
-    config.checkpoint_every = Duration::from_secs(3_600);
-    config.durability = Durability::CheckpointOnly;
-    let server = Server::start(config, Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
-    let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
-
-    let durable: Vec<u64> = (0..3_000u64)
-        .map(|i| if i % 2 == 0 { 42 } else { i })
-        .collect();
-    let doomed: Vec<u64> = vec![99_999; 3_000];
-    client.create("ten", spec()).unwrap();
-    client.ingest("ten", 0, &durable).unwrap();
-    assert_eq!(client.checkpoint().unwrap(), 1);
-    client.ingest("ten", 0, &doomed).unwrap();
-    server.kill(); // abrupt: no final checkpoint, like SIGKILL
-
-    let mut oracle = spec().build_bank().unwrap().remove(0);
-    {
-        use hh_core::StreamSummary as _;
-        oracle.insert_batch(&durable);
-    }
-
-    let mut config = ServerConfig::fast(&root);
-    config.durability = Durability::CheckpointOnly;
-    let server = Server::start(config, Endpoint::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
-    let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
-    let health = client.health().unwrap();
-    assert_eq!(health.tenants, 1);
-    assert_eq!(
-        health.recovered_tenants, 1,
-        "boot must surface the recovery"
-    );
-    assert!(health.quarantined.is_empty());
-
-    // Exactly the checkpointed window survives — bit-for-bit — and the
-    // un-checkpointed batch is gone.
-    use hh_core::MergeableSummary as _;
-    let served = client.snapshot("ten").unwrap();
-    assert_eq!(served, oracle.to_bytes());
-    let restored = DynSummary::from_bytes(&served).unwrap();
-    use hh_core::HeavyHitters as _;
-    assert!(restored.report().contains(42));
-    assert!(!restored.report().contains(99_999));
-
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
 fn kill_with_wal_recovers_every_acked_batch() {
     let root = tmp_root("kill-wal");
     // No periodic checkpoints and no final one (kill): after the single
@@ -571,15 +511,13 @@ fn unix_domain_socket_smoke() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A WAL-durable config with 4 KiB segments (two 500-item batches
-/// each), so a handful of ingests seals several segments, and no
-/// periodic checkpoint to compact them away.
+/// A config with 4 KiB WAL segments (two 500-item batches each), so a
+/// handful of ingests seals several segments, and no periodic
+/// checkpoint to compact them away.
 fn small_segment_config(root: &Path) -> ServerConfig {
     let mut config = ServerConfig::fast(root);
     config.checkpoint_every = Duration::from_secs(3_600);
-    config.durability = Durability::Wal {
-        segment_bytes: 4 << 10,
-    };
+    config.wal_segment_bytes = 4 << 10;
     config
 }
 
