@@ -10,7 +10,7 @@
 //! that make it a first-class mergeable summary.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use hh_core::{HhParams, MergeableSummary, StreamSummary};
+use hh_core::{MergeableSummary, StreamSummary};
 use hh_dyadic::DyadicHh;
 use std::hint::black_box;
 use std::time::Duration;
@@ -23,7 +23,6 @@ const DELTA: f64 = 0.1;
 
 fn bench_dyadic(c: &mut Criterion) {
     let data = hh_bench::zipf_stream(M, N, 1.2, 21);
-    let params = HhParams::with_delta(EPS, PHI, DELTA).unwrap();
     let mut g = c.benchmark_group("dyadic");
 
     // Ingestion: the L-fold update cost, via the batched kernel.
@@ -39,22 +38,9 @@ fn bench_dyadic(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    let empty_a2 = DyadicHh::optimal(params, N, M as u64, 31, 32).unwrap();
-    g.bench_function("algo2_ingest_batch", |b| {
-        b.iter_batched(
-            || empty_a2.clone(),
-            |mut bank| {
-                bank.insert_batch(black_box(&data));
-                bank
-            },
-            BatchSize::LargeInput,
-        )
-    });
 
     let mut cm = empty_cm.clone();
     cm.insert_batch(&data);
-    let mut a2 = empty_a2.clone();
-    a2.insert_batch(&data);
 
     // Heavy-prefix forest: warm hits the per-bank QueryCache, cold uses
     // a stricter φ and re-runs the pruned descent every call.
@@ -64,9 +50,6 @@ fn bench_dyadic(c: &mut Criterion) {
     });
     g.bench_function("count_min_heavy_ranges_cold", |b| {
         b.iter(|| black_box(cm.heavy_ranges(PHI * 1.25)))
-    });
-    g.bench_function("algo2_heavy_ranges_cold", |b| {
-        b.iter(|| black_box(a2.heavy_ranges(PHI * 1.25)))
     });
 
     // Worst-case interval: both endpoints interior, so the canonical
@@ -97,7 +80,7 @@ fn bench_dyadic(c: &mut Criterion) {
     g.bench_function("count_min_snapshot_roundtrip", |b| {
         b.iter(|| {
             let bytes = black_box(&cm).to_bytes();
-            DyadicHh::<hh_baselines::CountMin>::from_bytes(black_box(&bytes)).unwrap()
+            DyadicHh::from_bytes(black_box(&bytes)).unwrap()
         })
     });
     g.finish();

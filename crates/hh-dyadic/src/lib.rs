@@ -18,14 +18,14 @@
 //!   most 2 **canonical** dyadic nodes per level (the classic
 //!   decomposition), summing ≤ 2L point estimates.
 //!
-//! The bank is generic over any [`MergeableSummary`] point sketch and
-//! inherits the full workspace contract: level-wise [`merge_from`]
-//! (seed-aligned banks merge repetition-wise, exactly like a single
-//! summary), a tagged `hh.dyadic.v2` snapshot with the snapshot checksum
-//! trailer and fail-closed bounded decoding, [`SpaceUsage`], and cached
-//! queries — each level summary keeps its own [`QueryCache`]d report,
-//! and the bank caches the descent at the configured φ, so repeated
-//! queries over a warm bank cost a clone.
+//! Every level is a Count-Min sketch, and the bank inherits the full
+//! workspace contract: level-wise [`merge_from`] (same-seed banks merge
+//! cell-wise, exactly like a single sketch), a tagged `hh.dyadic.v2`
+//! snapshot with the snapshot checksum trailer and fail-closed bounded
+//! decoding, [`SpaceUsage`], and cached queries — each level sketch
+//! keeps its own [`QueryCache`]d report, and the bank caches the
+//! descent at the configured φ, so repeated queries over a warm bank
+//! cost a clone.
 //!
 //! [`merge_from`]: MergeableSummary::merge_from
 //!
@@ -57,17 +57,17 @@
 use hh_baselines::CountMin;
 use hh_core::mergeable::snapshot;
 use hh_core::{
-    FrequencyEstimator, HeavyHitters, HhParams, ItemEstimate, MergeError, MergeableSummary,
-    OptimalListHh, ParamError, QueryCache, Report, SnapshotError, StreamSummary,
+    FrequencyEstimator, HeavyHitters, ItemEstimate, MergeError, MergeableSummary, ParamError,
+    QueryCache, Report, SnapshotError, StreamSummary,
 };
 use hh_hash::mix64;
 use hh_space::codec::{Codec, CodecError, Reader, Writer};
 use hh_space::{gamma_bits, SpaceUsage};
 
-/// Snapshot tag for [`DyadicHh`] banks (any level-summary type: the
-/// level buffers carry their own tags, so a bank of Count-Mins and a
-/// bank of Algorithm-2 summaries cannot be confused). v2 is signed with
-/// the checksum's folded lane step.
+/// Snapshot tag for [`DyadicHh`] banks. Each level buffer carries its
+/// own Count-Min tag, so a bank whose levels hold any other summary
+/// fails closed at decode. v2 is signed with the checksum's folded lane
+/// step.
 pub const TAG: &str = "hh.dyadic.v2";
 
 fn check_compatible<T: PartialEq>(a: &T, b: &T, what: &'static str) -> Result<(), MergeError> {
@@ -101,17 +101,12 @@ impl HeavyRange {
     }
 }
 
-/// A bank of L = key_bits mergeable level summaries answering heavy
+/// A bank of L = key_bits Count-Min level sketches answering heavy
 /// dyadic range and prefix queries; see the crate docs for the scheme.
-///
-/// `S` is the point sketch used at every level. The
-/// [`DyadicHh::count_min`] and [`DyadicHh::optimal`] presets cover the
-/// two workspace families; [`DyadicHh::with_level_builder`] accepts any
-/// other [`MergeableSummary`].
 #[derive(Debug, Clone)]
-pub struct DyadicHh<S> {
+pub struct DyadicHh {
     /// `levels[k-1]` summarizes level k: the stream's k-bit prefixes.
-    levels: Vec<S>,
+    levels: Vec<CountMin>,
     /// L: number of levels, `hh_space::id_bits(universe)`.
     key_bits: u32,
     /// Size of the point universe (items are `0 .. universe`).
@@ -130,21 +125,31 @@ pub struct DyadicHh<S> {
     cache: QueryCache<Vec<HeavyRange>>,
 }
 
-impl<S> DyadicHh<S> {
-    /// Builds a bank from a per-level constructor: `build(k, u_k)` must
-    /// return the level-k summary, where `u_k = min(2^k, 2^64 − 1)` is
-    /// that level's universe. The builder is called for k = 1 ..= L
-    /// with L = `hh_space::id_bits(universe)`.
+impl DyadicHh {
+    /// One Count-Min sketch per level, calibrated so the **bank-level**
+    /// guarantees come out at the requested `(eps, phi, delta)` —
+    /// per-level error is `eps / (2L)` (a range decomposition sums
+    /// ≤ 2L one-sided node errors) and per-level failure is `delta / L`
+    /// (union bound over the descent). Level k's sketch covers the
+    /// universe `u_k = min(2^k, 2^64 − 1)` with L =
+    /// `hh_space::id_bits(universe)`.
+    ///
+    /// All structure lives in the seed: banks built with the same
+    /// `(eps, phi, delta, universe, seed)` are merge-compatible.
     ///
     /// # Errors
-    /// [`ParamError`] if `(eps, phi)` is not a valid heavy-hitter
-    /// configuration, the universe is empty, or `build` rejects a level.
-    pub fn with_level_builder(
+    /// [`ParamError`] if `(eps, phi, delta)` is not a valid heavy-hitter
+    /// configuration or the universe is empty.
+    pub fn count_min(
         eps: f64,
         phi: f64,
+        delta: f64,
         universe: u64,
-        mut build: impl FnMut(u32, u64) -> Result<S, ParamError>,
+        seed: u64,
     ) -> Result<Self, ParamError> {
+        if !(delta > 0.0 && delta < 1.0) {
+            return Err(ParamError::DeltaOutOfRange(delta));
+        }
         if !(eps > 0.0 && eps < 1.0) {
             return Err(ParamError::EpsOutOfRange(eps));
         }
@@ -158,9 +163,19 @@ impl<S> DyadicHh<S> {
             return Err(ParamError::EmptyUniverse);
         }
         let key_bits = hh_space::id_bits(universe) as u32;
+        let eps_level = eps / (2.0 * f64::from(key_bits));
+        let delta_level = delta / f64::from(key_bits);
         let levels = (1..=key_bits)
-            .map(|k| build(k, Self::level_universe(k)))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|k| {
+                CountMin::new(
+                    eps_level,
+                    phi,
+                    delta_level,
+                    Self::level_universe(k),
+                    mix64(seed ^ k as u64),
+                )
+            })
+            .collect();
         Ok(Self {
             levels,
             key_bits,
@@ -207,77 +222,9 @@ impl<S> DyadicHh<S> {
         self.processed
     }
 
-    /// The level summaries, coarsest (1-bit prefixes) first.
-    pub fn levels(&self) -> &[S] {
+    /// The level sketches, coarsest (1-bit prefixes) first.
+    pub fn levels(&self) -> &[CountMin] {
         &self.levels
-    }
-}
-
-impl DyadicHh<CountMin> {
-    /// The Count-Min preset: one sketch per level, calibrated so the
-    /// **bank-level** guarantees come out at the requested `(eps, phi,
-    /// delta)` — per-level error is `eps / (2L)` (a range decomposition
-    /// sums ≤ 2L one-sided node errors) and per-level failure is
-    /// `delta / L` (union bound over the descent).
-    ///
-    /// All structure lives in the seed: banks built with the same
-    /// `(eps, phi, delta, universe, seed)` are merge-compatible.
-    ///
-    /// # Errors
-    /// [`ParamError`] on an invalid configuration.
-    pub fn count_min(
-        eps: f64,
-        phi: f64,
-        delta: f64,
-        universe: u64,
-        seed: u64,
-    ) -> Result<Self, ParamError> {
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(ParamError::DeltaOutOfRange(delta));
-        }
-        let levels = hh_space::id_bits(universe.max(1)) as f64;
-        let eps_level = eps / (2.0 * levels);
-        let delta_level = delta / levels;
-        Self::with_level_builder(eps, phi, universe, |k, u_k| {
-            Ok(CountMin::new(
-                eps_level,
-                phi,
-                delta_level,
-                u_k,
-                mix64(seed ^ k as u64),
-            ))
-        })
-    }
-}
-
-impl DyadicHh<OptimalListHh> {
-    /// The Algorithm-2 preset: one `OptimalListHh` per level, with the
-    /// bank's structure seed split per level (so same-`structure_seed`
-    /// banks merge repetition-wise at every level) and the stream seed
-    /// split per level on top of the caller's per-shard value.
-    ///
-    /// `m` is the advertised total stream length, as for the point
-    /// summary. The per-query failure bound is `L·delta` by union over
-    /// the levels a descent touches.
-    ///
-    /// # Errors
-    /// [`ParamError`] on an invalid configuration.
-    pub fn optimal(
-        params: HhParams,
-        universe: u64,
-        m: u64,
-        structure_seed: u64,
-        stream_seed: u64,
-    ) -> Result<Self, ParamError> {
-        Self::with_level_builder(params.eps(), params.phi(), universe, |k, u_k| {
-            OptimalListHh::with_seeds(
-                params,
-                u_k,
-                m,
-                mix64(structure_seed ^ k as u64),
-                mix64(stream_seed ^ k as u64),
-            )
-        })
     }
 }
 
@@ -294,38 +241,13 @@ pub fn seed_aligned_count_min(
     universe: u64,
     parts: usize,
     seed: u64,
-) -> Result<Vec<DyadicHh<CountMin>>, ParamError> {
+) -> Result<Vec<DyadicHh>, ParamError> {
     (0..parts)
         .map(|_| DyadicHh::count_min(eps, phi, delta, universe, seed))
         .collect()
 }
 
-/// `parts` merge-compatible Algorithm-2 banks: shared structure seed,
-/// per-part stream seeds (the hh-pipeline seeding convention).
-///
-/// # Errors
-/// [`ParamError`] on an invalid configuration.
-pub fn seed_aligned_optimal(
-    params: HhParams,
-    universe: u64,
-    m: u64,
-    parts: usize,
-    seed: u64,
-) -> Result<Vec<DyadicHh<OptimalListHh>>, ParamError> {
-    (0..parts)
-        .map(|j| {
-            DyadicHh::optimal(
-                params,
-                universe,
-                m,
-                mix64(seed),
-                mix64(mix64(seed ^ 0x5EED).wrapping_add(j as u64)),
-            )
-        })
-        .collect()
-}
-
-impl<S: StreamSummary> StreamSummary for DyadicHh<S> {
+impl StreamSummary for DyadicHh {
     fn insert(&mut self, item: u64) {
         let l = self.key_bits;
         for k in 1..=l {
@@ -358,7 +280,7 @@ impl<S: StreamSummary> StreamSummary for DyadicHh<S> {
     }
 }
 
-impl<S: HeavyHitters> DyadicHh<S> {
+impl DyadicHh {
     /// Every dyadic interval whose estimated mass is at least
     /// `phi · processed`, found by top-down descent: level k is read
     /// only under nodes whose level-(k−1) parent qualified, so a warm
@@ -420,14 +342,12 @@ impl<S: HeavyHitters> DyadicHh<S> {
         }
         out
     }
-}
 
-impl<S: FrequencyEstimator> DyadicHh<S> {
     /// Estimated mass of the inclusive interval `[lo, hi]`, via the
     /// canonical dyadic decomposition: at most 2 whole nodes per level,
     /// so ≤ 2L point estimates regardless of the interval width. With
-    /// the [`DyadicHh::count_min`] calibration the total error is
-    /// `ε · m` with probability 1 − δ.
+    /// the per-level calibration of [`DyadicHh::count_min`] the total
+    /// error is `ε · m` with probability 1 − δ.
     pub fn range_estimate(&self, lo: u64, hi: u64) -> f64 {
         if lo > hi {
             return 0.0;
@@ -461,7 +381,7 @@ impl<S: FrequencyEstimator> DyadicHh<S> {
     }
 }
 
-impl<S: HeavyHitters> HeavyHitters for DyadicHh<S> {
+impl HeavyHitters for DyadicHh {
     /// The point heavy hitters: the leaf level of
     /// [`DyadicHh::heavy_ranges`] at the configured φ, i.e. the heavy
     /// items themselves with the descent's pruning applied.
@@ -477,13 +397,13 @@ impl<S: HeavyHitters> HeavyHitters for DyadicHh<S> {
     }
 }
 
-impl<S: FrequencyEstimator> FrequencyEstimator for DyadicHh<S> {
+impl FrequencyEstimator for DyadicHh {
     fn estimate(&self, item: u64) -> f64 {
         self.levels[(self.key_bits - 1) as usize].estimate(item)
     }
 }
 
-impl<S: MergeableSummary + Clone> MergeableSummary for DyadicHh<S> {
+impl MergeableSummary for DyadicHh {
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
         check_compatible(&self.key_bits, &other.key_bits, "dyadic level counts")?;
         check_compatible(&self.universe, &other.universe, "universes")?;
@@ -511,7 +431,7 @@ impl<S: MergeableSummary + Clone> MergeableSummary for DyadicHh<S> {
     }
 }
 
-impl<S: MergeableSummary> Codec for DyadicHh<S> {
+impl Codec for DyadicHh {
     fn write_to(&self, w: &mut Writer) {
         w.write_u64(self.key_bits as u64);
         w.write_u64(self.universe);
@@ -554,7 +474,7 @@ impl<S: MergeableSummary> Codec for DyadicHh<S> {
         // what the (already checksummed) buffer claims.
         let mut levels = Vec::with_capacity(n);
         for k in 0..n {
-            let level = S::from_bytes(r.read_byte_slice()?)
+            let level = CountMin::from_bytes(r.read_byte_slice()?)
                 .map_err(|e| CodecError::invariant(format!("dyadic level {}: {e}", k + 1)))?;
             levels.push(level);
         }
@@ -571,7 +491,7 @@ impl<S: MergeableSummary> Codec for DyadicHh<S> {
     }
 }
 
-impl<S: SpaceUsage> SpaceUsage for DyadicHh<S> {
+impl SpaceUsage for DyadicHh {
     fn model_bits(&self) -> u64 {
         self.levels.iter().map(SpaceUsage::model_bits).sum::<u64>() + gamma_bits(self.processed)
     }
@@ -581,7 +501,7 @@ impl<S: SpaceUsage> SpaceUsage for DyadicHh<S> {
             .iter()
             .map(SpaceUsage::heap_bytes)
             .sum::<usize>()
-            + self.levels.capacity() * core::mem::size_of::<S>()
+            + self.levels.capacity() * core::mem::size_of::<CountMin>()
             + self.scratch.capacity() * core::mem::size_of::<u64>()
     }
 }
@@ -621,8 +541,8 @@ mod tests {
         let bank = DyadicHh::count_min(0.05, 0.2, 0.01, U, 7).unwrap();
         assert_eq!(bank.key_bits(), 16);
         assert_eq!(bank.levels().len(), 16);
-        assert_eq!(DyadicHh::<CountMin>::level_universe(64), u64::MAX);
-        assert_eq!(DyadicHh::<CountMin>::level_universe(3), 8);
+        assert_eq!(DyadicHh::level_universe(64), u64::MAX);
+        assert_eq!(DyadicHh::level_universe(3), 8);
     }
 
     #[test]
@@ -724,23 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn optimal_preset_batch_identity_and_recall() {
-        let stream = planted_stream(60_000, 5);
-        let params = HhParams::new(0.05, 0.15).unwrap();
-        let mut bank = DyadicHh::optimal(params, U, stream.len() as u64, 11, 12).unwrap();
-        bank.insert_batch(&stream);
-        let ranges = bank.heavy_ranges(0.15);
-        assert!(ranges.iter().any(|r| r.level == 8 && r.index == 0xAB));
-        assert!(ranges.iter().any(|r| r.level == 16 && r.index == 0x1234));
-
-        let mut scalar = DyadicHh::optimal(params, U, stream.len() as u64, 11, 12).unwrap();
-        for &x in &stream {
-            scalar.insert(x);
-        }
-        assert_eq!(bank.to_bytes(), scalar.to_bytes());
-    }
-
-    #[test]
     fn merge_of_partitions_matches_single_stream() {
         let stream = planted_stream(40_000, 6);
         let mut banks = seed_aligned_count_min(0.05, 0.2, 0.01, U, 3, 7).unwrap();
@@ -796,7 +699,7 @@ mod tests {
         let mut bank = DyadicHh::count_min(0.05, 0.2, 0.01, U, 7).unwrap();
         bank.insert_batch(head);
         let wire = bank.to_bytes();
-        let mut restored = DyadicHh::<CountMin>::from_bytes(&wire).unwrap();
+        let mut restored = DyadicHh::from_bytes(&wire).unwrap();
         assert_eq!(restored.to_bytes(), wire);
         bank.insert_batch(tail);
         restored.insert_batch(tail);
@@ -811,24 +714,36 @@ mod tests {
         // Wrong outer tag.
         let cm = CountMin::new(0.05, 0.2, 0.01, 1 << 8, 7);
         assert!(matches!(
-            DyadicHh::<CountMin>::from_bytes(&cm.to_bytes()),
+            DyadicHh::from_bytes(&cm.to_bytes()),
             Err(SnapshotError::WrongTag { .. })
         ));
-        // The outer tag is shared across level types, so decoding a
-        // Count-Min bank as a CountSketch bank passes the envelope but
-        // must fail closed at the inner level tags.
+        // The outer tag names only the bank, so a well-formed bank whose
+        // levels hold CountSketch buffers passes the envelope but must
+        // fail closed at the inner level tags.
+        let foreign = snapshot::encode_with(TAG, |w| {
+            w.write_u64(8);
+            w.write_u64(1 << 8);
+            w.write_f64(0.05);
+            w.write_f64(0.2);
+            w.write_u64(0);
+            w.write_seq_len(8);
+            for k in 1..=8 {
+                let level = hh_baselines::CountSketch::new(0.05, 0.2, 0.01, 1 << k, 7);
+                w.write_byte_seq(&level.to_bytes());
+            }
+        });
         assert!(matches!(
-            DyadicHh::<hh_baselines::CountSketch>::from_bytes(&wire),
-            Err(SnapshotError::InvariantViolated(_))
+            DyadicHh::from_bytes(&foreign),
+            Err(SnapshotError::InvariantViolated(msg)) if msg.contains("dyadic level 1")
         ));
         // Truncation anywhere fails with a structured error.
         for cut in [0, 1, wire.len() / 2, wire.len() - 1] {
-            assert!(DyadicHh::<CountMin>::from_bytes(&wire[..cut]).is_err());
+            assert!(DyadicHh::from_bytes(&wire[..cut]).is_err());
         }
         // Any bit flip is caught by the outer checksum (or tag check).
         let mut flipped = wire.to_vec();
         flipped[wire.len() / 2] ^= 0x10;
-        assert!(DyadicHh::<CountMin>::from_bytes(&flipped).is_err());
+        assert!(DyadicHh::from_bytes(&flipped).is_err());
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //! * [`MorrisCounter`] — the approximate counter of Morris \[Mor78\] analyzed
 //!   by Flajolet \[Fla85\], used by the unknown-stream-length constructions
 //!   of §3.5 (Theorems 7 and 8).
-//! * [`ReservoirSampler`] — fixed-size uniform samples without knowing `m`,
-//!   used by the unknown-length variants of the voting algorithms.
 //! * [`size`] — the sample-size calculators from Lemma 3 (and the DKW
 //!   inequality) mapping `(ε, δ)` to the number of samples the algorithms
 //!   draw.
@@ -50,7 +48,6 @@ pub mod bitbudget;
 pub mod counting_rng;
 pub mod lemma1;
 pub mod morris;
-pub mod reservoir;
 pub mod size;
 
 pub use bernoulli::{BernoulliSampler, SkipSampler};
@@ -58,4 +55,3 @@ pub use bitbudget::{BitBudget, BitSkipSampler};
 pub use counting_rng::CountingRng;
 pub use lemma1::Lemma1Sampler;
 pub use morris::MorrisCounter;
-pub use reservoir::ReservoirSampler;

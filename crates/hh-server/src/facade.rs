@@ -1,9 +1,9 @@
-//! The object-safe serving facade: one summary type for all nine
-//! implementations.
+//! The object-safe serving facade: one summary type for all eight
+//! served kinds.
 //!
 //! The server hosts tenants whose summary *kind* is chosen per tenant
 //! at `Create` time, so its banks cannot be generic over a summary
-//! type — they need one runtime type that any of the workspace's nine
+//! type — they need one runtime type that each of the eight served
 //! [`MergeableSummary`] implementations can stand behind.
 //! [`DynSummary`] is that type: a boxed [`ErasedSummary`] that
 //! implements the full summary contract (`StreamSummary`,
@@ -33,45 +33,45 @@
 use crate::proto::ProtocolError;
 use hh_baselines::{CountMin, CountSketch, LossyCounting, MisraGriesBaseline, SpaceSaving};
 use hh_core::{
-    HeavyHitters, HhParams, ItemEstimate, MergeError, MergeableSummary, MisraGries, OptimalListHh,
-    Report, SimpleListHh, SnapshotError, StreamSummary,
+    HeavyHitters, HhParams, MergeError, MergeableSummary, OptimalListHh, Report, SimpleListHh,
+    SnapshotError, StreamSummary,
 };
 use hh_dyadic::{DyadicHh, HeavyRange};
 use hh_hash::mix64;
 use hh_space::SpaceUsage;
 use std::any::Any;
 
-/// Which of the nine mergeable summary implementations a tenant runs.
+/// Which of the eight served summary kinds a tenant runs. The
+/// discriminant is the stable wire and store code. Code 2 stays
+/// unassigned, so a spec stored under it fails to decode instead of
+/// loading as another kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SummaryKind {
     /// The paper's Algorithm 1 ([`SimpleListHh`]).
-    Algo1,
+    Algo1 = 0,
     /// The paper's Algorithm 2 ([`OptimalListHh`]).
-    Algo2,
-    /// The hashed-id Misra–Gries core primitive ([`MisraGries`]).
-    MisraGries,
-    /// The raw-id Misra–Gries baseline ([`MisraGriesBaseline`]).
-    MisraGriesBaseline,
+    Algo2 = 1,
+    /// The Misra–Gries baseline ([`MisraGriesBaseline`]).
+    MisraGriesBaseline = 3,
     /// Space-Saving \[MAE05\] ([`SpaceSaving`]).
-    SpaceSaving,
+    SpaceSaving = 4,
     /// Lossy Counting \[MM02\] ([`LossyCounting`]).
-    LossyCounting,
+    LossyCounting = 5,
     /// Count-Min \[CM05\] ([`CountMin`]).
-    CountMin,
+    CountMin = 6,
     /// CountSketch \[CCFC04\] ([`CountSketch`]).
-    CountSketch,
+    CountSketch = 7,
     /// Dyadic range/prefix bank over Count-Min levels ([`DyadicHh`]) —
     /// the only kind that answers `RangeQuery`/`HeavyRanges`.
-    Dyadic,
+    Dyadic = 8,
 }
 
 impl SummaryKind {
     /// Every servable kind, in wire-discriminant order (new kinds are
     /// appended — existing codes never move).
-    pub const ALL: [SummaryKind; 9] = [
+    pub const ALL: [SummaryKind; 8] = [
         SummaryKind::Algo1,
         SummaryKind::Algo2,
-        SummaryKind::MisraGries,
         SummaryKind::MisraGriesBaseline,
         SummaryKind::SpaceSaving,
         SummaryKind::LossyCounting,
@@ -82,15 +82,12 @@ impl SummaryKind {
 
     /// Stable wire discriminant.
     pub fn code(self) -> u64 {
-        Self::ALL
-            .iter()
-            .position(|&k| k == self)
-            .expect("every kind is in ALL") as u64
+        self as u64
     }
 
-    /// Inverse of [`SummaryKind::code`].
+    /// Inverse of [`SummaryKind::code`]; `None` for an unknown code.
     pub fn from_code(code: u64) -> Option<Self> {
-        Self::ALL.get(code as usize).copied()
+        Self::ALL.into_iter().find(|k| k.code() == code)
     }
 
     /// Human-readable name (matches the snapshot tag families).
@@ -98,7 +95,6 @@ impl SummaryKind {
         match self {
             SummaryKind::Algo1 => "algo1",
             SummaryKind::Algo2 => "algo2",
-            SummaryKind::MisraGries => "misra-gries",
             SummaryKind::MisraGriesBaseline => "baseline.misra-gries",
             SummaryKind::SpaceSaving => "baseline.space-saving",
             SummaryKind::LossyCounting => "baseline.lossy-counting",
@@ -220,14 +216,6 @@ impl TenantSpec {
                     self.stream_seed(j),
                 )?,
             ),
-            SummaryKind::MisraGries => {
-                // k counters bound the undercount by m/(k+1) ≤ εm.
-                let capacity = (1.0 / self.eps).ceil() as usize;
-                DynSummary::new(
-                    SummaryKind::MisraGries,
-                    MisraGries::for_universe(capacity, self.universe),
-                )
-            }
             SummaryKind::MisraGriesBaseline => DynSummary::new(
                 SummaryKind::MisraGriesBaseline,
                 MisraGriesBaseline::new(self.eps, self.phi, self.universe),
@@ -290,15 +278,14 @@ impl TenantSpec {
 }
 
 /// The object-safe method set [`DynSummary`] erases to. Implemented by
-/// the private `Cell` wrapper for each of the nine kinds; not meant
+/// the private `Cell` wrapper for each of the eight kinds; not meant
 /// to be implemented outside this module.
 pub trait ErasedSummary: Send + Sync {
     /// Which implementation is behind the box.
     fn kind(&self) -> SummaryKind;
     /// [`StreamSummary::insert_batch`].
     fn insert_batch_dyn(&mut self, items: &[u64]);
-    /// [`HeavyHitters::report`] (for [`MisraGries`], the full live
-    /// entry list as a report — thresholding is the caller's).
+    /// [`HeavyHitters::report`].
     fn report_dyn(&self) -> Report;
     /// [`MergeableSummary::to_bytes`].
     fn to_bytes_dyn(&self) -> Vec<u8>;
@@ -331,11 +318,9 @@ struct Cell<S> {
 }
 
 /// The facade bound: everything the serving surface needs from a
-/// concrete summary. All nine kinds satisfy it; `report` is supplied
-/// per-kind by the macro below because [`MisraGries`] exposes entries
-/// instead of implementing [`HeavyHitters`].
+/// concrete summary. All eight kinds satisfy it.
 macro_rules! erase {
-    ($ty:ty, $report:expr $(, $extra:item)*) => {
+    ($ty:ty $(, $extra:item)*) => {
         impl ErasedSummary for Cell<$ty> {
             fn kind(&self) -> SummaryKind {
                 self.kind
@@ -344,8 +329,7 @@ macro_rules! erase {
                 self.inner.insert_batch(items);
             }
             fn report_dyn(&self) -> Report {
-                #[allow(clippy::redundant_closure_call)]
-                ($report)(&self.inner)
+                self.inner.report()
             }
             fn to_bytes_dyn(&self) -> Vec<u8> {
                 self.inner.to_bytes()
@@ -376,24 +360,15 @@ macro_rules! erase {
     };
 }
 
-erase!(SimpleListHh, HeavyHitters::report);
-erase!(OptimalListHh, HeavyHitters::report);
-erase!(MisraGries, |mg: &MisraGries| Report::new(
-    mg.live_entries()
-        .map(|(item, count)| ItemEstimate {
-            item,
-            count: count as f64,
-        })
-        .collect(),
-));
-erase!(MisraGriesBaseline, HeavyHitters::report);
-erase!(SpaceSaving, HeavyHitters::report);
-erase!(LossyCounting, HeavyHitters::report);
-erase!(CountMin, HeavyHitters::report);
-erase!(CountSketch, HeavyHitters::report);
+erase!(SimpleListHh);
+erase!(OptimalListHh);
+erase!(MisraGriesBaseline);
+erase!(SpaceSaving);
+erase!(LossyCounting);
+erase!(CountMin);
+erase!(CountSketch);
 erase!(
-    DyadicHh<CountMin>,
-    HeavyHitters::report,
+    DyadicHh,
     fn range_estimate_dyn(&self, lo: u64, hi: u64) -> Option<f64> {
         Some(self.inner.range_estimate(lo, hi))
     },
@@ -402,7 +377,7 @@ erase!(
     }
 );
 
-/// Any of the nine summary implementations behind one runtime type.
+/// Any of the eight served summary kinds behind one runtime type.
 ///
 /// Implements the whole summary contract by delegation, so the shard
 /// runtime, the tenant read path, and the snapshot/checkpoint machinery
@@ -469,7 +444,6 @@ impl DynSummary {
             let outcome = match kind {
                 SummaryKind::Algo1 => Self::restore_as::<SimpleListHh>(kind, bytes),
                 SummaryKind::Algo2 => Self::restore_as::<OptimalListHh>(kind, bytes),
-                SummaryKind::MisraGries => Self::restore_as::<MisraGries>(kind, bytes),
                 SummaryKind::MisraGriesBaseline => {
                     Self::restore_as::<MisraGriesBaseline>(kind, bytes)
                 }
@@ -477,7 +451,7 @@ impl DynSummary {
                 SummaryKind::LossyCounting => Self::restore_as::<LossyCounting>(kind, bytes),
                 SummaryKind::CountMin => Self::restore_as::<CountMin>(kind, bytes),
                 SummaryKind::CountSketch => Self::restore_as::<CountSketch>(kind, bytes),
-                SummaryKind::Dyadic => Self::restore_as::<DyadicHh<CountMin>>(kind, bytes),
+                SummaryKind::Dyadic => Self::restore_as::<DyadicHh>(kind, bytes),
             };
             match outcome {
                 Ok(restored) => return Ok(restored),
@@ -550,15 +524,31 @@ mod tests {
 
     #[test]
     fn every_kind_builds_ingests_reports_and_roundtrips() {
+        let stream: Vec<u64> = (0..50_000u64)
+            .map(|i| if i % 3 == 0 { 7 } else { i })
+            .collect();
+        let mut truth = std::collections::HashMap::new();
+        for &x in &stream {
+            *truth.entry(x).or_insert(0u64) += 1;
+        }
         for kind in SummaryKind::ALL {
-            let mut bank = spec(kind).build_bank().unwrap();
+            let spec = spec(kind);
+            let mut bank = spec.build_bank().unwrap();
             assert_eq!(bank.len(), 1, "{kind:?}");
             let s = &mut bank[0];
-            let stream: Vec<u64> = (0..50_000u64)
-                .map(|i| if i % 3 == 0 { 7 } else { i })
-                .collect();
             s.insert_batch(&stream);
-            assert!(s.report().contains(7), "{kind:?} lost the 33% item");
+            let report = s.report();
+            assert!(report.contains(7), "{kind:?} lost the 33% item");
+            // The served (ε, φ) contract: nothing at or below (φ−ε)·m.
+            let light = (spec.phi - spec.eps) * stream.len() as f64;
+            for e in report.entries() {
+                let f = truth.get(&e.item).copied().unwrap_or(0);
+                assert!(
+                    f as f64 > light,
+                    "{kind:?} reported item {} with true count {f} <= {light}",
+                    e.item
+                );
+            }
             let bytes = s.to_bytes();
             let back = DynSummary::from_bytes(&bytes).unwrap();
             assert_eq!(back.kind(), kind, "tag dispatch picked the wrong kind");
@@ -571,11 +561,19 @@ mod tests {
         // The `fnv1a64x4` of each kind's snapshot, in `SummaryKind::ALL`
         // order: fresh, then after one fixed seeded batch. A change that
         // moves one checkpoint byte fails here, not at a boot scan
-        // reading a store the other build wrote.
-        const FRESH: [u64; 9] = [
+        // reading a store the other build wrote. The kind codes are
+        // stored too, and code 2 stays unassigned.
+        assert_eq!(
+            SummaryKind::ALL.map(SummaryKind::code),
+            [0, 1, 3, 4, 5, 6, 7, 8]
+        );
+        assert_eq!(SummaryKind::from_code(2), None);
+        for kind in SummaryKind::ALL {
+            assert_eq!(SummaryKind::from_code(kind.code()), Some(kind));
+        }
+        const FRESH: [u64; 8] = [
             0x4D25_9D9B_FE9F_B9A5,
             0xC6A1_4AB4_3A63_A1D3,
-            0x5504_2AB8_4CDF_997A,
             0x0DD7_8A98_E5A7_13C3,
             0x1D1C_8CE7_3259_C2A1,
             0xE6DA_E834_5747_1BE2,
@@ -583,10 +581,9 @@ mod tests {
             0xB9B0_9EBE_9F01_CD15,
             0xC846_1B9D_0BC5_0BF0,
         ];
-        const FED: [u64; 9] = [
+        const FED: [u64; 8] = [
             0x0015_838E_275A_7F6A,
             0x3415_C0DD_CC66_7DC0,
-            0xE63B_ADAE_AA35_4855,
             0x2376_6D24_6BEF_5C6E,
             0x6193_0ECB_6B39_F50D,
             0x0F9D_3703_9BDC_6259,

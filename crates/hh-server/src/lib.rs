@@ -14,9 +14,8 @@
 //!   panic or an allocation sized from hostile bytes.
 //! * **Deadlines** ([`conn`]): idle/io/frame budgets on every
 //!   connection; slow-loris clients are reaped, stalls are bounded.
-//! * **Tenancy** ([`facade`], [`tenant`]): any of the nine
-//!   `MergeableSummary` implementations behind one object-safe
-//!   [`DynSummary`]; ingest rides `ShardRuntime` with quarantine-and-
+//! * **Tenancy** ([`facade`], [`tenant`]): any of the eight served
+//!   `MergeableSummary` kinds behind one object-safe [`DynSummary`]; ingest rides `ShardRuntime` with quarantine-and-
 //!   shed failure handling; reads run on the live shard (1 shard) or
 //!   on one merged copy the tenant rebuilds after ingest (N shards).
 //! * **Durability** ([`durability`], [`store`], [`server`]): every

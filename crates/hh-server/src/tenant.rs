@@ -6,9 +6,8 @@
 //! the flush barrier and bumps the serving epoch. Then:
 //!
 //! * a **1-shard** tenant answers from shard 0 under its cell lock,
-//!   with no clone at all. Every served kind except the core
-//!   Misra–Gries keeps its own query cache, so repeated reads with no
-//!   ingest in between stay cached;
+//!   with no clone at all. Every served kind keeps its own query
+//!   cache, so repeated reads with no ingest in between stay cached;
 //! * an **N-shard** tenant answers from one merged copy it keeps. A
 //!   stale read rebuilds it: clone shard 0, then `merge_from` every
 //!   other shard in place under its cell lock — one clone per read.

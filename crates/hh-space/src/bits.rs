@@ -1,10 +1,9 @@
 //! A plain bit vector.
 //!
 //! Used by Algorithm 3 (ε-Minimum) for the membership vector `B1` over the
-//! universe, and as the backing store for [`crate::gamma::GammaVec`] and
-//! [`crate::packed::PackedIntVec`]. The paper charges exactly `|U|` bits for
-//! a bit vector over universe `U`, which is what [`SpaceUsage::model_bits`]
-//! reports.
+//! universe, and as the backing store for [`crate::gamma::GammaVec`]. The
+//! paper charges exactly `|U|` bits for a bit vector over universe `U`, which
+//! is what [`SpaceUsage::model_bits`] reports.
 
 use crate::space::SpaceUsage;
 

@@ -16,11 +16,11 @@
 //!   the constant-factor gap between the model and a word-RAM
 //!   implementation.
 //!
-//! The crate also provides real compact containers ([`BitVec`],
-//! [`PackedIntVec`], [`GammaVec`], [`VarCounterArray`]) so that the model
-//! accounting is backed by an executable encoding rather than a formula, and
-//! the bound formulas of Table 1 ([`bounds`]) used by the experiment
-//! harness. The binary codec every snapshot and wire frame is written in
+//! The crate also provides the compact containers summaries store into
+//! ([`BitVec`] for ε-Minimum's membership vectors, [`VarCounterArray`] for
+//! variable-length counters, whose gamma model cost
+//! [`VarCounterArray::to_gamma`] realizes as a [`GammaVec`]), and the bound
+//! formulas of Table 1 ([`bounds`]) used by the experiment harness. The binary codec every snapshot and wire frame is written in
 //! ([`codec`]) and its integrity digest ([`checksum`]) live here too.
 //!
 //! # Example
@@ -43,9 +43,7 @@ pub mod bits;
 pub mod bounds;
 pub mod checksum;
 pub mod codec;
-pub mod delta;
 pub mod gamma;
-pub mod packed;
 pub mod space;
 pub mod swar;
 pub mod varcount;
@@ -53,9 +51,7 @@ pub mod varint;
 
 pub use bits::BitVec;
 pub use checksum::fnv1a64x4;
-pub use delta::DeltaVec;
 pub use gamma::{GammaDecoder, GammaVec};
-pub use packed::PackedIntVec;
 pub use space::{
     ceil_log2, gamma_bits, gamma_sum_bits, id_bits, merged_gamma_sum_bits,
     merged_sparse_slice_bits, sparse_bits, sparse_slice_bits, SpaceUsage,

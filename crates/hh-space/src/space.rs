@@ -283,6 +283,11 @@ mod tests {
         assert!(delta_bits(1_000_000) < gamma_bits(1_000_000));
         // And both grow like log.
         assert!(delta_bits(1 << 40) < 60);
+        // Exact Elias-delta code lengths, as an encoder writes them.
+        assert_eq!(
+            [0, 1, 2, 3, 7, 8, 100, 12345, 1 << 33, 1 << 55].map(delta_bits),
+            [1, 4, 4, 5, 8, 8, 11, 20, 44, 66]
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 #   serve_throughput    hh-server loopback TCP: ping RTT, wire ingest,
 #                       wire query (records _meta/serve_query_p50_ns,
 #                       _meta/serve_query_p99_ns)
-#   dyadic              hierarchical range-query bank: L-fold ingest,
+#   dyadic              Count-Min range-query bank: L-fold ingest,
 #                       warm/cold heavy-prefix descent, canonical range
 #                       decomposition, bank merge + snapshot
 #   wal                 write-ahead log: append+commit (inline fsync),

@@ -1,5 +1,5 @@
-//! Property suite for the dyadic range-query subsystem (PR 9): for
-//! both [`DyadicHh`] presets,
+//! Property suite for the dyadic range-query subsystem, on the
+//! Count-Min [`DyadicHh`] bank:
 //!
 //! 1. **planted-prefix recall and suppression** — every dyadic range
 //!    carrying at least `(φ+ε)·m` of a planted-prefix stream is
@@ -8,17 +8,16 @@
 //!    points to ranges; the gray zone in between is unconstrained);
 //! 2. **range estimates track the exact oracle** — `range_estimate`
 //!    on arbitrary intervals stays within `ε·m` of exact counting
-//!    (and never undercounts on the Count-Min preset);
+//!    (and never undercounts);
 //! 3. **merge-of-partitions ≡ single-stream** — seed-aligned banks
-//!    over an arbitrary positional partition agree with one bank over
-//!    the whole stream (exactly for Count-Min, which is deterministic
-//!    given the seed; within bounds for the sampled Algorithm-2 bank);
+//!    over an arbitrary positional partition agree exactly with one
+//!    bank over the whole stream (Count-Min is deterministic given the
+//!    seed);
 //! 4. **snapshot → restore → continue** — a bank checkpointed
 //!    mid-stream and resumed finishes identically to the original.
 
-use hh_baselines::CountMin;
-use hh_core::{FrequencyEstimator, HhParams, MergeableSummary, OptimalListHh, StreamSummary};
-use hh_dyadic::{seed_aligned_count_min, seed_aligned_optimal, DyadicHh, HeavyRange};
+use hh_core::{FrequencyEstimator, MergeableSummary, StreamSummary};
+use hh_dyadic::{seed_aligned_count_min, DyadicHh, HeavyRange};
 use hh_streams::{arrange, OrderPolicy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -165,24 +164,6 @@ proptest! {
     }
 
     #[test]
-    fn optimal_bank_recall_and_suppression_across_orderings(
-        seed in 0u64..1 << 32,
-    ) {
-        let counts = planted_prefix_counts();
-        let masses = node_masses(&counts);
-        let params = HhParams::with_delta(EPS, PHI, DELTA).unwrap();
-        for (oi, &order) in ORDERINGS.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(seed ^ oi as u64);
-            let stream = arrange(&counts, order, &mut rng);
-            let mut bank =
-                DyadicHh::optimal(params, U, M, seed ^ 0xD2, seed ^ oi as u64).unwrap();
-            bank.insert_batch(&stream);
-            let ranges = bank.heavy_ranges(PHI);
-            assert_recall_and_suppression(&ranges, &masses, &format!("algo2/{order:?}"));
-        }
-    }
-
-    #[test]
     fn range_estimates_track_the_exact_oracle(
         seed in 0u64..1 << 32,
     ) {
@@ -255,47 +236,12 @@ proptest! {
         prop_assert_eq!(merged.heavy_ranges(PHI), single.heavy_ranges(PHI));
         prop_assert_eq!(merged.processed(), single.processed());
     }
-
-    #[test]
-    fn optimal_merge_of_partitions_agrees_within_bounds(
-        seed in 0u64..1 << 32,
-        parts in 2usize..6,
-    ) {
-        let counts = planted_prefix_counts();
-        let masses = node_masses(&counts);
-        let params = HhParams::with_delta(EPS, PHI, DELTA).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let stream = arrange(&counts, OrderPolicy::Shuffled, &mut rng);
-        let chunks = random_partition(&stream, parts, seed ^ 0x9B);
-        let mut banks = seed_aligned_optimal(params, U, M, parts, seed ^ 0xD5).unwrap();
-        for (b, chunk) in banks.iter_mut().zip(&chunks) {
-            b.insert_batch(chunk);
-        }
-        let mut merged = banks.remove(0);
-        for b in &banks {
-            merged.merge_from(b).expect("seed-aligned banks must merge");
-        }
-        // The sampled bank is not interleaving-deterministic, so the
-        // contract is the guarantee itself: the merged bank passes the
-        // same recall/suppression test a single-stream bank does.
-        assert_recall_and_suppression(&merged.heavy_ranges(PHI), &masses, "algo2/merged");
-        for (lo, hi) in [(0xAB00u64, 0xABFFu64), (0xCD00, 0xCDFF)] {
-            let truth = interval_mass(&counts, lo, hi) as f64;
-            let est = merged.range_estimate(lo, hi);
-            prop_assert!(
-                (est - truth).abs() <= 2.0 * EPS * M as f64,
-                "[{lo:#x},{hi:#x}]: merged {est} vs truth {truth}"
-            );
-        }
-    }
 }
 
 #[test]
 fn snapshot_resume_continues_bit_identically() {
-    // Checkpoint mid-stream, restore, finish on both copies: the
-    // Count-Min bank must match byte for byte (fully deterministic
-    // state), the Algorithm-2 bank report-for-report (its RNG state
-    // travels in the snapshot).
+    // Checkpoint mid-stream, restore, finish on both copies: the bank
+    // must match byte for byte (Count-Min state is deterministic).
     let counts = planted_prefix_counts();
     let mut rng = StdRng::seed_from_u64(11);
     let stream = arrange(&counts, OrderPolicy::Shuffled, &mut rng);
@@ -303,37 +249,9 @@ fn snapshot_resume_continues_bit_identically() {
 
     let mut cm = DyadicHh::count_min(EPS, PHI, DELTA, U, 21).unwrap();
     cm.insert_batch(head);
-    let mut resumed = DyadicHh::<CountMin>::from_bytes(&cm.to_bytes()).unwrap();
+    let mut resumed = DyadicHh::from_bytes(&cm.to_bytes()).unwrap();
     cm.insert_batch(tail);
     resumed.insert_batch(tail);
     assert_eq!(cm.to_bytes(), resumed.to_bytes());
     assert_eq!(cm.heavy_ranges(PHI), resumed.heavy_ranges(PHI));
-
-    let params = HhParams::with_delta(EPS, PHI, DELTA).unwrap();
-    let mut a2 = DyadicHh::optimal(params, U, M, 22, 23).unwrap();
-    a2.insert_batch(head);
-    let mut resumed = DyadicHh::<OptimalListHh>::from_bytes(&a2.to_bytes()).unwrap();
-    a2.insert_batch(tail);
-    resumed.insert_batch(tail);
-    assert_eq!(a2.heavy_ranges(PHI), resumed.heavy_ranges(PHI));
-    assert_eq!(
-        a2.range_estimate(0, U - 1).to_bits(),
-        resumed.range_estimate(0, U - 1).to_bits()
-    );
-    assert_eq!(a2.processed(), resumed.processed());
-}
-
-#[test]
-fn batch_and_scalar_ingestion_are_bit_identical() {
-    let counts = planted_prefix_counts();
-    let mut rng = StdRng::seed_from_u64(31);
-    let stream = arrange(&counts, OrderPolicy::Shuffled, &mut rng);
-    let params = HhParams::with_delta(EPS, PHI, DELTA).unwrap();
-    let mut batched = DyadicHh::optimal(params, U, M, 41, 42).unwrap();
-    let mut scalar = DyadicHh::optimal(params, U, M, 41, 42).unwrap();
-    batched.insert_batch(&stream);
-    for &x in &stream {
-        scalar.insert(x);
-    }
-    assert_eq!(batched.to_bytes(), scalar.to_bytes());
 }

@@ -226,8 +226,8 @@ proptest! {
         // The ninth summary. The Count-Min bank is deterministic given
         // its seed, so partition-and-merge is *exact*: estimates,
         // range estimates, and the heavy forest all match the
-        // single-stream bank (prop_dyadic.rs covers the sampled bank
-        // and the dyadic-specific guarantees in depth).
+        // single-stream bank (prop_dyadic.rs covers the dyadic-specific
+        // guarantees in depth).
         let stream = workload(seed, false);
         let mut banks =
             hh_dyadic::seed_aligned_count_min(EPS, PHI, 0.05, 1 << 16, parts, seed ^ 0xA9)

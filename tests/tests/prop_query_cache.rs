@@ -238,13 +238,6 @@ proptest! {
             ops,
             "dyadic-cm",
         );
-        let params = HhParams::with_delta(EPS, PHI, 0.1).unwrap();
-        drive_mergeable(
-            |j| DyadicHh::optimal(params, 1 << 16, M, seed ^ 0xE7, 300 + j as u64).unwrap(),
-            seed,
-            ops,
-            "dyadic-algo2",
-        );
     }
 
     #[test]
@@ -297,7 +290,7 @@ fn warm_heavy_forest_sees_every_mutation_kind() {
     assert!(merged.iter().any(|r| r.level == 16 && r.index == 0x9999));
 
     // Restore-then-continue starts cold and keeps tracking.
-    let mut r = DyadicHh::<CountMin>::from_bytes(&bank.to_bytes()).unwrap();
+    let mut r = DyadicHh::from_bytes(&bank.to_bytes()).unwrap();
     assert_eq!(r.heavy_ranges(0.2), merged);
     r.insert_batch(&vec![0x7777u64; 20_000]);
     assert_eq!(
@@ -498,9 +491,9 @@ fn tenant_reads_match_cold_merge(kind: SummaryKind, shards: u32, seed: u64, roun
 
 #[test]
 fn tenant_reads_equal_a_cold_merge_for_every_kind_and_shard_count() {
-    for (k, kind) in SummaryKind::ALL.into_iter().enumerate() {
+    for kind in SummaryKind::ALL {
         for shards in [1, 2, 4] {
-            let seed = 0x51DE_0000 ^ ((k as u64) << 8) ^ u64::from(shards);
+            let seed = 0x51DE_0000 ^ (kind.code() << 8) ^ u64::from(shards);
             tenant_reads_match_cold_merge(kind, shards, seed, 12);
         }
     }

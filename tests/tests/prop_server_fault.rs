@@ -414,7 +414,7 @@ fn wal_soak_reliable_ingest_survives_kill_cycles_exactly() {
 
 #[test]
 fn fuzzed_range_requests_never_kill_a_dyadic_tenant() {
-    // The ninth kind as the canary: a dyadic tenant keeps serving
+    // The dyadic kind as the canary: a dyadic tenant keeps serving
     // range queries while its own RangeQuery/HeavyRanges frames are
     // corrupted, and a kill/restart cycle preserves the checkpointed
     // heavy forest.
